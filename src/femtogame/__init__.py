@@ -30,6 +30,7 @@ from .discrete import (
     discrete_equilibrium,
     expected_follower_payoff,
     expected_leader_revenue,
+    expected_payoffs,
     expected_powers,
     initial_state,
     learning_step,
@@ -51,18 +52,22 @@ from .network import (
     NetworkInstance,
     TopologyConfig,
     dbm_to_watts,
+    follower_sinr,
     generate_topology,
+    interference,
     sinr_follower,
     sinr_macro,
     watts_to_dbm,
 )
 from .payoff import (
     cross_second_derivative,
+    efficiencies,
     efficiency,
     follower_payoff,
     interference_denominator,
     leader_revenue,
     payoff_gradient,
+    payoffs,
     validate_power_profile,
     validate_prices,
 )

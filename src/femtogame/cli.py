@@ -188,6 +188,9 @@ def cmd_experiment(args) -> int:
     )
     summary = run_experiment(spec)
     print(json.dumps(summary, indent=2, default=str))
+    if summary["rows_not_ok"]:
+        print(f"{summary['rows_not_ok']} rows have a status other than ok", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
     return EXIT_OK
 
 

@@ -10,13 +10,13 @@ same profile from any initialization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ._csv import write_rows
-from .network import NetworkInstance, sinr_follower
-from .payoff import follower_payoff, interference_denominator
+from .network import NetworkInstance, follower_sinr, interference
+from .payoff import own_gradient, own_payoff, payoffs, validate_prices
 
 __all__ = [
     "BisectionError",
@@ -87,28 +87,22 @@ def best_response(
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    denom = interference_denominator(net, k, opponents)
-    G = net.gain[k, k] / denom
+    G = net.gain[k, k] / interference(net, opponents)[k - 1]
     lam_h = prices[k - 1] * net.gain[k, 0]
     W = net.bandwidth
     pa = net.circuit_power
     p_max = float(net.power_max[k - 1])
 
-    def grad(p: float) -> float:
-        gamma = G * p
-        total = p + pa
-        return -W * math.log1p(gamma) / (total * total) + W * G / ((1.0 + gamma) * total) - lam_h
-
-    # Gradient at 0 is W*G/p_a - lam_h; non-positive means transmitting never
-    # pays (single + to - sign change).
-    if W * G / pa - lam_h <= 0.0:
+    # Non-positive gradient at 0 means transmitting never pays (single + to -
+    # sign change).
+    if own_gradient(0.0, G, W, pa, lam_h) <= 0.0:
         return 0.0
-    if grad(p_max) >= 0.0:
+    if own_gradient(p_max, G, W, pa, lam_h) >= 0.0:
         return p_max
     lo, hi = 0.0, p_max
     for _ in range(max_iter):
         mid = 0.5 * (lo + hi)
-        if grad(mid) > 0.0:
+        if own_gradient(mid, G, W, pa, lam_h) > 0.0:
             lo = mid
         else:
             hi = mid
@@ -121,9 +115,7 @@ def best_response(
     root = 0.5 * (lo + hi)
 
     # Payoff at 0 is exactly 0; keep the root only if it strictly beats it.
-    trial = np.array(opponents, dtype=float)
-    trial[k - 1] = root
-    if follower_payoff(net, k, trial, prices) > 0.0:
+    if own_payoff(root, G * root, W, pa, lam_h) > 0.0:
         return root
     return 0.0
 
@@ -154,6 +146,7 @@ def run_algorithm1(
     every completed round thereafter.
     """
     K = net.num_followers
+    prices = validate_prices(net, prices)
     p = np.array(init, dtype=float)
     if p.shape != (K,):
         raise ValueError(f"init profile must have length {K}")
@@ -163,10 +156,7 @@ def run_algorithm1(
     if sched.mode != "round-robin":
         rng = np.random.default_rng(sched.rng_seed)
 
-    def payoffs(profile: np.ndarray) -> np.ndarray:
-        return np.array([follower_payoff(net, i, profile, prices) for i in range(1, K + 1)])
-
-    trace = [(0, p.copy(), payoffs(p))]
+    trace = [(0, p.copy(), payoffs(net, p, prices))]
     converged = False
     residual = math.inf
     rounds = 0
@@ -175,7 +165,7 @@ def run_algorithm1(
         for k in _round_order(sched, K, rng):
             p[k - 1] = best_response(net, int(k), p, prices, tol=br_tol)
         residual = float(np.max(np.abs(p - previous)))
-        trace.append((rounds, p.copy(), payoffs(p)))
+        trace.append((rounds, p.copy(), payoffs(net, p, prices)))
         if residual < tol:
             converged = True
             break
@@ -196,31 +186,20 @@ def check_uniqueness_condition(net: NetworkInstance, p: np.ndarray) -> np.ndarra
     gamma_k/(1+gamma_k)). Followers with p_k = 0 are vacuously False.
     """
     p = np.asarray(p, dtype=float)
-    K = net.num_followers
-    out = np.zeros(K, dtype=bool)
-    for k in range(1, K + 1):
-        pk = p[k - 1]
-        if pk <= 0.0:
-            continue
-        denom = net.noise[k] + net.gain[0, k] * net.mu_power + float(np.dot(net.gain[1:, k], p))
-        out[k - 1] = net.gain[k, k] * pk / denom >= net.circuit_power / pk
-    return out
+    signal = net.own_gain * p
+    return p * signal / (interference(net, p) + signal) >= net.circuit_power
 
 
 def check_supermodularity(net: NetworkInstance, k: int, p: np.ndarray) -> bool:
     """Increasing-differences gate: gamma_k >= p_a/p_k (False at p_k = 0)."""
-    pk = p[k - 1]
-    if pk <= 0.0:
-        return False
-    return sinr_follower(net, k, p) >= net.circuit_power / pk
+    return bool(p[k - 1] * follower_sinr(net, p)[k - 1] >= net.circuit_power)
 
 
 def write_trace_csv(net: NetworkInstance, report: EquilibriumReport, path) -> None:
     """Export an Algorithm-1 trace as CSV: round,k,p_k,u_k,gamma_k."""
     rows = []
     for rnd, profile, util in report.trace:
-        for k in range(1, net.num_followers + 1):
-            rows.append(
-                (rnd, k, float(profile[k - 1]), float(util[k - 1]), sinr_follower(net, k, profile))
-            )
+        gamma = follower_sinr(net, profile)
+        for k in range(net.num_followers):
+            rows.append((rnd, k + 1, float(profile[k]), float(util[k]), float(gamma[k])))
     write_rows(path, ("round", "k", "p_k", "u_k", "gamma_k"), rows)

@@ -18,7 +18,7 @@ import numpy as np
 
 from ._csv import write_rows
 from .network import NetworkInstance
-from .payoff import follower_payoff
+from .payoff import leader_revenue, payoffs, validate_prices
 
 __all__ = [
     "ActionSet",
@@ -31,6 +31,7 @@ __all__ = [
     "default_action_sets",
     "logit_response",
     "expected_powers",
+    "expected_payoffs",
     "expected_follower_payoff",
     "expected_leader_revenue",
     "discrete_best_response",
@@ -183,6 +184,32 @@ def _check_enumeration_size(action_sets) -> int:
     return total
 
 
+def expected_payoffs(net: NetworkInstance, action_sets, strategies, prices) -> np.ndarray:
+    """Expected net payoff of every follower under product-form mixed strategies.
+
+    Sums (psi_k(p) - lambda_k*h_k0*p_k) * prod_i pi_i(p_i) over every joint
+    action profile p, for all k at once. The joint grid is evaluated one
+    slice per action of follower 1, so M^(K-1) profiles are held at a time;
+    rejects problem sizes with K * M^K above ``ENUMERATION_CAP``.
+    """
+    _check_enumeration_size(action_sets)
+    for pi in strategies:
+        validate_simplex(pi)
+    K = net.num_followers
+    sizes = [len(a) for a in action_sets[1:]]
+    count = math.prod(sizes)
+    profiles = np.empty((count, K))
+    prob = np.ones(count)
+    for i, idx in enumerate(np.indices(sizes).reshape(K - 1, count), start=1):
+        profiles[:, i] = action_sets[i].powers[idx]
+        prob *= strategies[i][idx]
+    total = np.zeros(K)
+    for p1, w1 in zip(action_sets[0].powers, strategies[0]):
+        profiles[:, 0] = p1
+        total += (w1 * prob) @ payoffs(net, profiles, prices)
+    return total
+
+
 def expected_follower_payoff(
     net: NetworkInstance,
     k: int,
@@ -190,38 +217,13 @@ def expected_follower_payoff(
     strategies,
     prices,
 ) -> float:
-    """Expected net payoff of follower k under product-form mixed strategies.
-
-    Sums (psi_k(p) - lambda_k*h_k0*p_k) * prod_i pi_i(p_i) over every joint
-    action profile p. Vectorized over the full M^K product grid; rejects
-    problem sizes with K * M^K above ``ENUMERATION_CAP``.
-    """
-    _check_enumeration_size(action_sets)
-    K = net.num_followers
-    for pi in strategies:
-        validate_simplex(pi)
-    idx = np.meshgrid(*[np.arange(len(a)) for a in action_sets], indexing="ij")
-    P = [action_sets[i].powers[idx[i]] for i in range(K)]
-    prob = strategies[0][idx[0]].astype(float).copy()
-    for i in range(1, K):
-        prob *= strategies[i][idx[i]]
-
-    denom = net.noise[k] + net.gain[0, k] * net.mu_power
-    for j in range(1, K + 1):
-        if j != k:
-            denom = denom + net.gain[j, k] * P[j - 1]
-    pk = P[k - 1]
-    gamma = net.gain[k, k] * pk / denom
-    psi = net.bandwidth * np.log1p(gamma) / (pk + net.circuit_power)
-    u = psi - prices[k - 1] * net.gain[k, 0] * pk
-    return float(np.sum(prob * u))
+    """Expected net payoff of follower k; one entry of ``expected_payoffs``."""
+    return float(expected_payoffs(net, action_sets, strategies, prices)[k - 1])
 
 
 def expected_leader_revenue(net: NetworkInstance, action_sets, strategies, prices) -> float:
     """Expected MBS revenue: sum_k lambda_k * h_k0 * sum_j pi^j_k * p^j_k."""
-    mean_p = expected_powers(action_sets, strategies)
-    lam = np.asarray(prices, dtype=float)
-    return float(np.sum(lam * net.gain[1:, 0] * mean_p))
+    return leader_revenue(net, expected_powers(action_sets, strategies), prices)
 
 
 def discrete_best_response(
@@ -229,17 +231,13 @@ def discrete_best_response(
 ) -> int:
     """Index of follower k's payoff-maximizing action against pure opponents.
 
-    Ties break toward the smaller power, so a follower indifferent between
-    transmitting and staying silent stays silent.
+    Evaluates every action as one (M, K) batch of trial profiles. Ties break
+    toward the smaller power, so a follower indifferent between transmitting
+    and staying silent stays silent (the silent action pays exactly 0).
     """
-    trial = np.array(opponents, dtype=float)
-    best_j, best_u = 0, 0.0
-    for j, p in enumerate(action_set.powers):
-        trial[k - 1] = p
-        u = follower_payoff(net, k, trial, prices)
-        if u > best_u:
-            best_j, best_u = j, u
-    return best_j
+    trials = np.tile(np.asarray(opponents, dtype=float), (len(action_set), 1))
+    trials[:, k - 1] = action_set.powers
+    return int(np.argmax(payoffs(net, trials, prices)[:, k - 1]))
 
 
 def discrete_equilibrium(
@@ -312,6 +310,12 @@ def initial_state(
     )
 
 
+def _sample_actions(pi: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Inverse-CDF sampling, one action per row of pi: the number of CDF
+    entries below the row's draw (``searchsorted`` per row), capped at M-1."""
+    return np.minimum((np.cumsum(pi, axis=1) < draws[:, None]).sum(axis=1), pi.shape[1] - 1)
+
+
 def learning_step(state: LearningState, net: NetworkInstance, prices) -> LearningState:
     """One slot of the coupled processes; mutates and returns ``state``.
 
@@ -324,27 +328,10 @@ def learning_step(state: LearningState, net: NetworkInstance, prices) -> Learnin
     t = state.t + 1
     a1 = state.alpha1(t)
     a2 = state.alpha2(t)
-    K, M = state.pi.shape
-    lam = np.asarray(prices, dtype=float)
-
-    draws = state.rng.random(K)
-    sampled = np.empty(K, dtype=int)
-    profile = np.empty(K)
-    for i in range(K):
-        j = int(np.searchsorted(np.cumsum(state.pi[i]), draws[i]))
-        if j >= M:
-            j = M - 1
-        sampled[i] = j
-        profile[i] = state.action_sets[i].powers[j]
-
-    # Realized payoffs from the pure joint action, vectorized over followers.
-    g = net.gain
-    inter = profile @ g[1:, 1:]  # sum_j p_j * h_jk including j = k
-    denom = net.noise[1:] + g[0, 1:] * net.mu_power + inter - np.diag(g[1:, 1:]) * profile
-    gamma = np.diag(g[1:, 1:]) * profile / denom
-    psi = net.bandwidth * np.log1p(gamma) / (profile + net.circuit_power)
-    payoff = psi - lam * g[1:, 0] * profile
-
+    K = state.pi.shape[0]
+    sampled = _sample_actions(state.pi, state.rng.random(K))
+    profile = np.array([a.powers[j] for a, j in zip(state.action_sets, sampled)])
+    payoff = payoffs(net, profile, prices)  # realized, from the pure joint action
     rows = np.arange(K)
     state.U[rows, sampled] += a1 * (payoff - state.U[rows, sampled])
     shifted = (state.U - state.U.max(axis=1, keepdims=True)) / state.tau
@@ -384,7 +371,7 @@ def run_learning(
     """
     if window < 2:
         raise ValueError("window must be >= 2")
-    K, M = state.pi.shape
+    prices = validate_prices(net, prices)
     powers = np.vstack([a.powers for a in state.action_sets])
     power_trace = []
     pi_trace = [] if record_pi else None

@@ -38,7 +38,7 @@ from .discrete import (
     run_learning,
 )
 from .network import NetworkInstance, TopologyConfig, generate_topology, sinr_macro
-from .payoff import efficiency, leader_revenue
+from .payoff import efficiencies, leader_revenue
 from .pricing import (
     LearnerConfig,
     PriceSearchConfig,
@@ -51,6 +51,7 @@ from .pricing import (
 
 __all__ = [
     "EXPERIMENT_IDS",
+    "HEADERS",
     "ExperimentSpec",
     "MonteCarloResult",
     "montecarlo",
@@ -68,6 +69,47 @@ EXPERIMENT_IDS = (
     "fig5-discrete-compare",
     "fig6-7-convergence",
 )
+
+_SWEEP_HEADER = (
+    "experiment",
+    "seed",
+    "config_hash",
+    "lambda_per_watt",
+    "revenue",
+    "mean_efficiency_per_joule",
+    "mu_sinr_linear",
+    "converged",
+    "status",
+)
+_COMPARE_HEADER = (
+    "experiment",
+    "k",
+    "seed",
+    "config_hash",
+    "scheme",
+    "mean_efficiency_per_joule",
+    "revenue",
+    "mu_sinr_linear",
+)
+
+# CSV header of each experiment; README's "CSV schemas" section mirrors it.
+HEADERS = {
+    "fig1-sweep": _SWEEP_HEADER,
+    "fig2-3-se-compare": _COMPARE_HEADER + ("status",),
+    "fig4-discrete-sweep": _SWEEP_HEADER,
+    "fig5-discrete-compare": _COMPARE_HEADER + ("outer_iterations", "status"),
+    "fig6-7-convergence": (
+        "experiment",
+        "seed",
+        "config_hash",
+        "phase",
+        "iteration",
+        "k",
+        "expected_power_w",
+        "pi_row",
+        "status",
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -181,8 +223,23 @@ def sweep_grid(net: NetworkInstance, count: int) -> np.ndarray:
 
 def mean_efficiency(net: NetworkInstance, profile: np.ndarray) -> float:
     """Average follower efficiency at a pure power profile."""
-    K = net.num_followers
-    return float(np.mean([efficiency(net, k, profile) for k in range(1, K + 1)]))
+    return float(np.mean(efficiencies(net, profile)))
+
+
+def _metrics(net: NetworkInstance, p: np.ndarray, prices) -> tuple[float, float, float]:
+    """(leader revenue, mean efficiency, MU SINR) at a pure power profile."""
+    return leader_revenue(net, p, prices), mean_efficiency(net, p), sinr_macro(net, p)
+
+
+def _scheme(net: NetworkInstance, p: np.ndarray, prices, converged: bool) -> dict:
+    revenue, eff, mu = _metrics(net, p, prices)
+    return {"efficiency": eff, "revenue": revenue, "mu_sinr": mu, "converged": converged}
+
+
+def _failed_row(spec: ExperimentSpec, lead: tuple, exc: Exception) -> tuple:
+    """A failed trial's row: its identifying cells, blanks, then the status."""
+    blanks = ("",) * (len(HEADERS[spec.experiment_id]) - len(lead) - 1)
+    return (*lead, *blanks, f"failed:{type(exc).__name__}")
 
 
 def continuous_sweep_rows(net: NetworkInstance, grid: np.ndarray, inner_tol: float = 1e-7):
@@ -194,15 +251,7 @@ def continuous_sweep_rows(net: NetworkInstance, grid: np.ndarray, inner_tol: flo
         prices = np.full(K, float(lam))
         report = run_algorithm1(net, prices, init=init, tol=inner_tol)
         p = report.final_profile
-        rows.append(
-            (
-                float(lam),
-                leader_revenue(net, p, prices),
-                mean_efficiency(net, p),
-                sinr_macro(net, p),
-                report.converged,
-            )
-        )
+        rows.append((float(lam), *_metrics(net, p, prices), report.converged))
         init = p
     return rows
 
@@ -220,15 +269,7 @@ def discrete_sweep_rows(net: NetworkInstance, grid: np.ndarray, num_actions: int
     for lam in grid:
         prices = np.full(K, float(lam))
         _, profile, converged = discrete_equilibrium(net, actions, prices)
-        rows.append(
-            (
-                float(lam),
-                leader_revenue(net, profile, prices),
-                mean_efficiency(net, profile),
-                sinr_macro(net, profile),
-                converged,
-            )
-        )
+        rows.append((float(lam), *_metrics(net, profile, prices), converged))
     return rows
 
 
@@ -259,17 +300,6 @@ def _interior_max(values: np.ndarray) -> bool:
 
 
 def _run_fig1(spec: ExperimentSpec, topo, constants, digest):
-    header = (
-        "experiment",
-        "seed",
-        "config_hash",
-        "lambda_per_watt",
-        "revenue",
-        "mean_efficiency_per_joule",
-        "mu_sinr_linear",
-        "converged",
-        "status",
-    )
     rows = []
     per_seed = []
     for seed in range(spec.seed_base, spec.seed_base + spec.trials):
@@ -287,42 +317,25 @@ def _run_fig1(spec: ExperimentSpec, topo, constants, digest):
                     "plateau_decades": _plateau_decades(grid, effs, eff0),
                 }
             )
-            for lam, revenue, eff, mu, conv in metrics:
-                rows.append((spec.experiment_id, seed, digest, lam, revenue, eff, mu, conv, "ok"))
+            for m in metrics:
+                rows.append((spec.experiment_id, seed, digest, *m, "ok"))
         except Exception as exc:  # noqa: BLE001 - partial failures are data
-            rows.append((spec.experiment_id, seed, digest, "", "", "", "", "", f"failed:{type(exc).__name__}"))
+            rows.append(_failed_row(spec, (spec.experiment_id, seed, digest), exc))
     summary = {
         "per_seed": per_seed,
         "interior_max_fraction": float(np.mean([s["interior_max"] for s in per_seed]))
         if per_seed
         else 0.0,
     }
-    return header, rows, summary
+    return rows, summary
 
 
 def _scheme_metrics(net, prices, init):
-    report = run_algorithm1(net, np.asarray(prices, dtype=float), init=init)
-    p = report.final_profile
-    return {
-        "efficiency": mean_efficiency(net, p),
-        "revenue": leader_revenue(net, p, prices),
-        "mu_sinr": sinr_macro(net, p),
-        "converged": report.converged,
-    }
+    report = run_algorithm1(net, prices, init=init)
+    return _scheme(net, report.final_profile, prices, report.converged)
 
 
 def _run_fig23(spec: ExperimentSpec, topo, constants, digest):
-    header = (
-        "experiment",
-        "k",
-        "seed",
-        "config_hash",
-        "scheme",
-        "mean_efficiency_per_joule",
-        "revenue",
-        "mu_sinr_linear",
-        "status",
-    )
     rows = []
     per_trial = []
     for K in spec.k_values:
@@ -331,40 +344,26 @@ def _run_fig23(spec: ExperimentSpec, topo, constants, digest):
                 net = _make_network(topo, constants, seed, K)
                 zp = zero_price_equilibrium(net)
                 lam_a = asymptote_price(net, zp.profile)
-                schemes = {
-                    "zero-price": _scheme_metrics(net, np.zeros(K), zp.profile),
-                    "asymptote": _scheme_metrics(net, lam_a, zp.profile),
-                }
                 search = se_price_search(
                     net, PriceSearchConfig(grid_count=spec.search_grid_count)
                 )
-                schemes["se-search"] = {
-                    "efficiency": mean_efficiency(net, search.equilibrium),
-                    "revenue": search.revenue,
-                    "mu_sinr": sinr_macro(net, search.equilibrium),
-                    "converged": search.all_converged,
+                schemes = {
+                    "zero-price": _scheme_metrics(net, np.zeros(K), zp.profile),
+                    "asymptote": _scheme_metrics(net, lam_a, zp.profile),
+                    "se-search": _scheme(
+                        net, search.equilibrium, search.prices, search.all_converged
+                    ),
                 }
                 entry = {"k": K, "seed": seed}
                 for name, m in schemes.items():
                     rows.append(
-                        (
-                            spec.experiment_id,
-                            K,
-                            seed,
-                            digest,
-                            name,
-                            m["efficiency"],
-                            m["revenue"],
-                            m["mu_sinr"],
-                            "ok",
-                        )
+                        (spec.experiment_id, K, seed, digest, name)
+                        + (m["efficiency"], m["revenue"], m["mu_sinr"], "ok")
                     )
                     entry[name] = m
                 per_trial.append(entry)
             except Exception as exc:  # noqa: BLE001
-                rows.append(
-                    (spec.experiment_id, K, seed, digest, "", "", "", "", f"failed:{type(exc).__name__}")
-                )
+                rows.append(_failed_row(spec, (spec.experiment_id, K, seed, digest), exc))
     summary = {"per_trial": per_trial}
     for K in spec.k_values:
         sub = [t for t in per_trial if t["k"] == K]
@@ -378,21 +377,10 @@ def _run_fig23(spec: ExperimentSpec, topo, constants, digest):
             "mean_mu_sinr_asymptote": float(np.mean([t["asymptote"]["mu_sinr"] for t in sub])),
             "mean_mu_sinr_se": float(np.mean([t["se-search"]["mu_sinr"] for t in sub])),
         }
-    return header, rows, summary
+    return rows, summary
 
 
 def _run_fig4(spec: ExperimentSpec, topo, constants, digest):
-    header = (
-        "experiment",
-        "seed",
-        "config_hash",
-        "lambda_per_watt",
-        "revenue",
-        "mean_efficiency_per_joule",
-        "mu_sinr_linear",
-        "converged",
-        "status",
-    )
     rows = []
     per_seed = []
     for seed in range(spec.seed_base, spec.seed_base + spec.trials):
@@ -402,45 +390,30 @@ def _run_fig4(spec: ExperimentSpec, topo, constants, digest):
             metrics = discrete_sweep_rows(net, grid, spec.num_actions)
             revenues = np.array([m[1] for m in metrics])
             per_seed.append({"seed": seed, "interior_max": _interior_max(revenues)})
-            for lam, revenue, eff, mu, conv in metrics:
-                rows.append((spec.experiment_id, seed, digest, lam, revenue, eff, mu, conv, "ok"))
+            for m in metrics:
+                rows.append((spec.experiment_id, seed, digest, *m, "ok"))
         except Exception as exc:  # noqa: BLE001
-            rows.append(
-                (spec.experiment_id, seed, digest, "", "", "", "", "", f"failed:{type(exc).__name__}")
-            )
+            rows.append(_failed_row(spec, (spec.experiment_id, seed, digest), exc))
     summary = {
         "per_seed": per_seed,
         "interior_max_fraction": float(np.mean([s["interior_max"] for s in per_seed]))
         if per_seed
         else 0.0,
     }
-    return header, rows, summary
+    return rows, summary
 
 
 def _discrete_scheme_metrics(net, actions, prices):
-    prices = np.asarray(prices, dtype=float)
     _, profile, converged = discrete_equilibrium(net, actions, prices)
-    return {
-        "efficiency": mean_efficiency(net, profile),
-        "revenue": leader_revenue(net, profile, prices),
-        "mu_sinr": sinr_macro(net, profile),
-        "converged": converged,
-    }
+    return _scheme(net, profile, prices, converged)
+
+
+def _alg2_status(alg2) -> str:
+    """Row status of a result that depends on Algorithm 2 meeting its SINR target."""
+    return "ok" if alg2.converged else "unconverged"
 
 
 def _run_fig5(spec: ExperimentSpec, topo, constants, digest):
-    header = (
-        "experiment",
-        "k",
-        "seed",
-        "config_hash",
-        "scheme",
-        "mean_efficiency_per_joule",
-        "revenue",
-        "mu_sinr_linear",
-        "outer_iterations",
-        "status",
-    )
     rows = []
     per_trial = []
     for K in spec.k_values:
@@ -463,43 +436,27 @@ def _run_fig5(spec: ExperimentSpec, topo, constants, digest):
                     "asymptote": _discrete_scheme_metrics(net, actions, lam_a),
                     "algorithm2": _discrete_scheme_metrics(net, actions, alg2.prices),
                 }
-                entry = {"k": K, "seed": seed, "outer_iterations": alg2.outer_iterations}
+                entry = {
+                    "k": K,
+                    "seed": seed,
+                    "outer_iterations": alg2.outer_iterations,
+                    "converged": alg2.converged,
+                }
                 for name, m in schemes.items():
+                    alg = name == "algorithm2"
                     rows.append(
-                        (
-                            spec.experiment_id,
-                            K,
-                            seed,
-                            digest,
-                            name,
-                            m["efficiency"],
-                            m["revenue"],
-                            m["mu_sinr"],
-                            alg2.outer_iterations if name == "algorithm2" else "",
-                            "ok",
-                        )
+                        (spec.experiment_id, K, seed, digest, name)
+                        + (m["efficiency"], m["revenue"], m["mu_sinr"])
+                        + ((alg2.outer_iterations, _alg2_status(alg2)) if alg else ("", "ok"))
                     )
                     entry[name] = m
                 per_trial.append(entry)
             except Exception as exc:  # noqa: BLE001
-                rows.append(
-                    (spec.experiment_id, K, seed, digest, "", "", "", "", "", f"failed:{type(exc).__name__}")
-                )
-    return header, rows, {"per_trial": per_trial}
+                rows.append(_failed_row(spec, (spec.experiment_id, K, seed, digest), exc))
+    return rows, {"per_trial": per_trial}
 
 
 def _run_fig67(spec: ExperimentSpec, topo, constants, digest):
-    header = (
-        "experiment",
-        "seed",
-        "config_hash",
-        "phase",
-        "iteration",
-        "k",
-        "expected_power_w",
-        "pi_row",
-        "status",
-    )
     rows = []
     per_seed = []
     for seed in range(spec.seed_base, spec.seed_base + spec.trials):
@@ -508,9 +465,16 @@ def _run_fig67(spec: ExperimentSpec, topo, constants, digest):
             actions = default_action_sets(net, spec.num_actions)
             learner = replace(spec.learner, rng_seed=seed)
             alg2 = run_algorithm2(net, actions, learner=learner, max_outer=20)
-            phases = {"zero-price": np.zeros(net.num_followers), "algorithm2-price": alg2.prices}
-            seed_info = {"seed": seed, "outer_iterations": alg2.outer_iterations}
-            for phase, prices in phases.items():
+            phases = {
+                "zero-price": (np.zeros(net.num_followers), "ok"),
+                "algorithm2-price": (alg2.prices, _alg2_status(alg2)),
+            }
+            seed_info = {
+                "seed": seed,
+                "outer_iterations": alg2.outer_iterations,
+                "converged": alg2.converged,
+            }
+            for phase, (prices, status) in phases.items():
                 state = initial_state(
                     actions,
                     tau=learner.tau,
@@ -534,24 +498,13 @@ def _run_fig67(spec: ExperimentSpec, topo, constants, digest):
                     for k in range(1, net.num_followers + 1):
                         pi_text = ";".join(repr(float(x)) for x in report.pi_trace[t, k - 1])
                         rows.append(
-                            (
-                                spec.experiment_id,
-                                seed,
-                                digest,
-                                phase,
-                                t + 1,
-                                k,
-                                float(report.expected_power_trace[t, k - 1]),
-                                pi_text,
-                                "ok",
-                            )
+                            (spec.experiment_id, seed, digest, phase, t + 1, k)
+                            + (float(report.expected_power_trace[t, k - 1]), pi_text, status)
                         )
             per_seed.append(seed_info)
         except Exception as exc:  # noqa: BLE001
-            rows.append(
-                (spec.experiment_id, seed, digest, "", "", "", "", "", f"failed:{type(exc).__name__}")
-            )
-    return header, rows, {"per_seed": per_seed}
+            rows.append(_failed_row(spec, (spec.experiment_id, seed, digest), exc))
+    return rows, {"per_seed": per_seed}
 
 
 _RUNNERS = {
@@ -566,10 +519,11 @@ _RUNNERS = {
 def run_experiment(spec: ExperimentSpec) -> dict:
     """Execute the named study, write its CSV, and return a summary dict."""
     topo, constants, digest = _spec_config(spec)
-    header, rows, summary = _RUNNERS[spec.experiment_id](spec, topo, constants, digest)
-    write_rows(spec.output_path, header, rows)
+    rows, summary = _RUNNERS[spec.experiment_id](spec, topo, constants, digest)
+    write_rows(spec.output_path, HEADERS[spec.experiment_id], rows)
     summary["experiment_id"] = spec.experiment_id
     summary["config_hash"] = digest
     summary["output_path"] = str(spec.output_path)
     summary["rows"] = len(rows)
+    summary["rows_not_ok"] = sum(row[-1] != "ok" for row in rows)
     return summary

@@ -25,6 +25,8 @@ __all__ = [
     "watts_to_dbm",
     "generate_topology",
     "sinr_macro",
+    "interference",
+    "follower_sinr",
     "sinr_follower",
 ]
 
@@ -109,6 +111,12 @@ class NetworkInstance:
     positions : dict
         Optional generator metadata (node coordinates); not used by any
         computation, carried for traceability. Empty for hand-built instances.
+
+    Derived on construction (not fields): ``background`` (K,), the
+    interference N_k + h_0k*p_0 at FAP k when every femtocell is silent;
+    ``own_gain`` (K,), the direct gains h_kk; and ``cross_gain`` (K, K), the
+    femto-to-femto gains h_jk with a zero diagonal, so that p @ cross_gain
+    sums over j != k without adding and then subtracting the own signal.
     """
 
     num_followers: int
@@ -144,13 +152,21 @@ class NetworkInstance:
             raise ValueError("circuit_power must be positive and finite")
         if not (self.mu_power > 0.0 and math.isfinite(self.mu_power)):
             raise ValueError("mu_power must be positive and finite")
+        if not (self.bandwidth > 0.0 and math.isfinite(self.bandwidth)):
+            raise ValueError("bandwidth must be positive and finite")
         if not (self.mu_sinr_threshold > 0.0):
             raise ValueError("mu_sinr_threshold must be positive")
-        for arr in (gain, noise, power_max):
+        background = noise[1:] + gain[0, 1:] * self.mu_power
+        own_gain = np.diagonal(gain)[1:].copy()
+        cross_gain = gain[1:, 1:] - np.diag(own_gain)
+        for arr in (gain, noise, power_max, background, own_gain, cross_gain):
             arr.setflags(write=False)
         object.__setattr__(self, "gain", gain)
         object.__setattr__(self, "noise", noise)
         object.__setattr__(self, "power_max", power_max)
+        object.__setattr__(self, "background", background)
+        object.__setattr__(self, "own_gain", own_gain)
+        object.__setattr__(self, "cross_gain", cross_gain)
 
 
 def _uniform_disc(rng: np.random.Generator, radius: float, center: np.ndarray) -> np.ndarray:
@@ -245,19 +261,28 @@ def sinr_macro(net: NetworkInstance, p: np.ndarray) -> float:
 
     Returns h_00*p_0 / (N_0 + sum_k h_k0*p_k).
     """
+    cross = float(np.dot(net.gain[1:, 0], np.asarray(p, dtype=float)))
+    return net.gain[0, 0] * net.mu_power / (net.noise[0] + cross)
+
+
+def interference(net: NetworkInstance, p: np.ndarray) -> np.ndarray:
+    """Noise plus interference at every FAP for profiles p shaped (..., K).
+
+    Entry k-1 of the last axis is N_k + h_0k*p_0 + sum_{j != k} h_jk*p_j, the
+    SINR denominator of follower k; it does not depend on p_k itself.
+    """
     p = np.asarray(p, dtype=float)
-    interference = float(np.dot(net.gain[1:, 0], p))
-    return net.gain[0, 0] * net.mu_power / (net.noise[0] + interference)
+    return net.background + p @ net.cross_gain
+
+
+def follower_sinr(net: NetworkInstance, p: np.ndarray) -> np.ndarray:
+    """SINR of every follower link for profiles p shaped (..., K): h_kk*p_k / interference_k."""
+    p = np.asarray(p, dtype=float)
+    return net.own_gain * p / interference(net, p)
 
 
 def sinr_follower(net: NetworkInstance, k: int, p: np.ndarray) -> float:
-    """SINR of follower link k (1-based) at its FAP.
-
-    Returns h_kk*p_k / (N_k + h_0k*p_0 + sum_{j != k} h_jk*p_j).
-    """
+    """SINR of follower link k (1-based) at its FAP; one entry of ``follower_sinr``."""
     if not 1 <= k <= net.num_followers:
         raise ValueError(f"follower index {k} out of range 1..{net.num_followers}")
-    p = np.asarray(p, dtype=float)
-    cross = float(np.dot(net.gain[1:, k], p)) - net.gain[k, k] * p[k - 1]
-    denom = net.noise[k] + net.gain[0, k] * net.mu_power + cross
-    return net.gain[k, k] * p[k - 1] / denom
+    return float(follower_sinr(net, p)[k - 1])

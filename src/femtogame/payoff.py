@@ -4,6 +4,13 @@ Everything here is a pure function of an immutable ``NetworkInstance``, a
 follower power profile ``p`` (length K, watts), and a price vector
 ``prices`` (length K, nonnegative). Follower indices are 1-based to match
 the gain-matrix convention (index 0 = macro link).
+
+The follower model is written once: ``payoffs`` and ``efficiencies``
+evaluate every follower of profiles shaped (..., K) through
+``network.interference``, and the scalar functions are views of one entry.
+``own_payoff`` and ``own_gradient`` hold the payoff and its own-power
+derivative as expressions in one follower's power, shared with the
+best-response bisection.
 """
 
 from __future__ import annotations
@@ -12,11 +19,15 @@ import math
 
 import numpy as np
 
-from .network import NetworkInstance, sinr_follower
+from .network import NetworkInstance, follower_sinr, interference
 
 __all__ = [
     "validate_power_profile",
     "validate_prices",
+    "own_payoff",
+    "own_gradient",
+    "payoffs",
+    "efficiencies",
     "interference_denominator",
     "efficiency",
     "follower_payoff",
@@ -46,32 +57,54 @@ def validate_prices(net: NetworkInstance, prices: np.ndarray) -> np.ndarray:
     return lam
 
 
-def interference_denominator(net: NetworkInstance, k: int, p: np.ndarray) -> float:
-    """Noise-plus-interference seen by FAP k: N_k + h_0k*p_0 + sum_{j!=k} h_jk*p_j.
+def own_payoff(p, gamma, W: float, pa: float, charge):
+    """W * log(1 + gamma) / (p + p_a) - charge * p, elementwise.
 
-    This is the denominator of the follower SINR and of the derivative
-    coefficients G_k and H_k; it does not depend on p_k itself.
+    ``charge`` is lambda_k * h_k0; with charge 0 this is the efficiency.
+    Natural logarithm; the value is 0 at p = 0.
+    """
+    return W * np.log1p(gamma) / (p + pa) - charge * p
+
+
+def own_gradient(p: float, G: float, W: float, pa: float, charge: float) -> float:
+    """d/dp of ``own_payoff`` at gamma = G*p, for one follower in plain floats.
+
+    -W*log(1+G p)/(p+p_a)^2 + W*G/((1+G p)(p+p_a)) - charge; at p = 0 it
+    reduces to W*G/p_a - charge.
+    """
+    gamma = G * p
+    total = p + pa
+    return -W * math.log1p(gamma) / (total * total) + W * G / ((1.0 + gamma) * total) - charge
+
+
+def payoffs(net: NetworkInstance, p: np.ndarray, prices) -> np.ndarray:
+    """Net payoff of every follower for profiles p shaped (..., K).
+
+    psi(gamma_k, p_k) - lambda_k * h_k0 * p_k, one value per follower.
     """
     p = np.asarray(p, dtype=float)
-    cross = float(np.dot(net.gain[1:, k], p)) - net.gain[k, k] * p[k - 1]
-    return float(net.noise[k] + net.gain[0, k] * net.mu_power + cross)
+    charge = np.asarray(prices, dtype=float) * net.gain[1:, 0]
+    return own_payoff(p, follower_sinr(net, p), net.bandwidth, net.circuit_power, charge)
+
+
+def efficiencies(net: NetworkInstance, p: np.ndarray) -> np.ndarray:
+    """Energy efficiency W * log(1 + gamma_k) / (p_k + p_a) of every follower."""
+    return payoffs(net, p, 0.0)
+
+
+def interference_denominator(net: NetworkInstance, k: int, p: np.ndarray) -> float:
+    """Noise-plus-interference seen by FAP k; one entry of ``network.interference``."""
+    return float(interference(net, p)[k - 1])
 
 
 def efficiency(net: NetworkInstance, k: int, p: np.ndarray) -> float:
-    """Energy efficiency of follower k: W * log(1 + gamma_k) / (p_k + p_a).
-
-    Natural logarithm; the value is 0 at p_k = 0.
-    """
-    gamma = sinr_follower(net, k, p)
-    return net.bandwidth * math.log1p(gamma) / (p[k - 1] + net.circuit_power)
+    """Energy efficiency of follower k; one entry of ``efficiencies``."""
+    return float(efficiencies(net, p)[k - 1])
 
 
 def follower_payoff(net: NetworkInstance, k: int, p: np.ndarray, prices: np.ndarray) -> float:
-    """Net payoff of follower k: efficiency minus the interference payment.
-
-    psi(gamma_k, p_k) - lambda_k * h_k0 * p_k.
-    """
-    return efficiency(net, k, p) - prices[k - 1] * net.gain[k, 0] * p[k - 1]
+    """Net payoff of follower k; one entry of ``payoffs``."""
+    return float(payoffs(net, p, prices)[k - 1])
 
 
 def leader_revenue(net: NetworkInstance, p: np.ndarray, prices: np.ndarray) -> float:
@@ -82,24 +115,14 @@ def leader_revenue(net: NetworkInstance, p: np.ndarray, prices: np.ndarray) -> f
 
 
 def payoff_gradient(net: NetworkInstance, k: int, p: np.ndarray, prices: np.ndarray) -> float:
-    """d u_k / d p_k in closed form.
+    """d u_k / d p_k in closed form (``own_gradient``).
 
-    -W*log(1+gamma_k)/(p_k+p_a)^2 + W*G_k/((1+gamma_k)(p_k+p_a)) - lambda_k*h_k0
-    with G_k = h_kk / (N_k + h_0k*p_0 + sum_{j!=k} h_jk*p_j). Continuous at
+    G_k = h_kk / (N_k + h_0k*p_0 + sum_{j!=k} h_jk*p_j). Continuous at
     p_k = 0, where it reduces to W*G_k/p_a - lambda_k*h_k0.
     """
-    denom = interference_denominator(net, k, p)
-    G = net.gain[k, k] / denom
-    pk = p[k - 1]
-    pa = net.circuit_power
-    gamma = G * pk
-    W = net.bandwidth
-    total = pk + pa
-    return (
-        -W * math.log1p(gamma) / (total * total)
-        + W * G / ((1.0 + gamma) * total)
-        - prices[k - 1] * net.gain[k, 0]
-    )
+    G = net.gain[k, k] / interference_denominator(net, k, p)
+    charge = prices[k - 1] * net.gain[k, 0]
+    return own_gradient(p[k - 1], G, net.bandwidth, net.circuit_power, charge)
 
 
 def cross_second_derivative(net: NetworkInstance, k: int, j: int, p: np.ndarray) -> float:

@@ -10,21 +10,20 @@ loop of the discrete game).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
-from .continuous import BrSchedule, EquilibriumReport, run_algorithm1
+from .continuous import EquilibriumReport, run_algorithm1
 from .discrete import (
     LearningReport,
     PowerLawSchedule,
-    expected_follower_payoff,
+    expected_payoffs,
     expected_powers,
     initial_state,
     run_learning,
 )
-from .network import NetworkInstance, sinr_macro
+from .network import NetworkInstance, follower_sinr, sinr_macro
 from .payoff import interference_denominator, leader_revenue
 
 __all__ = [
@@ -58,7 +57,6 @@ class PriceSearchConfig:
     grid_max: float | None = None
     grid_count: int = 60
     bisection_refinement_tol: float = 1e-3
-    mc_trials: int = 1
 
     def __post_init__(self) -> None:
         if self.mode not in ("uniform-price", "per-link"):
@@ -72,8 +70,6 @@ class PriceSearchConfig:
                 raise ValueError("grid_max must exceed grid_min")
         if self.bisection_refinement_tol <= 0.0:
             raise ValueError("refinement tol must be positive")
-        if self.mc_trials < 1:
-            raise ValueError("mc_trials must be >= 1")
 
 
 @dataclass
@@ -102,21 +98,20 @@ class PriceSearchResult:
 
 def zero_price_equilibrium(net: NetworkInstance, tol: float = 1e-7) -> ZeroPriceResult:
     """Algorithm 1 at lambda = 0: the unpriced power allocation p* and gamma*."""
-    K = net.num_followers
-    prices = np.zeros(K)
-    report = run_algorithm1(net, prices, init=np.zeros(K), tol=tol)
+    zero = np.zeros(net.num_followers)
+    report = run_algorithm1(net, zero, init=zero, tol=tol)
     p = report.final_profile
-    gamma = np.array(
-        [net.gain[k, k] * p[k - 1] / interference_denominator(net, k, p) for k in range(1, K + 1)]
+    return ZeroPriceResult(
+        profile=p, sinr=follower_sinr(net, p), converged=report.converged, report=report
     )
-    return ZeroPriceResult(profile=p, sinr=gamma, converged=report.converged, report=report)
 
 
 def asymptote_price(net: NetworkInstance, p_star: np.ndarray) -> np.ndarray:
     """Intersection of the low- and high-price payment asymptotes, per link.
 
     lambda^a_k = W / ((p*_k + p_a) * (N_k + h_0k*p_0)), with p* the
-    zero-price equilibrium profile.
+    zero-price equilibrium profile and N_k + h_0k*p_0 the interference at
+    p = 0 (``net.background``).
 
     Solving the formula for the power, p_k = W/(lambda_k (N_k + h_0k*p_0)) - p_a,
     implies dropout at W/(p_a (N_k + h_0k*p_0)). That is not the model's
@@ -125,9 +120,7 @@ def asymptote_price(net: NetworkInstance, p_star: np.ndarray) -> np.ndarray:
     h_kk = h_k0 and no other femtocell interferes.
     """
     p_star = np.asarray(p_star, dtype=float)
-    K = net.num_followers
-    base = np.array([net.noise[k] + net.gain[0, k] * net.mu_power for k in range(1, K + 1)])
-    return net.bandwidth / ((p_star + net.circuit_power) * base)
+    return net.bandwidth / ((p_star + net.circuit_power) * net.background)
 
 
 def cutoff_price(net: NetworkInstance, k: int, opponents: np.ndarray) -> float:
@@ -165,6 +158,8 @@ def se_price_search(
     lies on an endpoint the result is flagged ``boundary_max`` and no
     refinement is attempted.
     """
+    from scipy.optimize import minimize_scalar  # scipy's import cost is paid only here
+
     zp = zero_price_equilibrium(net, tol=inner_tol)
     lam_a = asymptote_price(net, zp.profile)
 
@@ -247,18 +242,10 @@ def algorithm2_price_step(
 
     Returns (prices, flagged) with ``flagged`` a boolean vector.
     """
-    K = net.num_followers
-    zero = np.zeros(K)
-    mean_p = expected_powers(action_sets, strategies)
-    prices = np.zeros(K)
-    flagged = np.zeros(K, dtype=bool)
-    for k in range(1, K + 1):
-        base = net.gain[k, 0] * mean_p[k - 1]
-        if base <= 0.0:
-            flagged[k - 1] = True
-            continue
-        mean_psi = expected_follower_payoff(net, k, action_sets, strategies, zero)
-        prices[k - 1] = mean_psi / base
+    base = net.gain[1:, 0] * expected_powers(action_sets, strategies)
+    flagged = base <= 0.0
+    mean_psi = expected_payoffs(net, action_sets, strategies, np.zeros(net.num_followers))
+    prices = np.divide(mean_psi, base, out=np.zeros_like(base), where=~flagged)
     return prices, flagged
 
 
@@ -334,7 +321,7 @@ def run_algorithm2(
         strategies = report.pi_trace.mean(axis=0) if time_average else report.strategies
         mean_p = expected_powers(action_sets, strategies)
         mu_sinr = sinr_macro(net, mean_p)
-        revenue = float(np.sum(prices * net.gain[1:, 0] * mean_p))
+        revenue = leader_revenue(net, mean_p, prices)
         trace.append((outer, prices.copy(), mean_p, mu_sinr, revenue))
         if mu_sinr >= threshold:
             converged = True

@@ -178,6 +178,14 @@ def test_algorithm1_converges_from_any_start(net6):
     assert np.max(np.abs(top - base)) < 1e-5
 
 
+@pytest.mark.parametrize(
+    "prices", [[-5.0, 0.0, 0.0], [np.inf, 0.0, 0.0], [np.nan, 0.0, 0.0], [0.0, 0.0]]
+)
+def test_algorithm1_rejects_invalid_prices(net3, prices):
+    with pytest.raises(ValueError, match="price"):
+        run_algorithm1(net3, np.array(prices), init=np.zeros(3))
+
+
 def test_bad_schedule_mode_rejected():
     with pytest.raises(ValueError):
         BrSchedule(mode="alphabetical")

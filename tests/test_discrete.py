@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 from femtogame import follower_payoff
 from femtogame.discrete import (
     ActionSet,
+    _sample_actions,
     PowerLawSchedule,
     default_action_sets,
     discrete_best_response,
     discrete_equilibrium,
     expected_follower_payoff,
     expected_leader_revenue,
+    expected_payoffs,
     expected_powers,
     initial_state,
     learning_step,
@@ -23,6 +25,7 @@ from femtogame.discrete import (
     validate_simplex,
     write_learning_csv,
 )
+from femtogame.oracles import enumerate_expected_payoff
 from femtogame.pricing import asymptote_price, zero_price_equilibrium
 
 from conftest import hand_net, make_net
@@ -331,6 +334,61 @@ def test_learning_preserves_simplex_every_step(net3):
         learning_step(state, net3, lam)
         for k in range(3):
             validate_simplex(state.pi[k], atol=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0), min_size=1, max_size=6),
+        min_size=1,
+        max_size=5,
+    ),
+    st.integers(0, 2**32 - 1),
+)
+def test_vectorized_sampling_matches_searchsorted(rows, seed):
+    M = max(len(r) for r in rows)
+    weights = np.array([r + [0.0] * (M - len(r)) for r in rows])
+    weights[weights.sum(axis=1) == 0.0, 0] = 1.0
+    pi = weights / weights.sum(axis=1, keepdims=True)
+    rng = np.random.default_rng(seed)
+    cdf = np.cumsum(pi, axis=1)
+    # Half the draws land exactly on a CDF entry of their row.
+    draws = np.where(
+        rng.random(len(pi)) < 0.5, cdf[np.arange(len(pi)), rng.integers(0, M, len(pi))], rng.random(len(pi))
+    )
+    want = [min(int(np.searchsorted(np.cumsum(row), d)), M - 1) for row, d in zip(pi, draws)]
+    assert _sample_actions(pi, draws).tolist() == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    sizes=st.lists(st.integers(2, 3), min_size=1, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+    log_price=st.floats(0.0, 14.0),
+)
+def test_expected_payoffs_match_enumeration_oracle(sizes, seed, log_price):
+    K = len(sizes)
+    net = make_net(K, seed=seed % 500)
+    rng = np.random.default_rng(seed)
+    acts = [ActionSet.from_table(M, float(pm)) for M, pm in zip(sizes, net.power_max)]
+    pis = [rng.dirichlet(np.ones(M)) for M in sizes]
+    if rng.random() < 0.3:  # one follower silent for sure
+        i = int(rng.integers(K))
+        pis[i] = np.eye(sizes[i])[0]
+    prices = 10.0**log_price * rng.random(K)
+    got = expected_payoffs(net, acts, pis, prices)
+    for k in range(1, K + 1):
+        want = enumerate_expected_payoff(net, k, acts, pis, prices)
+        scale = enumerate_expected_payoff(net, k, acts, pis, np.zeros(K)) + abs(want)
+        assert got[k - 1] == pytest.approx(want, rel=0.0, abs=1e-12 * scale)
+        assert expected_follower_payoff(net, k, acts, pis, prices) == got[k - 1]
+
+
+def test_run_learning_rejects_invalid_prices(net3):
+    state = initial_state(default_action_sets(net3, 3))
+    for prices in ([np.nan, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0]):
+        with pytest.raises(ValueError, match="price"):
+            run_learning(net3, np.array(prices), state, max_iters=5)
 
 
 def test_run_learning_is_deterministic(net3):

@@ -1,16 +1,28 @@
 """Scenario files, CSV output, Monte Carlo helpers, experiments, and the CLI."""
 
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from femtogame import default_topology, generate_topology
+from femtogame import cli, default_topology, experiments, generate_topology
 from femtogame._csv import format_cell, write_rows
 from femtogame.defaults import default_constants
-from femtogame.experiments import ExperimentSpec, config_hash, montecarlo, run_experiment
+from femtogame.experiments import (
+    EXPERIMENT_IDS,
+    HEADERS,
+    ExperimentSpec,
+    config_hash,
+    montecarlo,
+    run_experiment,
+)
+from femtogame.pricing import LearnerConfig
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 from femtogame.scenario import (
     ScenarioError,
     load_scenario,
@@ -230,6 +242,68 @@ def test_convergence_experiment_writes_both_phases(tmp_path):
     assert phases == {"zero-price", "algorithm2-price"}
 
 
+def _unreachable_target() -> dict:
+    """Default constants with a macro SINR target Algorithm 2 cannot meet."""
+    return {**default_constants(), "mu_sinr_threshold": 1e12}
+
+
+def _statuses(path) -> list[tuple[str, str]]:
+    """(scheme or phase, status) per data row of a fig5 or fig6-7 CSV."""
+    lines = Path(path).read_text().splitlines()
+    header = lines[0].split(",")
+    key = header.index("scheme" if "scheme" in header else "phase")
+    return [(cells[key], cells[-1]) for cells in (line.split(",") for line in lines[1:])]
+
+
+def test_discrete_compare_marks_unconverged_algorithm2_row(tmp_path):
+    out = tmp_path / "f5.csv"
+    spec = ExperimentSpec(
+        "fig5-discrete-compare",
+        k_values=(2,),
+        num_actions=3,
+        search_grid_count=6,
+        constants=_unreachable_target(),
+        learner=LearnerConfig(max_iters=100),
+        output_path=out,
+    )
+    summary = run_experiment(spec)
+    assert _statuses(out) == [("se-search", "ok"), ("asymptote", "ok"), ("algorithm2", "unconverged")]
+    (trial,) = summary["per_trial"]
+    assert trial["converged"] is False and trial["outer_iterations"] == 20
+    assert summary["rows_not_ok"] == 1
+
+
+def test_convergence_experiment_marks_unconverged_algorithm2_phase(tmp_path):
+    out = tmp_path / "f67.csv"
+    spec = ExperimentSpec(
+        "fig6-7-convergence",
+        num_followers=2,
+        num_actions=3,
+        learn_max_iters=60,
+        constants=_unreachable_target(),
+        learner=LearnerConfig(max_iters=100),
+        output_path=out,
+    )
+    summary = run_experiment(spec)
+    statuses = dict(_statuses(out))
+    assert statuses == {"zero-price": "ok", "algorithm2-price": "unconverged"}
+    (seed_info,) = summary["per_seed"]
+    assert seed_info["converged"] is False
+    assert summary["rows_not_ok"] == sum(1 for _, s in _statuses(out) if s != "ok") > 0
+
+
+def test_readme_csv_schemas_match_headers():
+    section = README.read_text().split("## CSV schemas", 1)[1].split("\n## ", 1)[0]
+    documented = {}
+    for bullet in section.split("\n- ")[1:]:
+        match = re.match(r"((?:`[\w-]+`(?: / )?)+): `([^`]+)`", " ".join(bullet.split()))
+        if match:
+            columns = tuple(c.strip() for c in match.group(2).split(","))
+            for name in re.findall(r"`([\w-]+)`", match.group(1)):
+                documented[name] = columns
+    assert {i: documented.get(i) for i in EXPERIMENT_IDS} == HEADERS
+
+
 # ------------------------------------------------------------------------ CLI
 
 
@@ -308,3 +382,29 @@ def test_cli_price_search_alias_matches_search(tmp_path):
     b = run_cli("price-search", "--seed", "4", "--followers", "1", "--points", "12")
     assert a.returncode == b.returncode == 0
     assert a.stdout == b.stdout
+
+
+def test_import_does_not_load_scipy():
+    code = "import sys, femtogame; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
+
+
+def test_cli_learn_rejects_nan_price():
+    res = run_cli("learn", "--seed", "0", "--followers", "2", "--price", "nan")
+    assert res.returncode == 2, res.stdout + res.stderr
+    assert "prices must be finite" in res.stderr
+
+
+def test_cli_experiment_exits_3_after_writing_unconverged_rows(tmp_path, monkeypatch):
+    monkeypatch.setattr(experiments, "default_constants", _unreachable_target)
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"learner": {"max_iters": 100, "M": 3}}))
+    out = tmp_path / "f67.csv"
+    code = cli.main(
+        ["experiment", "--id", "fig6-7-convergence", "--config", str(scenario),
+         "--followers", "2", "--out", str(out)]
+    )
+    assert code == cli.EXIT_NO_CONVERGENCE
+    assert ("algorithm2-price", "unconverged") in _statuses(out)

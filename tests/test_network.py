@@ -155,3 +155,9 @@ def test_generate_topology_rejects_zero_followers():
 def test_arrays_are_read_only(net6):
     with pytest.raises(ValueError):
         net6.gain[0, 0] = 2.0
+
+
+@pytest.mark.parametrize("bandwidth", [float("nan"), 0.0, -1.0, float("inf")])
+def test_instance_rejects_bad_bandwidth(net6, bandwidth):
+    with pytest.raises(ValueError, match="bandwidth"):
+        replace(net6, bandwidth=bandwidth)

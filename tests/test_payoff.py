@@ -4,16 +4,20 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from femtogame import (
     cross_second_derivative,
+    efficiencies,
     efficiency,
     follower_payoff,
+    follower_sinr,
+    interference,
     interference_denominator,
     leader_revenue,
     payoff_gradient,
+    payoffs,
     validate_power_profile,
     validate_prices,
 )
@@ -180,3 +184,44 @@ def test_validators_reject_out_of_bounds(net6):
         validate_power_profile(net6, np.full(5, 0.01))
     with pytest.raises(ValueError):
         validate_prices(net6, np.full(6, -1.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    K=st.integers(1, 6),
+    B=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+    log_price=st.floats(0.0, 15.0),
+)
+def test_kernel_batch_matches_rows_and_literal_formula(K, B, seed, log_price):
+    net = make_net(K, seed=seed % 500)
+    rng = np.random.default_rng(seed)
+    P = rng.uniform(0.0, 1.0, (B, K)) * net.power_max
+    P[rng.random((B, K)) < 0.25] = 0.0
+    prices = 10.0**log_price * rng.random(K)
+    I, gamma = interference(net, P), follower_sinr(net, P)
+    eff, u = efficiencies(net, P), payoffs(net, P, prices)
+    assert I.shape == gamma.shape == eff.shape == u.shape == (B, K)
+    for b, p in enumerate(P):
+        for name, batch, row in (
+            ("interference", I, interference(net, p)),
+            ("sinr", gamma, follower_sinr(net, p)),
+            ("efficiency", eff, efficiencies(net, p)),
+            ("payoff", u, payoffs(net, p, prices)),
+        ):
+            np.testing.assert_allclose(batch[b], row, rtol=1e-12, atol=0.0, err_msg=name)
+        for k in range(1, K + 1):
+            denom = net.noise[k] + net.gain[0, k] * net.mu_power
+            for j in range(1, K + 1):
+                if j != k:
+                    denom += net.gain[j, k] * p[j - 1]
+            g = net.gain[k, k] * p[k - 1] / denom
+            psi = net.bandwidth * math.log1p(g) / (p[k - 1] + net.circuit_power)
+            charge = prices[k - 1] * net.gain[k, 0] * p[k - 1]
+            assert I[b, k - 1] == pytest.approx(denom, rel=1e-12)
+            assert gamma[b, k - 1] == pytest.approx(g, rel=1e-12, abs=0.0)
+            assert eff[b, k - 1] == pytest.approx(psi, rel=1e-12, abs=0.0)
+            # The payoff is a difference; compare on the scale of its terms.
+            assert u[b, k - 1] == pytest.approx(psi - charge, rel=0.0, abs=1e-12 * (psi + charge))
+            if p[k - 1] == 0.0:
+                assert u[b, k - 1] == 0.0

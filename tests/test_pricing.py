@@ -147,8 +147,6 @@ def test_price_search_config_validation():
         PriceSearchConfig(grid_min=0.0)
     with pytest.raises(ValueError):
         PriceSearchConfig(grid_min=2.0, grid_max=1.0)
-    with pytest.raises(ValueError):
-        PriceSearchConfig(mc_trials=0)
 
 
 def test_price_step_degenerate_strategy_hand_value():
