@@ -27,9 +27,10 @@ from pathlib import Path
 import numpy as np
 
 from ._csv import write_rows
-from .discrete import default_action_sets, initial_state, run_learning, write_learning_csv
+from .discrete import default_action_sets, write_learning_csv
 from .experiments import (
     EXPERIMENT_IDS,
+    PER_K_STUDIES,
     ExperimentSpec,
     continuous_sweep_rows,
     discrete_sweep_rows,
@@ -37,7 +38,6 @@ from .experiments import (
     sweep_grid,
 )
 from .pricing import (
-    LearnerConfig,
     PriceSearchConfig,
     asymptote_price,
     run_algorithm2,
@@ -52,15 +52,11 @@ EXIT_NO_CONVERGENCE = 3
 
 
 def _load(args) -> Scenario:
-    if args.config:
-        return load_scenario(args.config)
-    return load_scenario(None)
+    return load_scenario(args.config or None)
 
 
 def _network(args, scenario: Scenario):
-    seed = args.seed if getattr(args, "seed", None) is not None else None
-    followers = getattr(args, "followers", None)
-    return network_from_scenario(scenario, seed=seed, num_followers=followers)
+    return network_from_scenario(scenario, seed=args.seed, num_followers=args.followers)
 
 
 def cmd_generate(args) -> int:
@@ -156,17 +152,7 @@ def cmd_learn(args) -> int:
             write_rows(args.out, header, rows)
             print(f"wrote outer-loop trace to {args.out}")
         return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
-    prices = np.full(net.num_followers, args.price)
-    state = initial_state(
-        actions,
-        tau=learner.tau,
-        alpha1=learner.alpha1,
-        alpha2=learner.alpha2,
-        rng_seed=learner.rng_seed,
-    )
-    report = run_learning(
-        net, prices, state, tol=learner.tol, window=learner.window, max_iters=learner.max_iters
-    )
+    report = learner.run(net, actions, np.full(net.num_followers, args.price))
     print(f"iterations: {report.iterations}, converged: {report.converged}")
     if args.out:
         write_learning_csv(report, args.out)
@@ -175,16 +161,30 @@ def cmd_learn(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    scenario = _load(args) if args.config else None
+    scenario = _load(args)
+    if scenario.network is not None:
+        raise ScenarioError(
+            "experiment studies draw their own topologies; give a topology block, not a network block"
+        )
+    per_k = args.id in PER_K_STUDIES
+    if args.points is not None and args.id == "fig6-7-convergence":
+        raise ValueError("--points does not apply to fig6-7-convergence, which sweeps no prices")
+    followers = args.followers if args.followers is not None else scenario.num_followers
+    overrides = {}
+    if followers is not None:
+        overrides["k_values" if per_k else "num_followers"] = (followers,) if per_k else followers
+    if args.points is not None:
+        overrides["search_grid_count" if per_k else "grid_count"] = args.points
     spec = ExperimentSpec(
         experiment_id=args.id,
         trials=args.trials,
-        seed_base=args.seed or 0,
+        seed_base=args.seed if args.seed is not None else getattr(scenario.topology, "rng_seed", 0),
         output_path=args.out,
-        learner=scenario.learner if scenario else LearnerConfig(),
-        num_actions=scenario.num_actions if scenario else 6,
-        num_followers=args.followers or 6,
-        grid_count=args.points,
+        topology=scenario.topology,
+        constants=scenario.constants,
+        learner=scenario.learner,
+        num_actions=scenario.num_actions,
+        **overrides,
     )
     summary = run_experiment(spec)
     print(json.dumps(summary, indent=2, default=str))
@@ -233,7 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, out_required=True)
     p.add_argument("--id", required=True, choices=EXPERIMENT_IDS)
     p.add_argument("--trials", type=int, default=1)
-    p.add_argument("--points", type=int, default=40, help="price grid size for sweeps")
+    p.add_argument("--points", type=int, default=None,
+                   help="price grid size: the sweep grid of fig1/fig4, the SE search grid of fig2-3/fig5")
 
     return parser
 

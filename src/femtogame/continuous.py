@@ -16,7 +16,7 @@ import numpy as np
 
 from ._csv import write_rows
 from .network import NetworkInstance, follower_sinr, interference
-from .payoff import own_gradient, own_payoff, payoffs, validate_prices
+from .payoff import own_gradient, own_payoff, payoffs, validate_power_profile, validate_prices
 
 __all__ = [
     "BisectionError",
@@ -147,11 +147,7 @@ def run_algorithm1(
     """
     K = net.num_followers
     prices = validate_prices(net, prices)
-    p = np.array(init, dtype=float)
-    if p.shape != (K,):
-        raise ValueError(f"init profile must have length {K}")
-    if np.any(p < 0.0) or np.any(p > net.power_max):
-        raise ValueError("init profile out of bounds")
+    p = validate_power_profile(net, init).copy()
     rng = None
     if sched.mode != "round-robin":
         rng = np.random.default_rng(sched.rng_seed)

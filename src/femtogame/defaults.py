@@ -6,7 +6,6 @@ definitions); the SINR threshold is a linear ratio.
 
 from __future__ import annotations
 
-from .discrete import PowerLawSchedule
 from .network import TopologyConfig, dbm_to_watts
 
 __all__ = [
@@ -16,10 +15,7 @@ __all__ = [
     "CIRCUIT_POWER_W",
     "NOISE_W",
     "MU_SINR_THRESHOLD",
-    "TAU",
     "NUM_ACTIONS",
-    "ALPHA1",
-    "ALPHA2",
     "default_topology",
     "default_constants",
 ]
@@ -31,10 +27,7 @@ CIRCUIT_POWER_W = dbm_to_watts(3.0)  # p_a
 NOISE_W = dbm_to_watts(-40.0)  # 1e-7 W at every receiver
 MU_SINR_THRESHOLD = 10.0 ** (3.0 / 10.0)  # 3 dB, linear
 
-TAU = 1.0  # Boltzmann temperature
 NUM_ACTIONS = 6  # M
-ALPHA1 = PowerLawSchedule()  # 1/t, payoff-estimate steps
-ALPHA2 = PowerLawSchedule(c=2.0)  # 1/t^2, strategy steps
 
 
 def default_topology(rng_seed: int = 0) -> TopologyConfig:

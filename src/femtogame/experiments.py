@@ -23,7 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,12 +31,7 @@ import numpy as np
 from ._csv import write_rows
 from .continuous import run_algorithm1
 from .defaults import default_constants, default_topology
-from .discrete import (
-    default_action_sets,
-    discrete_equilibrium,
-    initial_state,
-    run_learning,
-)
+from .discrete import default_action_sets, discrete_equilibrium
 from .network import NetworkInstance, TopologyConfig, generate_topology, sinr_macro
 from .payoff import efficiencies, leader_revenue
 from .pricing import (
@@ -51,6 +46,7 @@ from .pricing import (
 
 __all__ = [
     "EXPERIMENT_IDS",
+    "PER_K_STUDIES",
     "HEADERS",
     "ExperimentSpec",
     "MonteCarloResult",
@@ -69,6 +65,8 @@ EXPERIMENT_IDS = (
     "fig5-discrete-compare",
     "fig6-7-convergence",
 )
+# Studies that run every seed once per follower count in ``k_values``.
+PER_K_STUDIES = ("fig2-3-se-compare", "fig5-discrete-compare")
 
 _SWEEP_HEADER = (
     "experiment",
@@ -178,17 +176,12 @@ def config_hash(config: dict) -> str:
 def _spec_config(spec: ExperimentSpec) -> tuple[TopologyConfig, dict, str]:
     topo = spec.topology or default_topology()
     constants = dict(spec.constants or default_constants())
+    geometry = asdict(topo)
+    del geometry["rng_seed"]  # each trial reseeds the topology with its own seed
     digest = config_hash(
         {
             "experiment": spec.experiment_id,
-            "topology": {
-                "macro_radius": topo.macro_radius,
-                "femto_user_radius": topo.femto_user_radius,
-                "pathloss_exponent_fu": topo.pathloss_exponent_fu,
-                "pathloss_exponent_mu": topo.pathloss_exponent_mu,
-                "min_distance": topo.min_distance,
-                "shadowing_sigma_db": topo.shadowing_sigma_db,
-            },
+            "topology": geometry,
             "constants": constants,
             "num_actions": spec.num_actions,
             "grid_count": spec.grid_count,
@@ -199,11 +192,6 @@ def _spec_config(spec: ExperimentSpec) -> tuple[TopologyConfig, dict, str]:
         }
     )
     return topo, constants, digest
-
-
-def _make_network(topo: TopologyConfig, constants: dict, seed: int, K: int) -> NetworkInstance:
-    cfg = replace(topo, rng_seed=seed)
-    return generate_topology(cfg, K, **constants)
 
 
 def sweep_grid(net: NetworkInstance, count: int) -> np.ndarray:
@@ -234,6 +222,11 @@ def _metrics(net: NetworkInstance, p: np.ndarray, prices) -> tuple[float, float,
 def _scheme(net: NetworkInstance, p: np.ndarray, prices, converged: bool) -> dict:
     revenue, eff, mu = _metrics(net, p, prices)
     return {"efficiency": eff, "revenue": revenue, "mu_sinr": mu, "converged": converged}
+
+
+def _scheme_tail(name: str, m: dict) -> tuple:
+    """A comparison row's cells after (experiment, k, seed, config_hash)."""
+    return name, m["efficiency"], m["revenue"], m["mu_sinr"]
 
 
 def _failed_row(spec: ExperimentSpec, lead: tuple, exc: Exception) -> tuple:
@@ -294,236 +287,168 @@ def _interior_max(values: np.ndarray) -> bool:
     return 0 < best < len(values) - 1
 
 
-# ---------------------------------------------------------------------------
-# experiment bodies
-# ---------------------------------------------------------------------------
-
-
-def _run_fig1(spec: ExperimentSpec, topo, constants, digest):
-    rows = []
-    per_seed = []
-    for seed in range(spec.seed_base, spec.seed_base + spec.trials):
-        try:
-            net = _make_network(topo, constants, seed, spec.num_followers)
-            grid = sweep_grid(net, spec.grid_count)
-            metrics = continuous_sweep_rows(net, grid)
-            eff0 = mean_efficiency(net, zero_price_equilibrium(net).profile)
-            revenues = np.array([m[1] for m in metrics])
-            effs = np.array([m[2] for m in metrics])
-            per_seed.append(
-                {
-                    "seed": seed,
-                    "interior_max": _interior_max(revenues),
-                    "plateau_decades": _plateau_decades(grid, effs, eff0),
-                }
-            )
-            for m in metrics:
-                rows.append((spec.experiment_id, seed, digest, *m, "ok"))
-        except Exception as exc:  # noqa: BLE001 - partial failures are data
-            rows.append(_failed_row(spec, (spec.experiment_id, seed, digest), exc))
-    summary = {
-        "per_seed": per_seed,
-        "interior_max_fraction": float(np.mean([s["interior_max"] for s in per_seed]))
-        if per_seed
-        else 0.0,
-    }
-    return rows, summary
-
-
-def _scheme_metrics(net, prices, init):
-    report = run_algorithm1(net, prices, init=init)
-    return _scheme(net, report.final_profile, prices, report.converged)
-
-
-def _run_fig23(spec: ExperimentSpec, topo, constants, digest):
-    rows = []
-    per_trial = []
-    for K in spec.k_values:
-        for seed in range(spec.seed_base, spec.seed_base + spec.trials):
-            try:
-                net = _make_network(topo, constants, seed, K)
-                zp = zero_price_equilibrium(net)
-                lam_a = asymptote_price(net, zp.profile)
-                search = se_price_search(
-                    net, PriceSearchConfig(grid_count=spec.search_grid_count)
-                )
-                schemes = {
-                    "zero-price": _scheme_metrics(net, np.zeros(K), zp.profile),
-                    "asymptote": _scheme_metrics(net, lam_a, zp.profile),
-                    "se-search": _scheme(
-                        net, search.equilibrium, search.prices, search.all_converged
-                    ),
-                }
-                entry = {"k": K, "seed": seed}
-                for name, m in schemes.items():
-                    rows.append(
-                        (spec.experiment_id, K, seed, digest, name)
-                        + (m["efficiency"], m["revenue"], m["mu_sinr"], "ok")
-                    )
-                    entry[name] = m
-                per_trial.append(entry)
-            except Exception as exc:  # noqa: BLE001
-                rows.append(_failed_row(spec, (spec.experiment_id, K, seed, digest), exc))
-    summary = {"per_trial": per_trial}
-    for K in spec.k_values:
-        sub = [t for t in per_trial if t["k"] == K]
-        if not sub:
-            continue
-        summary[f"k{K}"] = {
-            "mean_eff_asymptote": float(np.mean([t["asymptote"]["efficiency"] for t in sub])),
-            "mean_eff_se": float(np.mean([t["se-search"]["efficiency"] for t in sub])),
-            "mean_rev_asymptote": float(np.mean([t["asymptote"]["revenue"] for t in sub])),
-            "mean_rev_se": float(np.mean([t["se-search"]["revenue"] for t in sub])),
-            "mean_mu_sinr_asymptote": float(np.mean([t["asymptote"]["mu_sinr"] for t in sub])),
-            "mean_mu_sinr_se": float(np.mean([t["se-search"]["mu_sinr"] for t in sub])),
-        }
-    return rows, summary
-
-
-def _run_fig4(spec: ExperimentSpec, topo, constants, digest):
-    rows = []
-    per_seed = []
-    for seed in range(spec.seed_base, spec.seed_base + spec.trials):
-        try:
-            net = _make_network(topo, constants, seed, spec.num_followers)
-            grid = sweep_grid(net, spec.grid_count)
-            metrics = discrete_sweep_rows(net, grid, spec.num_actions)
-            revenues = np.array([m[1] for m in metrics])
-            per_seed.append({"seed": seed, "interior_max": _interior_max(revenues)})
-            for m in metrics:
-                rows.append((spec.experiment_id, seed, digest, *m, "ok"))
-        except Exception as exc:  # noqa: BLE001
-            rows.append(_failed_row(spec, (spec.experiment_id, seed, digest), exc))
-    summary = {
-        "per_seed": per_seed,
-        "interior_max_fraction": float(np.mean([s["interior_max"] for s in per_seed]))
-        if per_seed
-        else 0.0,
-    }
-    return rows, summary
-
-
-def _discrete_scheme_metrics(net, actions, prices):
-    _, profile, converged = discrete_equilibrium(net, actions, prices)
-    return _scheme(net, profile, prices, converged)
-
-
 def _alg2_status(alg2) -> str:
     """Row status of a result that depends on Algorithm 2 meeting its SINR target."""
     return "ok" if alg2.converged else "unconverged"
 
 
-def _run_fig5(spec: ExperimentSpec, topo, constants, digest):
-    rows = []
-    per_trial = []
+# ---------------------------------------------------------------------------
+# trial functions: (spec, net, seed) -> (row tails, summary entry)
+# ---------------------------------------------------------------------------
+
+
+def _sweep_trial(metrics: list, seed: int):
+    """Rows and interior-max entry of a price sweep (fig1, fig4)."""
+    entry = {"seed": seed, "interior_max": _interior_max(np.array([m[1] for m in metrics]))}
+    return [(*m, "ok") for m in metrics], entry
+
+
+def _fig1_trial(spec: ExperimentSpec, net: NetworkInstance, seed: int):
+    grid = sweep_grid(net, spec.grid_count)
+    metrics = continuous_sweep_rows(net, grid)
+    tails, entry = _sweep_trial(metrics, seed)
+    eff0 = mean_efficiency(net, zero_price_equilibrium(net).profile)
+    entry["plateau_decades"] = _plateau_decades(grid, np.array([m[2] for m in metrics]), eff0)
+    return tails, entry
+
+
+def _fig4_trial(spec: ExperimentSpec, net: NetworkInstance, seed: int):
+    grid = sweep_grid(net, spec.grid_count)
+    return _sweep_trial(discrete_sweep_rows(net, grid, spec.num_actions), seed)
+
+
+def _fig23_trial(spec: ExperimentSpec, net: NetworkInstance, seed: int):
+    def solved(prices):
+        report = run_algorithm1(net, prices, init=zp.profile)
+        return _scheme(net, report.final_profile, prices, report.converged)
+
+    zp = zero_price_equilibrium(net)
+    search = se_price_search(net, PriceSearchConfig(grid_count=spec.search_grid_count))
+    schemes = {
+        "zero-price": solved(np.zeros(net.num_followers)),
+        "asymptote": solved(asymptote_price(net, zp.profile)),
+        "se-search": _scheme(net, search.equilibrium, search.prices, search.all_converged),
+    }
+    tails = [(*_scheme_tail(name, m), "ok") for name, m in schemes.items()]
+    return tails, {"k": net.num_followers, "seed": seed, **schemes}
+
+
+def _fig5_trial(spec: ExperimentSpec, net: NetworkInstance, seed: int):
+    def solved(prices):
+        _, profile, converged = discrete_equilibrium(net, actions, prices)
+        return _scheme(net, profile, prices, converged)
+
+    actions = default_action_sets(net, spec.num_actions)
+    zp = zero_price_equilibrium(net)
+    grid = sweep_grid(net, spec.search_grid_count)
+    sweep = discrete_sweep_rows(net, grid, spec.num_actions)
+    se_price = float(grid[int(np.argmax([m[1] for m in sweep]))])
+    alg2 = run_algorithm2(net, actions, learner=replace(spec.learner, rng_seed=seed), max_outer=20)
+    schemes = {
+        "se-search": solved(np.full(net.num_followers, se_price)),
+        "asymptote": solved(asymptote_price(net, zp.profile)),
+        "algorithm2": solved(alg2.prices),
+    }
+    alg2_cells = (alg2.outer_iterations, _alg2_status(alg2))
+    tails = [
+        (*_scheme_tail(name, m), *(alg2_cells if name == "algorithm2" else ("", "ok")))
+        for name, m in schemes.items()
+    ]
+    entry = {
+        "k": net.num_followers,
+        "seed": seed,
+        "outer_iterations": alg2.outer_iterations,
+        "converged": alg2.converged,
+        **schemes,
+    }
+    return tails, entry
+
+
+def _fig67_trial(spec: ExperimentSpec, net: NetworkInstance, seed: int):
+    actions = default_action_sets(net, spec.num_actions)
+    learner = replace(spec.learner, rng_seed=seed)
+    alg2 = run_algorithm2(net, actions, learner=learner, max_outer=20)
+    phases = {
+        "zero-price": (np.zeros(net.num_followers), "ok"),
+        "algorithm2-price": (alg2.prices, _alg2_status(alg2)),
+    }
+    entry = {"seed": seed, "outer_iterations": alg2.outer_iterations, "converged": alg2.converged}
+    phase_learner = replace(learner, max_iters=spec.learn_max_iters)
+    tails = []
+    for phase, (prices, status) in phases.items():
+        report = phase_learner.run(net, actions, prices)
+        entry[phase] = {"converged": report.converged, "iterations": report.iterations}
+        for t in range(report.iterations):
+            for k in range(1, net.num_followers + 1):
+                pi_text = ";".join(repr(float(x)) for x in report.pi_trace[t, k - 1])
+                tails.append(
+                    (phase, t + 1, k, float(report.expected_power_trace[t, k - 1]), pi_text, status)
+                )
+    return tails, entry
+
+
+def _interior_max_fraction(spec: ExperimentSpec, entries: list) -> dict:
+    fraction = float(np.mean([e["interior_max"] for e in entries])) if entries else 0.0
+    return {"interior_max_fraction": fraction}
+
+
+def _scheme_means(spec: ExperimentSpec, entries: list) -> dict:
+    """Per K: mean efficiency, revenue and MU SINR at the asymptote and searched prices."""
+    means = {}
     for K in spec.k_values:
-        for seed in range(spec.seed_base, spec.seed_base + spec.trials):
-            try:
-                net = _make_network(topo, constants, seed, K)
-                actions = default_action_sets(net, spec.num_actions)
-                learner = replace(spec.learner, rng_seed=seed)
-                zp = zero_price_equilibrium(net)
-                lam_a = asymptote_price(net, zp.profile)
-
-                grid = sweep_grid(net, spec.search_grid_count)
-                sweep = discrete_sweep_rows(net, grid, spec.num_actions)
-                best = int(np.argmax([m[1] for m in sweep]))
-                se_prices = np.full(K, float(grid[best]))
-
-                alg2 = run_algorithm2(net, actions, learner=learner, max_outer=20)
-                schemes = {
-                    "se-search": _discrete_scheme_metrics(net, actions, se_prices),
-                    "asymptote": _discrete_scheme_metrics(net, actions, lam_a),
-                    "algorithm2": _discrete_scheme_metrics(net, actions, alg2.prices),
-                }
-                entry = {
-                    "k": K,
-                    "seed": seed,
-                    "outer_iterations": alg2.outer_iterations,
-                    "converged": alg2.converged,
-                }
-                for name, m in schemes.items():
-                    alg = name == "algorithm2"
-                    rows.append(
-                        (spec.experiment_id, K, seed, digest, name)
-                        + (m["efficiency"], m["revenue"], m["mu_sinr"])
-                        + ((alg2.outer_iterations, _alg2_status(alg2)) if alg else ("", "ok"))
-                    )
-                    entry[name] = m
-                per_trial.append(entry)
-            except Exception as exc:  # noqa: BLE001
-                rows.append(_failed_row(spec, (spec.experiment_id, K, seed, digest), exc))
-    return rows, {"per_trial": per_trial}
-
-
-def _run_fig67(spec: ExperimentSpec, topo, constants, digest):
-    rows = []
-    per_seed = []
-    for seed in range(spec.seed_base, spec.seed_base + spec.trials):
-        try:
-            net = _make_network(topo, constants, seed, spec.num_followers)
-            actions = default_action_sets(net, spec.num_actions)
-            learner = replace(spec.learner, rng_seed=seed)
-            alg2 = run_algorithm2(net, actions, learner=learner, max_outer=20)
-            phases = {
-                "zero-price": (np.zeros(net.num_followers), "ok"),
-                "algorithm2-price": (alg2.prices, _alg2_status(alg2)),
+        sub = [t for t in entries if t["k"] == K]
+        if sub:
+            means[f"k{K}"] = {
+                f"mean_{short}_{label}": float(np.mean([t[scheme][metric] for t in sub]))
+                for metric, short in (("efficiency", "eff"), ("revenue", "rev"), ("mu_sinr", "mu_sinr"))
+                for scheme, label in (("asymptote", "asymptote"), ("se-search", "se"))
             }
-            seed_info = {
-                "seed": seed,
-                "outer_iterations": alg2.outer_iterations,
-                "converged": alg2.converged,
-            }
-            for phase, (prices, status) in phases.items():
-                state = initial_state(
-                    actions,
-                    tau=learner.tau,
-                    alpha1=learner.alpha1,
-                    alpha2=learner.alpha2,
-                    rng_seed=seed,
-                )
-                report = run_learning(
-                    net,
-                    prices,
-                    state,
-                    tol=learner.tol,
-                    window=learner.window,
-                    max_iters=spec.learn_max_iters,
-                )
-                seed_info[phase] = {
-                    "converged": report.converged,
-                    "iterations": report.iterations,
-                }
-                for t in range(report.iterations):
-                    for k in range(1, net.num_followers + 1):
-                        pi_text = ";".join(repr(float(x)) for x in report.pi_trace[t, k - 1])
-                        rows.append(
-                            (spec.experiment_id, seed, digest, phase, t + 1, k)
-                            + (float(report.expected_power_trace[t, k - 1]), pi_text, status)
-                        )
-            per_seed.append(seed_info)
-        except Exception as exc:  # noqa: BLE001
-            rows.append(_failed_row(spec, (spec.experiment_id, seed, digest), exc))
-    return rows, {"per_seed": per_seed}
+    return means
 
 
-_RUNNERS = {
-    "fig1-sweep": _run_fig1,
-    "fig2-3-se-compare": _run_fig23,
-    "fig4-discrete-sweep": _run_fig4,
-    "fig5-discrete-compare": _run_fig5,
-    "fig6-7-convergence": _run_fig67,
+# experiment id -> (trial function, summary drawn from the trials' entries)
+_STUDIES = {
+    "fig1-sweep": (_fig1_trial, _interior_max_fraction),
+    "fig2-3-se-compare": (_fig23_trial, _scheme_means),
+    "fig4-discrete-sweep": (_fig4_trial, _interior_max_fraction),
+    "fig5-discrete-compare": (_fig5_trial, None),
+    "fig6-7-convergence": (_fig67_trial, None),
 }
 
 
 def run_experiment(spec: ExperimentSpec) -> dict:
-    """Execute the named study, write its CSV, and return a summary dict."""
+    """Execute the named study, write its CSV, and return a summary dict.
+
+    Every seed of every follower count K (``k_values`` for the studies in
+    ``PER_K_STUDIES``, ``num_followers`` for the rest) draws its own
+    topology and runs the study's trial function. A trial that raises
+    leaves one ``failed:<Name>`` row and an entry in ``failures``.
+    """
     topo, constants, digest = _spec_config(spec)
-    rows, summary = _RUNNERS[spec.experiment_id](spec, topo, constants, digest)
+    trial, summarize = _STUDIES[spec.experiment_id]
+    per_k = spec.experiment_id in PER_K_STUDIES
+    rows, entries, failures = [], [], []
+    for K in spec.k_values if per_k else (spec.num_followers,):
+        for seed in range(spec.seed_base, spec.seed_base + spec.trials):
+            where = {"k": K, "seed": seed} if per_k else {"seed": seed}
+            lead = (spec.experiment_id, *where.values(), digest)
+            try:
+                net = generate_topology(replace(topo, rng_seed=seed), K, **constants)
+                tails, entry = trial(spec, net, seed)
+            except Exception as exc:  # noqa: BLE001 - partial failures are data
+                rows.append(_failed_row(spec, lead, exc))
+                failures.append({**where, "error": f"{type(exc).__name__}: {exc}"})
+                continue
+            rows.extend(lead + tail for tail in tails)
+            entries.append(entry)
+    summary = {"per_trial" if per_k else "per_seed": entries}
+    if summarize is not None:
+        summary.update(summarize(spec, entries))
     write_rows(spec.output_path, HEADERS[spec.experiment_id], rows)
     summary["experiment_id"] = spec.experiment_id
     summary["config_hash"] = digest
     summary["output_path"] = str(spec.output_path)
     summary["rows"] = len(rows)
     summary["rows_not_ok"] = sum(row[-1] != "ok" for row in rows)
+    summary["failures"] = failures
     return summary

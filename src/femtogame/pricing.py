@@ -10,7 +10,7 @@ loop of the discrete game).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -251,7 +251,11 @@ def algorithm2_price_step(
 
 @dataclass(frozen=True)
 class LearnerConfig:
-    """Configuration of one discrete learning run inside Algorithm 2."""
+    """Configuration of one discrete learning run; ``run`` carries it out.
+
+    The defaults are the Table values: temperature 1, 1/t payoff-estimate
+    steps and 1/t^2 strategy steps.
+    """
 
     tau: float = 1.0
     alpha1: PowerLawSchedule = PowerLawSchedule()
@@ -260,6 +264,16 @@ class LearnerConfig:
     tol: float = 1e-3
     window: int = 50
     max_iters: int = 10_000
+
+    def run(self, net: NetworkInstance, action_sets, prices, record_pi: bool = True) -> LearningReport:
+        """Learn from a fresh state (uniform strategies, this config's seed) at ``prices``."""
+        state = initial_state(
+            action_sets, tau=self.tau, alpha1=self.alpha1, alpha2=self.alpha2, rng_seed=self.rng_seed
+        )
+        return run_learning(
+            net, prices, state, tol=self.tol, window=self.window, max_iters=self.max_iters,
+            record_pi=record_pi,
+        )
 
 
 @dataclass
@@ -302,21 +316,8 @@ def run_algorithm2(
     report = None
     strategies = None
     while True:
-        state = initial_state(
-            action_sets,
-            tau=learner.tau,
-            alpha1=learner.alpha1,
-            alpha2=learner.alpha2,
-            rng_seed=learner.rng_seed + outer,
-        )
-        report = run_learning(
-            net,
-            prices,
-            state,
-            tol=learner.tol,
-            window=learner.window,
-            max_iters=learner.max_iters,
-            record_pi=time_average,
+        report = replace(learner, rng_seed=learner.rng_seed + outer).run(
+            net, action_sets, prices, record_pi=time_average
         )
         strategies = report.pi_trace.mean(axis=0) if time_average else report.strategies
         mean_p = expected_powers(action_sets, strategies)

@@ -12,7 +12,7 @@ An optional ``learner`` block configures discrete learning runs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -131,33 +131,34 @@ def _parse_topology(block: dict) -> TopologyConfig:
         raise ScenarioError(str(exc)) from exc
 
 
-def _parse_learner(block: dict) -> tuple[LearnerConfig, int]:
-    def schedule(entry, fallback: PowerLawSchedule) -> PowerLawSchedule:
-        if entry is None:
-            return fallback
-        try:
-            return PowerLawSchedule(
-                a=float(entry.get("a", 1.0)),
-                b=float(entry.get("b", 0.0)),
-                c=float(entry.get("c", 1.0)),
-            )
-        except (AttributeError, ValueError) as exc:
-            raise ScenarioError(f"bad schedule entry {entry!r}") from exc
+def _schedule(entry) -> PowerLawSchedule:
+    """A learner step-size entry a / (t + b)**c: an object with any of a, b, c."""
+    if not isinstance(entry, dict) or not set(entry) <= {"a", "b", "c"}:
+        raise ScenarioError(f"bad schedule entry {entry!r}: expected an object with keys a, b, c")
+    return PowerLawSchedule(**{key: float(value) for key, value in entry.items()})
 
-    M = int(block.get("M", defaults.NUM_ACTIONS))
+
+# learner block field -> parser; absent fields keep LearnerConfig's defaults
+_LEARNER_FIELDS = {
+    "tau": float,
+    "alpha1": _schedule,
+    "alpha2": _schedule,
+    "rng_seed": int,
+    "tol": float,
+    "window": int,
+    "max_iters": int,
+}
+
+
+def _parse_learner(block: dict) -> tuple[LearnerConfig, int]:
+    for key in block:
+        if key != "M" and key not in _LEARNER_FIELDS:
+            raise ScenarioError(f"unknown learner field {key!r}")
     try:
-        cfg = LearnerConfig(
-            tau=float(block.get("tau", defaults.TAU)),
-            alpha1=schedule(block.get("alpha1"), defaults.ALPHA1),
-            alpha2=schedule(block.get("alpha2"), defaults.ALPHA2),
-            rng_seed=int(block.get("rng_seed", 0)),
-            tol=float(block.get("tol", 1e-3)),
-            window=int(block.get("window", 50)),
-            max_iters=int(block.get("max_iters", 10_000)),
-        )
-    except ValueError as exc:
+        fields = {key: _LEARNER_FIELDS[key](value) for key, value in block.items() if key != "M"}
+        return LearnerConfig(**fields), int(block.get("M", defaults.NUM_ACTIONS))
+    except (TypeError, ValueError) as exc:
         raise ScenarioError(str(exc)) from exc
-    return cfg, M
 
 
 def load_scenario(path: str | Path | None) -> Scenario:
@@ -171,6 +172,9 @@ def load_scenario(path: str | Path | None) -> Scenario:
             raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ScenarioError("scenario root must be a JSON object")
+    for name in ("network", "topology", "constants", "learner"):
+        if not isinstance(raw.get(name, {}), dict):
+            raise ScenarioError(f"scenario block {name!r} must be a JSON object")
 
     network = _parse_network(raw["network"]) if "network" in raw else None
     topology = _parse_topology(raw["topology"]) if "topology" in raw else None
@@ -220,15 +224,7 @@ def network_from_scenario(
         return scenario.network
     cfg = scenario.topology or defaults.default_topology()
     if seed is not None:
-        cfg = TopologyConfig(
-            macro_radius=cfg.macro_radius,
-            femto_user_radius=cfg.femto_user_radius,
-            pathloss_exponent_fu=cfg.pathloss_exponent_fu,
-            pathloss_exponent_mu=cfg.pathloss_exponent_mu,
-            min_distance=cfg.min_distance,
-            rng_seed=seed,
-            shadowing_sigma_db=cfg.shadowing_sigma_db,
-        )
+        cfg = replace(cfg, rng_seed=seed)
     K = num_followers or scenario.num_followers or 6
     return generate_topology(cfg, K, **scenario.constants)
 

@@ -186,6 +186,20 @@ def test_algorithm1_rejects_invalid_prices(net3, prices):
         run_algorithm1(net3, np.array(prices), init=np.zeros(3))
 
 
+@pytest.mark.parametrize(
+    "init", [[np.nan, 0.0, 0.0], [-1e-3, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0]]
+)
+def test_algorithm1_rejects_invalid_init(net3, init):
+    with pytest.raises(ValueError, match="power profile"):
+        run_algorithm1(net3, np.zeros(3), init=np.array(init))
+
+
+def test_algorithm1_leaves_init_untouched(net3):
+    init = np.zeros(3)
+    run_algorithm1(net3, np.zeros(3), init=init)
+    assert np.array_equal(init, np.zeros(3))
+
+
 def test_bad_schedule_mode_rejected():
     with pytest.raises(ValueError):
         BrSchedule(mode="alphabetical")

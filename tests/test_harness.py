@@ -1,6 +1,7 @@
 """Scenario files, CSV output, Monte Carlo helpers, experiments, and the CLI."""
 
 import json
+import os
 import re
 import subprocess
 import sys
@@ -9,9 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from femtogame import cli, default_topology, experiments, generate_topology
+from femtogame import TopologyConfig, cli, default_topology, experiments, generate_topology
 from femtogame._csv import format_cell, write_rows
 from femtogame.defaults import default_constants
+from femtogame.discrete import PowerLawSchedule
 from femtogame.experiments import (
     EXPERIMENT_IDS,
     HEADERS,
@@ -140,6 +142,14 @@ def test_scenario_rejects_non_object_root(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("[1, 2, 3]")
     with pytest.raises(ScenarioError):
+        load_scenario(path)
+
+
+@pytest.mark.parametrize("block", ["network", "topology", "constants", "learner"])
+def test_scenario_rejects_non_object_block(tmp_path, block):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({block: 5}))
+    with pytest.raises(ScenarioError, match="must be a JSON object"):
         load_scenario(path)
 
 
@@ -397,14 +407,179 @@ def test_cli_learn_rejects_nan_price():
     assert "prices must be finite" in res.stderr
 
 
-def test_cli_experiment_exits_3_after_writing_unconverged_rows(tmp_path, monkeypatch):
-    monkeypatch.setattr(experiments, "default_constants", _unreachable_target)
-    scenario = tmp_path / "scenario.json"
-    scenario.write_text(json.dumps({"learner": {"max_iters": 100, "M": 3}}))
-    out = tmp_path / "f67.csv"
-    code = cli.main(
-        ["experiment", "--id", "fig6-7-convergence", "--config", str(scenario),
-         "--followers", "2", "--out", str(out)]
+# Adapting step sizes: with them Algorithm 2 meets the default SINR target.
+_ADAPTING_LEARNER = {"max_iters": 100, "M": 3, "alpha1": {"c": 0.6}, "alpha2": {"c": 1.0}}
+
+
+def _experiment(tmp_path, capsys, scenario, *flags):
+    """Run ``femtogame experiment`` in-process; returns (exit code, summary, CSV path)."""
+    out = tmp_path / "experiment.csv"
+    argv = ["experiment", *flags, "--out", str(out)]
+    if scenario is not None:
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        argv += ["--config", str(path)]
+    code = cli.main(argv)
+    printed = capsys.readouterr().out
+    return code, (json.loads(printed) if printed else None), out
+
+
+def _fig67_exit(tmp_path, capsys, scenario):
+    code, summary, out = _experiment(
+        tmp_path, capsys, scenario, "--id", "fig6-7-convergence", "--followers", "2"
     )
-    assert code == cli.EXIT_NO_CONVERGENCE
-    assert ("algorithm2-price", "unconverged") in _statuses(out)
+    return code, summary["per_seed"][0]["converged"], dict(_statuses(out))["algorithm2-price"]
+
+
+def test_cli_experiment_exits_3_after_writing_unconverged_rows(tmp_path, capsys):
+    scenario = {"learner": _ADAPTING_LEARNER, "constants": {"mu_sinr_threshold": 1e12}}
+    assert _fig67_exit(tmp_path, capsys, scenario) == (cli.EXIT_NO_CONVERGENCE, False, "unconverged")
+
+
+def test_cli_experiment_exits_0_when_algorithm2_meets_target(tmp_path, capsys):
+    scenario = {"learner": _ADAPTING_LEARNER}
+    assert _fig67_exit(tmp_path, capsys, scenario) == (cli.EXIT_OK, True, "ok")
+
+
+def test_default_config_hashes_are_stable():
+    pinned = {
+        "fig1-sweep": "2f81fbd8bd6c",
+        "fig2-3-se-compare": "7940d481219d",
+        "fig4-discrete-sweep": "64bdf6598e6f",
+        "fig5-discrete-compare": "fad24f7c1c68",
+        "fig6-7-convergence": "2756e4be02b5",
+    }
+    assert {i: experiments._spec_config(ExperimentSpec(i))[2] for i in EXPERIMENT_IDS} == pinned
+
+
+def test_cli_experiment_honours_topology_and_constants(tmp_path, capsys):
+    flags = ("--id", "fig1-sweep", "--followers", "2", "--points", "6")
+    runs = {}
+    for name, scenario in {
+        "none": None,
+        "topology": {"topology": {"macro_radius_m": 50}},
+        "constants": {"constants": {"circuit_power": "10 dBm"}},
+    }.items():
+        code, summary, out = _experiment(tmp_path, capsys, scenario, *flags)
+        assert code == cli.EXIT_OK
+        runs[name] = (summary["config_hash"], out.read_text().split("\n", 1)[1])
+    assert len({h for h, _ in runs.values()}) == 3
+    assert len({rows for _, rows in runs.values()}) == 3
+
+
+def test_cli_experiment_takes_k_and_first_seed_from_topology_block(tmp_path, capsys):
+    scenario = {"topology": {"num_followers": 3, "rng_seed": 7, "min_distance_m": 2.0}}
+    code, summary, out = _experiment(tmp_path, capsys, scenario, "--id", "fig1-sweep", "--points", "5")
+    assert code == cli.EXIT_OK
+    expected = tmp_path / "expected.csv"
+    spec = ExperimentSpec(
+        "fig1-sweep",
+        seed_base=7,
+        topology=TopologyConfig(min_distance=2.0),
+        num_followers=3,
+        grid_count=5,
+        output_path=expected,
+    )
+    assert run_experiment(spec)["config_hash"] == summary["config_hash"]
+    assert out.read_bytes() == expected.read_bytes()
+    assert [entry["seed"] for entry in summary["per_seed"]] == [7]
+
+
+def test_cli_comparison_takes_followers_and_points(tmp_path, capsys):
+    code, summary, out = _experiment(
+        tmp_path, capsys, None, "--id", "fig2-3-se-compare", "--followers", "2", "--points", "5"
+    )
+    assert code == cli.EXIT_OK
+    assert {row.split(",")[1] for row in out.read_text().splitlines()[1:]} == {"2"}
+    spec = ExperimentSpec("fig2-3-se-compare", k_values=(2,), search_grid_count=5)
+    assert summary["config_hash"] == experiments._spec_config(spec)[2]
+
+
+def test_cli_experiment_refuses_network_block_and_trace_points(tmp_path, capsys):
+    net_path = tmp_path / "net.json"
+    save_network(generate_topology(default_topology(), 2, **default_constants()), net_path)
+    assert cli.main(["experiment", "--id", "fig1-sweep", "--config", str(net_path),
+                     "--out", str(tmp_path / "a.csv")]) == cli.EXIT_BAD_INPUT
+    assert "network block" in capsys.readouterr().err
+    code, _, out = _experiment(tmp_path, capsys, None, "--id", "fig6-7-convergence", "--points", "5")
+    assert code == cli.EXIT_BAD_INPUT
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "block",
+    [
+        {"max_iter": 5},
+        {"alpah2": {"c": 1.0}},
+        {"alpha2": {"cc": 1.0}},
+        {"alpha1": 0.6},
+        {"alpha1": {"c": -1.0}},
+        {"window": "fifty"},
+    ],
+)
+def test_scenario_rejects_bad_learner_block(tmp_path, block):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"learner": block}))
+    with pytest.raises(ScenarioError):
+        load_scenario(path)
+
+
+def test_cli_learn_rejects_unknown_learner_fields(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"learner": {"max_iter": 5, "alpah2": {"c": 1.0}}}))
+    res = run_cli("learn", "--config", str(path), "--followers", "2")
+    assert res.returncode == 2, res.stdout + res.stderr
+    assert "unknown learner field" in res.stderr
+
+
+def test_learner_block_keeps_defaults_of_absent_fields(tmp_path):
+    path = tmp_path / "learner.json"
+    path.write_text(json.dumps({"learner": {"tau": 2, "alpha2": {"c": 1.0}, "M": 4}}))
+    sc = load_scenario(path)
+    assert sc.learner == LearnerConfig(tau=2.0, alpha2=PowerLawSchedule(c=1.0))
+    assert sc.num_actions == 4
+    assert load_scenario(None).learner == LearnerConfig()
+
+
+@pytest.mark.parametrize(
+    "experiment_id", ["fig4-discrete-sweep", "fig5-discrete-compare", "fig6-7-convergence"]
+)
+def test_failed_trials_keep_their_rows_and_messages(tmp_path, experiment_id):
+    out = tmp_path / "failed.csv"
+    spec = ExperimentSpec(
+        experiment_id,
+        trials=2,
+        num_actions=1,  # ActionSet.from_table refuses M < 2 inside every trial
+        num_followers=2,
+        k_values=(2, 3),
+        grid_count=4,
+        search_grid_count=4,
+        output_path=out,
+    )
+    summary = run_experiment(spec)
+    per_k = experiment_id in experiments.PER_K_STUDIES
+    trials = 2 * (2 if per_k else 1)
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == trials
+    assert all(len(row) == len(HEADERS[experiment_id]) for row in rows)
+    assert {row[-1] for row in rows} == {"failed:ValueError"}
+    assert summary["rows_not_ok"] == trials
+    assert summary["per_trial" if per_k else "per_seed"] == []
+    keys = [(f.get("k"), f["seed"]) for f in summary["failures"]]
+    assert keys == [(k if per_k else None, s) for k in ((2, 3) if per_k else (2,)) for s in (0, 1)]
+    assert all(f["error"] == "ValueError: M must be >= 2" for f in summary["failures"])
+
+
+@pytest.mark.parametrize("demo", sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py")),
+                         ids=lambda p: p.stem)
+def test_demo_runs(tmp_path, demo):
+    src = Path(__file__).resolve().parents[1] / "src"
+    res = subprocess.run(
+        [sys.executable, str(demo)],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=120,
+    )
+    assert res.returncode == 0, res.stdout + res.stderr
