@@ -43,9 +43,7 @@ from .discrete import (
 from .experiments import (
     EXPERIMENT_IDS,
     ExperimentSpec,
-    MonteCarloResult,
     config_hash,
-    montecarlo,
     run_experiment,
 )
 from .network import (

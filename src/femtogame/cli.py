@@ -30,6 +30,7 @@ from ._csv import write_rows
 from .discrete import default_action_sets, write_learning_csv
 from .experiments import (
     EXPERIMENT_IDS,
+    HEADERS,
     PER_K_STUDIES,
     ExperimentSpec,
     continuous_sweep_rows,
@@ -75,8 +76,7 @@ def cmd_sweep(args) -> int:
         rows = continuous_sweep_rows(net, grid)
     else:
         rows = discrete_sweep_rows(net, grid, scenario.num_actions)
-    header = ("lambda_per_watt", "revenue", "mean_efficiency_per_joule", "mu_sinr_linear", "converged")
-    write_rows(args.out, header, rows)
+    write_rows(args.out, HEADERS["fig1-sweep"][3:8], rows)  # the sweep columns without lead or status
     if not all(r[4] for r in rows):
         print(f"wrote {len(rows)} rows to {args.out}; some price points did not converge", file=sys.stderr)
         return EXIT_NO_CONVERGENCE

@@ -269,16 +269,14 @@ def discrete_equilibrium(
 class LearningState:
     """Mutable state of the coupled learning processes for all followers."""
 
-    action_sets: list
+    powers: np.ndarray  # (K, M) power menus, one row per follower
     U: np.ndarray  # (K, M) payoff estimates
     pi: np.ndarray  # (K, M) mixed strategies
     t: int
     tau: float
     alpha1: PowerLawSchedule
     alpha2: PowerLawSchedule
-    rng_seed: int
     rng: np.random.Generator = field(repr=False, default=None)
-    schedule_report: ScheduleReport = None
 
 
 def initial_state(
@@ -297,16 +295,14 @@ def initial_state(
     if tau <= 0.0:
         raise ValueError("tau must be positive")
     return LearningState(
-        action_sets=list(action_sets),
+        powers=np.vstack([a.powers for a in action_sets]),
         U=np.zeros((K, M)),
         pi=np.full((K, M), 1.0 / M),
         t=0,
         tau=tau,
         alpha1=alpha1,
         alpha2=alpha2,
-        rng_seed=rng_seed,
         rng=np.random.default_rng(rng_seed),
-        schedule_report=validate_schedules(alpha1, alpha2),
     )
 
 
@@ -330,9 +326,8 @@ def learning_step(state: LearningState, net: NetworkInstance, prices) -> Learnin
     a2 = state.alpha2(t)
     K = state.pi.shape[0]
     sampled = _sample_actions(state.pi, state.rng.random(K))
-    profile = np.array([a.powers[j] for a, j in zip(state.action_sets, sampled)])
-    payoff = payoffs(net, profile, prices)  # realized, from the pure joint action
     rows = np.arange(K)
+    payoff = payoffs(net, state.powers[rows, sampled], prices)  # realized, from the pure joint action
     state.U[rows, sampled] += a1 * (payoff - state.U[rows, sampled])
     shifted = (state.U - state.U.max(axis=1, keepdims=True)) / state.tau
     e = np.exp(shifted)
@@ -350,9 +345,16 @@ class LearningReport:
     strategies: np.ndarray  # final pi, (K, M)
     U: np.ndarray  # final payoff estimates, (K, M)
     expected_power_trace: np.ndarray  # (iterations, K)
-    pi_trace: np.ndarray | None  # (iterations, K, M) when recorded
+    pi_trace: np.ndarray  # (iterations, K, M)
     iterations: int
     converged: bool
+
+    def trace_rows(self):
+        """Yield (iteration, k, expected power, pi row) per slot and follower, 1-based, as Python floats."""
+        traces = zip(self.expected_power_trace.tolist(), self.pi_trace.tolist())
+        for t, (powers, pis) in enumerate(traces, start=1):
+            for k, (power, pi) in enumerate(zip(powers, pis), start=1):
+                yield t, k, power, pi
 
 
 def run_learning(
@@ -362,59 +364,39 @@ def run_learning(
     tol: float = 1e-3,
     window: int = 50,
     max_iters: int = 10_000,
-    record_pi: bool = True,
 ) -> LearningReport:
     """Iterate learning_step until the strategies settle or max_iters.
 
-    Convergence detector: over a sliding window of ``window`` iterations,
-    the largest per-component range of any pi_k falls below ``tol``.
+    Convergence detector: over the last ``window`` iterations of the
+    strategy trace, the largest per-component range of any pi_k falls
+    below ``tol``. The trace buffer is allocated for ``max_iters`` slots
+    (its pages become resident only when written) and trimmed on return.
     """
     if window < 2:
         raise ValueError("window must be >= 2")
     prices = validate_prices(net, prices)
-    powers = np.vstack([a.powers for a in state.action_sets])
-    power_trace = []
-    pi_trace = [] if record_pi else None
-    recent = []
+    trace = np.empty((max_iters, *state.pi.shape))
     converged = False
     iterations = 0
     for iterations in range(1, max_iters + 1):
         learning_step(state, net, prices)
-        power_trace.append((state.pi * powers).sum(axis=1))
-        if record_pi:
-            pi_trace.append(state.pi.copy())
-        recent.append(state.pi.copy())
-        if len(recent) > window:
-            recent.pop(0)
-        if len(recent) == window:
-            stacked = np.asarray(recent)
-            if float(np.max(stacked.max(axis=0) - stacked.min(axis=0))) < tol:
-                converged = True
-                break
+        trace[iterations - 1] = state.pi
+        if iterations >= window and np.ptp(trace[iterations - window : iterations], axis=0).max() < tol:
+            converged = True
+            break
+    pi_trace = trace[:iterations].copy()
     return LearningReport(
         strategies=state.pi.copy(),
         U=state.U.copy(),
-        expected_power_trace=np.asarray(power_trace),
-        pi_trace=np.asarray(pi_trace) if record_pi else None,
+        expected_power_trace=(pi_trace * state.powers).sum(axis=2),
+        pi_trace=pi_trace,
         iterations=iterations,
         converged=converged,
     )
 
 
 def write_learning_csv(report: LearningReport, path) -> None:
-    """Export a learning trace CSV: iteration,k,expected_power,pi_0..pi_{M-1}.
-
-    Requires the report to carry a pi trace.
-    """
-    if report.pi_trace is None:
-        raise ValueError("report has no pi trace; rerun with record_pi=True")
-    T, K, M = report.pi_trace.shape
+    """Export a learning trace CSV: iteration,k,expected_power,pi_0..pi_{M-1}."""
+    M = report.pi_trace.shape[2]
     header = ["iteration", "k", "expected_power"] + [f"pi_{j}" for j in range(M)]
-    rows = []
-    for t in range(T):
-        for k in range(K):
-            rows.append(
-                (t + 1, k + 1, float(report.expected_power_trace[t, k]))
-                + tuple(float(x) for x in report.pi_trace[t, k])
-            )
-    write_rows(path, header, rows)
+    write_rows(path, header, ((t, k, power, *pi) for t, k, power, pi in report.trace_rows()))

@@ -1,4 +1,4 @@
-"""Experiment driver and Monte Carlo engine reproducing the simulation studies.
+"""Experiment driver reproducing the simulation studies.
 
 Five named experiments emit plot-ready CSV (UTF-8, header row, '.' decimal):
 
@@ -49,8 +49,6 @@ __all__ = [
     "PER_K_STUDIES",
     "HEADERS",
     "ExperimentSpec",
-    "MonteCarloResult",
-    "montecarlo",
     "config_hash",
     "sweep_grid",
     "continuous_sweep_rows",
@@ -139,27 +137,12 @@ class ExperimentSpec:
             raise ValueError(f"unknown experiment id {self.experiment_id!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-
-
-@dataclass
-class MonteCarloResult:
-    mean: float
-    standard_error: float
-    rows: list  # (seed, value) per trial, in seed order
-
-
-def montecarlo(fn, trials: int, seed_base: int = 0) -> MonteCarloResult:
-    """Run fn(seed) for seeds base..base+trials-1 and aggregate.
-
-    Per-trial rows are retained for audit; the standard error is the sample
-    standard deviation over sqrt(trials) (0 for a single trial).
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rows = [(seed, float(fn(seed))) for seed in range(seed_base, seed_base + trials)]
-    values = np.array([v for _, v in rows])
-    stderr = float(values.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    return MonteCarloResult(mean=float(values.mean()), standard_error=stderr, rows=rows)
+        if self.num_followers < 1:
+            raise ValueError("num_followers must be >= 1")
+        if not self.k_values or min(self.k_values) < 1:
+            raise ValueError("k_values must be a non-empty list of follower counts >= 1")
+        if self.grid_count < 2 or self.search_grid_count < 2:
+            raise ValueError("grid_count and search_grid_count must be >= 2")
 
 
 def config_hash(config: dict) -> str:
@@ -378,12 +361,9 @@ def _fig67_trial(spec: ExperimentSpec, net: NetworkInstance, seed: int):
     for phase, (prices, status) in phases.items():
         report = phase_learner.run(net, actions, prices)
         entry[phase] = {"converged": report.converged, "iterations": report.iterations}
-        for t in range(report.iterations):
-            for k in range(1, net.num_followers + 1):
-                pi_text = ";".join(repr(float(x)) for x in report.pi_trace[t, k - 1])
-                tails.append(
-                    (phase, t + 1, k, float(report.expected_power_trace[t, k - 1]), pi_text, status)
-                )
+        tails += [
+            (phase, t, k, power, ";".join(map(repr, pi)), status) for t, k, power, pi in report.trace_rows()
+        ]
     return tails, entry
 
 

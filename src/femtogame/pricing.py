@@ -40,6 +40,8 @@ __all__ = [
     "run_algorithm2",
 ]
 
+REFINEMENT_TOL = 1e-3  # relative price tolerance of se_price_search's 1-D refinement
+
 
 @dataclass(frozen=True)
 class PriceSearchConfig:
@@ -56,7 +58,6 @@ class PriceSearchConfig:
     grid_min: float | None = None
     grid_max: float | None = None
     grid_count: int = 60
-    bisection_refinement_tol: float = 1e-3
 
     def __post_init__(self) -> None:
         if self.mode not in ("uniform-price", "per-link"):
@@ -68,8 +69,6 @@ class PriceSearchConfig:
         if self.grid_max is not None and self.grid_min is not None:
             if self.grid_max <= self.grid_min:
                 raise ValueError("grid_max must exceed grid_min")
-        if self.bisection_refinement_tol <= 0.0:
-            raise ValueError("refinement tol must be positive")
 
 
 @dataclass
@@ -205,7 +204,7 @@ def se_price_search(
             neg_revenue,
             bounds=(math.log(grid[best - 1]), math.log(grid[best + 1])),
             method="bounded",
-            options={"xatol": math.log1p(cfg.bisection_refinement_tol)},
+            options={"xatol": math.log1p(REFINEMENT_TOL)},
         )
         refined_x = float(math.exp(res.x))
         refined_revenue, refined_profile, ok = _fixed_point_revenue(
@@ -265,15 +264,12 @@ class LearnerConfig:
     window: int = 50
     max_iters: int = 10_000
 
-    def run(self, net: NetworkInstance, action_sets, prices, record_pi: bool = True) -> LearningReport:
+    def run(self, net: NetworkInstance, action_sets, prices) -> LearningReport:
         """Learn from a fresh state (uniform strategies, this config's seed) at ``prices``."""
         state = initial_state(
             action_sets, tau=self.tau, alpha1=self.alpha1, alpha2=self.alpha2, rng_seed=self.rng_seed
         )
-        return run_learning(
-            net, prices, state, tol=self.tol, window=self.window, max_iters=self.max_iters,
-            record_pi=record_pi,
-        )
+        return run_learning(net, prices, state, tol=self.tol, window=self.window, max_iters=self.max_iters)
 
 
 @dataclass
@@ -286,7 +282,6 @@ class Algorithm2Result:
     outer_iterations: int
     converged: bool
     flagged: np.ndarray
-    last_report: LearningReport
 
 
 def run_algorithm2(
@@ -295,7 +290,6 @@ def run_algorithm2(
     learner: LearnerConfig = LearnerConfig(),
     sinr_threshold: float | None = None,
     max_outer: int = 20,
-    time_average: bool = False,
 ) -> Algorithm2Result:
     """Heuristic price updating until the macro link's SINR target is met.
 
@@ -303,8 +297,6 @@ def run_algorithm2(
     computes the expected macro SINR from the reported strategies' expected
     powers, and while the target is unmet applies ``algorithm2_price_step``
     and re-learns. Hitting ``max_outer`` returns a flagged partial result.
-    With ``time_average`` the strategies reported to the price step are the
-    running mean of the learning run's pi trace instead of its final point.
     """
     threshold = net.mu_sinr_threshold if sinr_threshold is None else sinr_threshold
     K = net.num_followers
@@ -313,13 +305,9 @@ def run_algorithm2(
     trace = []
     converged = False
     outer = 0
-    report = None
-    strategies = None
     while True:
-        report = replace(learner, rng_seed=learner.rng_seed + outer).run(
-            net, action_sets, prices, record_pi=time_average
-        )
-        strategies = report.pi_trace.mean(axis=0) if time_average else report.strategies
+        seeded = replace(learner, rng_seed=learner.rng_seed + outer)
+        strategies = seeded.run(net, action_sets, prices).strategies  # keeps no trace alive
         mean_p = expected_powers(action_sets, strategies)
         mu_sinr = sinr_macro(net, mean_p)
         revenue = leader_revenue(net, mean_p, prices)
@@ -338,5 +326,4 @@ def run_algorithm2(
         outer_iterations=outer,
         converged=converged,
         flagged=flagged,
-        last_report=report,
     )

@@ -422,7 +422,7 @@ def test_single_follower_learns_the_logit_of_true_payoffs():
     state = initial_state(
         acts, alpha1=PowerLawSchedule(c=0.6), alpha2=PowerLawSchedule(), rng_seed=0
     )
-    rep = run_learning(net, np.zeros(1), state, tol=0.0, max_iters=20_000, record_pi=False)
+    rep = run_learning(net, np.zeros(1), state, tol=0.0, max_iters=20_000)
     u1 = follower_payoff(net, 1, np.array([0.05]), np.zeros(1))
     target = logit_response(np.array([0.0, u1]), 1.0)
     assert np.abs(rep.strategies[0] - target).max() < 1e-2
@@ -434,7 +434,7 @@ def test_learning_abandons_transmission_at_punitive_price():
     state = initial_state(
         acts, alpha1=PowerLawSchedule(c=0.6), alpha2=PowerLawSchedule(), rng_seed=0
     )
-    rep = run_learning(net, np.array([1e4]), state, tol=0.0, max_iters=5000, record_pi=False)
+    rep = run_learning(net, np.array([1e4]), state, tol=0.0, max_iters=5000)
     mean_p = float(rep.strategies[0] @ acts[0].powers)
     assert mean_p < 0.05 * 0.05  # under 5% of the top action
 
@@ -448,7 +448,7 @@ def test_converged_estimates_are_consistent_with_opponent_strategies():
     state = initial_state(
         acts, alpha1=PowerLawSchedule(c=0.6), alpha2=PowerLawSchedule(), rng_seed=1
     )
-    rep = run_learning(net, np.zeros(2), state, tol=0.0, max_iters=60_000, record_pi=False)
+    rep = run_learning(net, np.zeros(2), state, tol=0.0, max_iters=60_000)
     for k in (1, 2):
         for j in range(3):
             own = np.zeros(3)
@@ -464,6 +464,33 @@ def test_run_learning_rejects_tiny_window(net3):
         run_learning(net3, np.zeros(3), initial_state(acts), window=1)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    tol=st.just(0.0) | st.floats(1e-4, 0.2),
+    window=st.integers(2, 12),
+    K=st.integers(1, 3),
+    M=st.integers(2, 4),
+)
+def test_run_learning_stops_at_first_settled_window(seed, tol, window, K, M):
+    # 1/t strategy steps keep pi moving, so both outcomes show up in 150 slots.
+    net = make_net(K, seed=seed % 500)
+    acts = [ActionSet.from_table(M, float(pm)) for pm in net.power_max]
+    menu = np.vstack([a.powers for a in acts])
+    state = initial_state(acts, alpha1=PowerLawSchedule(c=0.6), alpha2=PowerLawSchedule(), rng_seed=seed)
+    max_iters = 150
+    rep = run_learning(net, np.zeros(K), state, tol=tol, window=window, max_iters=max_iters)
+    T = rep.iterations
+    assert rep.pi_trace.shape == (T, K, M)
+    settled = [t for t in range(window, T + 1) if np.ptp(rep.pi_trace[t - window : t], axis=0).max() < tol]
+    if rep.converged:
+        assert settled[:1] == [T]
+    else:
+        assert (T, settled) == (max_iters, [])
+    assert np.array_equal(rep.strategies, rep.pi_trace[-1])
+    assert np.array_equal(rep.expected_power_trace, (rep.pi_trace * menu).sum(-1))
+
+
 def test_learning_csv_round_trip(tmp_path):
     net = one_link_net()
     acts = [ActionSet(powers=np.array([0.0, 0.05]))]
@@ -474,7 +501,3 @@ def test_learning_csv_round_trip(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "iteration,k,expected_power,pi_0,pi_1"
     assert len(lines) == 1 + rep.iterations
-
-    nopath = run_learning(net, np.zeros(1), initial_state(acts), max_iters=5, record_pi=False)
-    with pytest.raises(ValueError):
-        write_learning_csv(nopath, tmp_path / "x.csv")

@@ -1,4 +1,4 @@
-"""Scenario files, CSV output, Monte Carlo helpers, experiments, and the CLI."""
+"""Scenario files, CSV output, experiments, and the CLI."""
 
 import json
 import os
@@ -19,7 +19,6 @@ from femtogame.experiments import (
     HEADERS,
     ExperimentSpec,
     config_hash,
-    montecarlo,
     run_experiment,
 )
 from femtogame.pricing import LearnerConfig
@@ -33,41 +32,6 @@ from femtogame.scenario import (
     parse_ratio,
     save_network,
 )
-
-
-# ---------------------------------------------------------------- monte carlo
-
-
-def test_montecarlo_single_trial_has_zero_stderr():
-    res = montecarlo(lambda seed: 42.0, trials=1)
-    assert res.mean == 42.0
-    assert res.standard_error == 0.0
-    assert res.rows == [(0, 42.0)]
-
-
-def test_montecarlo_identity_over_ten_seeds():
-    res = montecarlo(float, trials=10, seed_base=0)
-    assert res.mean == 4.5
-    assert res.standard_error == pytest.approx(0.9574271077563381, rel=1e-14)
-    assert [s for s, _ in res.rows] == list(range(10))
-
-
-def test_montecarlo_respects_seed_base():
-    res = montecarlo(float, trials=2, seed_base=100)
-    assert res.mean == 100.5
-    assert res.rows == [(100, 100.0), (101, 101.0)]
-
-
-def test_montecarlo_rejects_zero_trials():
-    with pytest.raises(ValueError):
-        montecarlo(float, trials=0)
-
-
-def test_montecarlo_stderr_shrinks_like_root_n():
-    draw = lambda seed: float(np.random.default_rng(seed).random() < 0.5)
-    small = montecarlo(draw, trials=100)
-    large = montecarlo(draw, trials=400)
-    assert 0.35 < large.standard_error / small.standard_error < 0.65
 
 
 # --------------------------------------------------------------- config hash
@@ -204,6 +168,21 @@ def test_experiment_spec_rejects_unknown_id():
         ExperimentSpec("fig1-sweep", trials=0)
 
 
+@pytest.mark.parametrize(
+    "sizes",
+    [
+        {"num_followers": 0},
+        {"k_values": ()},
+        {"k_values": (2, 0)},
+        {"grid_count": 1},
+        {"search_grid_count": 1},
+    ],
+)
+def test_experiment_spec_rejects_out_of_range_sizes(sizes):
+    with pytest.raises(ValueError):
+        ExperimentSpec("fig2-3-se-compare", **sizes)
+
+
 def test_sweep_experiment_summary_and_rows(tmp_path):
     out = tmp_path / "f1.csv"
     spec = ExperimentSpec(
@@ -312,6 +291,12 @@ def test_readme_csv_schemas_match_headers():
             for name in re.findall(r"`([\w-]+)`", match.group(1)):
                 documented[name] = columns
     assert {i: documented.get(i) for i in EXPERIMENT_IDS} == HEADERS
+
+
+def test_readme_sweep_schema_matches_cli_header():
+    section = " ".join(README.read_text().split("## CSV schemas", 1)[1].split())
+    documented = re.search(r"- `sweep` \(both games\): `([^`]+)`", section).group(1)
+    assert tuple(c.strip() for c in documented.split(",")) == HEADERS["fig1-sweep"][3:8]
 
 
 # ------------------------------------------------------------------------ CLI
@@ -503,6 +488,14 @@ def test_cli_experiment_refuses_network_block_and_trace_points(tmp_path, capsys)
     assert "network block" in capsys.readouterr().err
     code, _, out = _experiment(tmp_path, capsys, None, "--id", "fig6-7-convergence", "--points", "5")
     assert code == cli.EXIT_BAD_INPUT
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [("--followers", "0", "--points", "4"), ("--points", "1")])
+def test_cli_experiment_rejects_out_of_range_sizes(tmp_path, capsys, flags):
+    code, summary, out = _experiment(tmp_path, capsys, None, "--id", "fig1-sweep", *flags)
+    assert code == cli.EXIT_BAD_INPUT
+    assert summary is None
     assert not out.exists()
 
 
