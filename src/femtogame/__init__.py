@@ -11,12 +11,13 @@ harness with a CLI front end.
 from .continuous import (
     BisectionError,
     BrSchedule,
+    EquilibriumBatch,
     EquilibriumReport,
     best_response,
     check_supermodularity,
     check_uniqueness_condition,
     run_algorithm1,
-    write_trace_csv,
+    solve_equilibria,
 )
 from .defaults import default_constants, default_topology
 from .discrete import (

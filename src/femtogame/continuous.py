@@ -1,10 +1,11 @@
-"""Continuous-strategy follower game: best response and Algorithm-1 dynamics.
+"""Continuous-strategy follower game: best responses and equilibrium solvers.
 
 The best response maximizes the quasiconcave follower payoff over
-[0, p_max] by bisecting its gradient, which changes sign at most once
-(+ to -). Asynchronous rounds of best responses form the fixed-point
-iteration; under the uniqueness condition the iteration converges to the
-same profile from any initialization.
+[0, p_max] at the root of its gradient, which changes sign at most once
+(+ to -). ``run_algorithm1`` (the paper's Algorithm 1) iterates scalar
+bisection best responses one follower at a time; ``solve_equilibria``
+updates every follower of a batch of price vectors at once by Newton steps.
+Both reach the same fixed point (Yates 1995, standard interference functions).
 """
 
 from __future__ import annotations
@@ -14,26 +15,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._csv import write_rows
 from .network import NetworkInstance, follower_sinr, interference
-from .payoff import own_gradient, own_payoff, payoffs, validate_power_profile, validate_prices
+from .payoff import own_gradient, own_gradient_slope, own_payoff, validate_power_profile, validate_prices
 
 __all__ = [
     "BisectionError",
     "BrSchedule",
     "EquilibriumReport",
+    "EquilibriumBatch",
     "best_response",
     "run_algorithm1",
+    "solve_equilibria",
     "check_uniqueness_condition",
     "check_supermodularity",
-    "write_trace_csv",
 ]
 
 _SCHEDULE_MODES = ("round-robin", "random-permutation", "independent-clocks")
+DAMPING = 0.5  # beta of the damped update p <- (1 - beta) p + beta BR(p)
 
 
 class BisectionError(RuntimeError):
-    """Bisection failed to shrink the bracket below tolerance."""
+    """A best-response root search failed to shrink below tolerance."""
 
 
 @dataclass(frozen=True)
@@ -63,8 +65,18 @@ class EquilibriumReport:
     final_profile: np.ndarray
     iterations: int
     converged: bool
-    trace: list  # (round, profile copy, per-follower payoff array)
+    trace: list  # profile after each round; entry 0 is the initial profile
     max_residual: float
+
+
+@dataclass
+class EquilibriumBatch:
+    """Outcome of one ``solve_equilibria`` call; row b solves price row b."""
+
+    profiles: np.ndarray  # (B, K) last profile of each row
+    converged: np.ndarray  # (B,) BR moves no power of the profile by tol or more
+    rounds: np.ndarray  # (B,) synchronous rounds run
+    damped: np.ndarray  # (B,) a 2-cycle switched the row to damped updates
 
 
 def best_response(
@@ -152,7 +164,7 @@ def run_algorithm1(
     if sched.mode != "round-robin":
         rng = np.random.default_rng(sched.rng_seed)
 
-    trace = [(0, p.copy(), payoffs(net, p, prices))]
+    trace = [p.copy()]
     converged = False
     residual = math.inf
     rounds = 0
@@ -161,7 +173,7 @@ def run_algorithm1(
         for k in _round_order(sched, K, rng):
             p[k - 1] = best_response(net, int(k), p, prices, tol=br_tol)
         residual = float(np.max(np.abs(p - previous)))
-        trace.append((rounds, p.copy(), payoffs(net, p, prices)))
+        trace.append(p.copy())
         if residual < tol:
             converged = True
             break
@@ -172,6 +184,105 @@ def run_algorithm1(
         trace=trace,
         max_residual=residual,
     )
+
+
+def _best_responses(
+    net: NetworkInstance, G, charge, start, tol: float = 1e-9, max_iter: int = 200
+) -> np.ndarray:
+    """``best_response`` for every entry of (B, K) arrays G = h_kk/interference, charge = lambda_k h_k0.
+
+    Same boundary rules; interior roots by rtsafe (Numerical Recipes 9.4)
+    from ``start``: Newton steps on the gradient, bisecting the sign bracket
+    whenever a step leaves it or shrinks too slowly, until a step is <= tol W.
+    """
+    W, pa = net.bandwidth, net.circuit_power
+    p_max = np.broadcast_to(net.power_max, G.shape)
+    on = own_gradient(0.0, G, W, pa, charge) > 0.0
+    full = own_gradient(p_max, G, W, pa, charge) >= 0.0
+    out = np.where(on & full, p_max, 0.0)
+    idx = np.flatnonzero(on & ~full)
+    G, c = G.ravel()[idx], charge.ravel()[idx]
+    lo, hi = np.zeros(idx.size), p_max.ravel()[idx]
+    x = np.clip(start.ravel()[idx], lo, hi)
+    step_old = hi - lo
+    flat = out.ravel()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(max_iter):
+            if idx.size == 0:
+                return out
+            g = own_gradient(x, G, W, pa, c)
+            slope = own_gradient_slope(x, G, W, pa)
+            rising = g > 0.0
+            lo = np.where(rising, x, lo)
+            hi = np.where(rising, hi, x)
+            newton = x - g / slope
+            bisect = ~((newton > lo) & (newton < hi)) | (np.abs(2.0 * g) > np.abs(step_old * slope))
+            new = np.where(bisect, 0.5 * (lo + hi), newton)
+            step_old = np.abs(new - x)
+            x = new
+            done = step_old <= tol
+            if done.any():
+                root = x[done]
+                keep = own_payoff(root, G[done] * root, W, pa, c[done]) > 0.0
+                flat[idx[done]] = np.where(keep, root, 0.0)
+                live = ~done
+                idx, G, c, lo, hi, x, step_old = (a[live] for a in (idx, G, c, lo, hi, x, step_old))
+    if idx.size:
+        raise BisectionError(f"{idx.size} best responses still above tol {tol:.3e} W after {max_iter} steps")
+    return out
+
+
+def solve_equilibria(
+    net: NetworkInstance,
+    prices: np.ndarray,
+    init: np.ndarray,
+    tol: float = 1e-7,
+    max_rounds: int = 10_000,
+) -> EquilibriumBatch:
+    """Follower equilibrium for every price vector of a (B, K) batch.
+
+    Each round sets p <- BR(p) for all K followers of every unconverged row
+    at once. A row converges once BR moves no power by ``tol`` or more in
+    two rounds in a row; its profile is the last one checked, so scalar
+    ``best_response`` moves none of its powers by ``tol`` either. A row
+    whose proposal BR(p) lands nearer its profile two rounds back than its
+    current one, with residual still >= ``tol``, is in a 2-cycle: it takes
+    damped steps p <- (1 - DAMPING) p + DAMPING BR(p) from then on and
+    ``damped`` records it. ``init`` is one (K,) start or (B, K) starts.
+    """
+    prices = np.asarray(prices, dtype=float)
+    if prices.ndim != 2:
+        raise ValueError("prices must be shaped (B, K)")
+    B, K = len(prices), net.num_followers
+    p = np.array(np.broadcast_to(np.asarray(init, dtype=float), (B, K)))
+    for lam, row in zip(prices, p):
+        validate_prices(net, lam)
+        validate_power_profile(net, row)
+    charge = prices * net.gain[1:, 0]
+    before = np.full((B, K), np.nan)  # each row's profile one round back
+    converged = np.zeros(B, dtype=bool)
+    quiet = np.zeros(B, dtype=bool)  # the previous round's residual was below tol
+    damped = np.zeros(B, dtype=bool)
+    rounds = np.zeros(B, dtype=int)
+    rows = np.arange(B)
+    for t in range(1, max_rounds + 1):
+        if not rows.size:
+            break
+        P = p[rows]
+        proposal = _best_responses(net, net.own_gain / interference(net, P), charge[rows], P)
+        residual = np.abs(proposal - P).max(axis=1)
+        returned = np.abs(proposal - before[rows]).max(axis=1) < residual
+        slow = damped[rows] | (returned & (residual >= tol))
+        damped[rows] = slow
+        rounds[rows] = t
+        before[rows] = P
+        settled = (residual < tol) & quiet[rows]
+        quiet[rows] = residual < tol
+        converged[rows[settled]] = True
+        step = np.where(slow[:, None], (1.0 - DAMPING) * P + DAMPING * proposal, proposal)
+        p[rows[~settled]] = step[~settled]
+        rows = rows[~settled]
+    return EquilibriumBatch(profiles=p, converged=converged, rounds=rounds, damped=damped)
 
 
 def check_uniqueness_condition(net: NetworkInstance, p: np.ndarray) -> np.ndarray:
@@ -189,13 +300,3 @@ def check_uniqueness_condition(net: NetworkInstance, p: np.ndarray) -> np.ndarra
 def check_supermodularity(net: NetworkInstance, k: int, p: np.ndarray) -> bool:
     """Increasing-differences gate: gamma_k >= p_a/p_k (False at p_k = 0)."""
     return bool(p[k - 1] * follower_sinr(net, p)[k - 1] >= net.circuit_power)
-
-
-def write_trace_csv(net: NetworkInstance, report: EquilibriumReport, path) -> None:
-    """Export an Algorithm-1 trace as CSV: round,k,p_k,u_k,gamma_k."""
-    rows = []
-    for rnd, profile, util in report.trace:
-        gamma = follower_sinr(net, profile)
-        for k in range(net.num_followers):
-            rows.append((rnd, k + 1, float(profile[k]), float(util[k]), float(gamma[k])))
-    write_rows(path, ("round", "k", "p_k", "u_k", "gamma_k"), rows)

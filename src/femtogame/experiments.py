@@ -23,13 +23,14 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import warnings
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from ._csv import write_rows
-from .continuous import run_algorithm1
+from .continuous import solve_equilibria
 from .defaults import default_constants, default_topology
 from .discrete import default_action_sets, discrete_equilibrium
 from .network import NetworkInstance, TopologyConfig, generate_topology, sinr_macro
@@ -182,13 +183,18 @@ def sweep_grid(net: NetworkInstance, count: int) -> np.ndarray:
 
     Spans 1e-3 * min_k lambda^a_k up to 10 * max_k cutoff price (evaluated
     at the zero-price equilibrium), so both the efficiency plateau and the
-    revenue roll-off are inside the sweep.
+    revenue roll-off are inside the sweep. Warns when that equilibrium did
+    not converge, since the grid then rests on an unsettled profile.
     """
     zp = zero_price_equilibrium(net)
-    lam_a = asymptote_price(net, zp.profile)
-    cutoffs = [cutoff_price(net, k, zp.profile) for k in range(1, net.num_followers + 1)]
-    lo = 1e-3 * float(lam_a.min())
-    hi = 10.0 * max(cutoffs)
+    if not zp.converged:
+        warnings.warn(
+            f"sweep grid built on a zero-price equilibrium that did not converge in {zp.rounds} rounds",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    lo = 1e-3 * float(asymptote_price(net, zp.profile).min())
+    hi = 10.0 * float(cutoff_price(net, zp.profile).max())
     return np.geomspace(lo, hi, count)
 
 
@@ -219,17 +225,18 @@ def _failed_row(spec: ExperimentSpec, lead: tuple, exc: Exception) -> tuple:
 
 
 def continuous_sweep_rows(net: NetworkInstance, grid: np.ndarray, inner_tol: float = 1e-7):
-    """Equilibrium metrics per uniform price: (lambda, revenue, mean eff, MU SINR, converged)."""
-    K = net.num_followers
-    rows = []
+    """Equilibrium metrics per uniform price: (lambda, revenue, mean eff, MU SINR, converged).
+
+    One batched solve over the whole grid, every row started from the
+    zero-price equilibrium.
+    """
+    prices = np.outer(grid, np.ones(net.num_followers))
     init = zero_price_equilibrium(net, tol=inner_tol).profile
-    for lam in grid:
-        prices = np.full(K, float(lam))
-        report = run_algorithm1(net, prices, init=init, tol=inner_tol)
-        p = report.final_profile
-        rows.append((float(lam), *_metrics(net, p, prices), report.converged))
-        init = p
-    return rows
+    batch = solve_equilibria(net, prices, init, tol=inner_tol)
+    return [
+        (float(x), *_metrics(net, p, lam), bool(ok))
+        for x, lam, p, ok in zip(grid, prices, batch.profiles, batch.converged)
+    ]
 
 
 def discrete_sweep_rows(net: NetworkInstance, grid: np.ndarray, num_actions: int):
@@ -301,17 +308,15 @@ def _fig4_trial(spec: ExperimentSpec, net: NetworkInstance, seed: int):
 
 
 def _fig23_trial(spec: ExperimentSpec, net: NetworkInstance, seed: int):
-    def solved(prices):
-        report = run_algorithm1(net, prices, init=zp.profile)
-        return _scheme(net, report.final_profile, prices, report.converged)
-
     zp = zero_price_equilibrium(net)
-    search = se_price_search(net, PriceSearchConfig(grid_count=spec.search_grid_count))
+    prices = {"zero-price": np.zeros(net.num_followers), "asymptote": asymptote_price(net, zp.profile)}
+    batch = solve_equilibria(net, np.array(list(prices.values())), zp.profile)
     schemes = {
-        "zero-price": solved(np.zeros(net.num_followers)),
-        "asymptote": solved(asymptote_price(net, zp.profile)),
-        "se-search": _scheme(net, search.equilibrium, search.prices, search.all_converged),
+        name: _scheme(net, p, lam, bool(ok))
+        for (name, lam), p, ok in zip(prices.items(), batch.profiles, batch.converged)
     }
+    search = se_price_search(net, PriceSearchConfig(grid_count=spec.search_grid_count))
+    schemes["se-search"] = _scheme(net, search.equilibrium, search.prices, search.all_converged)
     tails = [(*_scheme_tail(name, m), "ok") for name, m in schemes.items()]
     return tails, {"k": net.num_followers, "seed": seed, **schemes}
 

@@ -2,7 +2,9 @@
 
 Each oracle recomputes its target quantity by brute force (dense grids,
 finite differences, literal enumeration) sharing nothing with the module it
-checks beyond the payoff definitions. They are deliberately slow.
+checks beyond the payoff definitions: the interference and payoff below are
+written out term by term, not taken from the vectorized kernel. They are
+deliberately slow.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .network import NetworkInstance
-from .payoff import follower_payoff
 
 __all__ = [
     "OracleConfig",
@@ -43,6 +44,22 @@ class OracleConfig:
             raise ValueError("sample_count must be >= 1")
 
 
+def _interference(net: NetworkInstance, k: int, profile) -> float:
+    """N_k + h_0k*p_0 + sum over j != k of h_jk*p_j, one term at a time."""
+    denom = net.noise[k] + net.gain[0, k] * net.mu_power
+    for j in range(1, net.num_followers + 1):
+        if j != k:
+            denom += net.gain[j, k] * profile[j - 1]
+    return denom
+
+
+def _payoff(net: NetworkInstance, k: int, profile, prices) -> float:
+    """W*log(1 + gamma_k)/(p_k + p_a) - lambda_k*h_k0*p_k at one pure profile."""
+    p = float(profile[k - 1])
+    gamma = net.gain[k, k] * p / _interference(net, k, profile)
+    return net.bandwidth * math.log1p(gamma) / (p + net.circuit_power) - prices[k - 1] * net.gain[k, 0] * p
+
+
 def grid_best_response(
     net: NetworkInstance,
     k: int,
@@ -55,11 +72,7 @@ def grid_best_response(
     Vectorized over the whole grid with its own payoff expression (the
     bisection route never touches this code path).
     """
-    opponents = np.asarray(opponents, dtype=float)
-    denom = net.noise[k] + net.gain[0, k] * net.mu_power
-    for j in range(1, net.num_followers + 1):
-        if j != k:
-            denom += net.gain[j, k] * opponents[j - 1]
+    denom = _interference(net, k, np.asarray(opponents, dtype=float))
     grid = np.linspace(0.0, float(net.power_max[k - 1]), cfg.grid_points)
     gamma = net.gain[k, k] * grid / denom
     payoff = net.bandwidth * np.log1p(gamma) / (grid + net.circuit_power)
@@ -121,9 +134,10 @@ def enumerate_expected_payoff(
 ) -> float:
     """Literal expectation of follower k's payoff over all joint profiles.
 
-    Walks every profile with itertools.product, evaluates the scalar payoff
-    kernel, and accumulates with math.fsum. Independent of the vectorized
-    module path in both loop structure and summation order.
+    Walks every profile with itertools.product, evaluates the literal
+    payoff ``_payoff``, and accumulates with math.fsum. Independent of the
+    vectorized module path in its payoff expression, loop structure and
+    summation order.
     """
     K = net.num_followers
     sizes = [len(a) for a in action_sets]
@@ -140,5 +154,5 @@ def enumerate_expected_payoff(
         if prob == 0.0:
             continue
         profile = np.array([action_sets[i].powers[j] for i, j in enumerate(combo)])
-        terms.append(prob * follower_payoff(net, k, profile, prices))
+        terms.append(prob * _payoff(net, k, profile, prices))
     return math.fsum(terms)

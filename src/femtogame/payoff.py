@@ -8,14 +8,13 @@ the gain-matrix convention (index 0 = macro link).
 The follower model is written once: ``payoffs`` and ``efficiencies``
 evaluate every follower of profiles shaped (..., K) through
 ``network.interference``, and the scalar functions are views of one entry.
-``own_payoff`` and ``own_gradient`` hold the payoff and its own-power
-derivative as expressions in one follower's power, shared with the
-best-response bisection.
+``own_payoff``, ``own_gradient`` and ``own_gradient_slope`` hold the payoff
+and its first two own-power derivatives as expressions in one follower's
+power, shared by the scalar best-response bisection and the batched Newton
+solver.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -26,6 +25,7 @@ __all__ = [
     "validate_prices",
     "own_payoff",
     "own_gradient",
+    "own_gradient_slope",
     "payoffs",
     "efficiencies",
     "interference_denominator",
@@ -66,15 +66,30 @@ def own_payoff(p, gamma, W: float, pa: float, charge):
     return W * np.log1p(gamma) / (p + pa) - charge * p
 
 
-def own_gradient(p: float, G: float, W: float, pa: float, charge: float) -> float:
-    """d/dp of ``own_payoff`` at gamma = G*p, for one follower in plain floats.
+def own_gradient(p, G, W: float, pa: float, charge):
+    """d/dp of ``own_payoff`` at gamma = G*p, elementwise (floats or arrays).
 
     -W*log(1+G p)/(p+p_a)^2 + W*G/((1+G p)(p+p_a)) - charge; at p = 0 it
     reduces to W*G/p_a - charge.
     """
     gamma = G * p
     total = p + pa
-    return -W * math.log1p(gamma) / (total * total) + W * G / ((1.0 + gamma) * total) - charge
+    return -W * np.log1p(gamma) / (total * total) + W * G / ((1.0 + gamma) * total) - charge
+
+
+def own_gradient_slope(p, G, W: float, pa: float):
+    """d/dp of ``own_gradient``, elementwise; the Newton step's derivative.
+
+    2W*log(1+G p)/(p+p_a)^3 - 2W*G/((1+G p)(p+p_a)^2) - W*G^2/((1+G p)^2 (p+p_a)).
+    """
+    gamma = G * p
+    total = p + pa
+    one_plus = 1.0 + gamma
+    return (
+        2.0 * W * np.log1p(gamma) / (total * total * total)
+        - 2.0 * W * G / (one_plus * total * total)
+        - W * G * G / (one_plus * one_plus * total)
+    )
 
 
 def payoffs(net: NetworkInstance, p: np.ndarray, prices) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .continuous import EquilibriumReport, run_algorithm1
+from .continuous import solve_equilibria
 from .discrete import (
     LearningReport,
     PowerLawSchedule,
@@ -23,8 +23,8 @@ from .discrete import (
     initial_state,
     run_learning,
 )
-from .network import NetworkInstance, follower_sinr, sinr_macro
-from .payoff import interference_denominator, leader_revenue
+from .network import NetworkInstance, follower_sinr, interference, sinr_macro
+from .payoff import leader_revenue
 
 __all__ = [
     "PriceSearchConfig",
@@ -78,7 +78,7 @@ class ZeroPriceResult:
     profile: np.ndarray
     sinr: np.ndarray
     converged: bool
-    report: EquilibriumReport
+    rounds: int  # synchronous best-response rounds of ``solve_equilibria``
 
 
 @dataclass
@@ -96,12 +96,12 @@ class PriceSearchResult:
 
 
 def zero_price_equilibrium(net: NetworkInstance, tol: float = 1e-7) -> ZeroPriceResult:
-    """Algorithm 1 at lambda = 0: the unpriced power allocation p* and gamma*."""
-    zero = np.zeros(net.num_followers)
-    report = run_algorithm1(net, zero, init=zero, tol=tol)
-    p = report.final_profile
+    """Follower equilibrium at lambda = 0 from p = 0: the unpriced allocation p* and gamma*."""
+    zero = np.zeros((1, net.num_followers))
+    batch = solve_equilibria(net, zero, zero, tol=tol)
+    p = batch.profiles[0]
     return ZeroPriceResult(
-        profile=p, sinr=follower_sinr(net, p), converged=report.converged, report=report
+        profile=p, sinr=follower_sinr(net, p), converged=bool(batch.converged[0]), rounds=int(batch.rounds[0])
     )
 
 
@@ -122,26 +122,16 @@ def asymptote_price(net: NetworkInstance, p_star: np.ndarray) -> np.ndarray:
     return net.bandwidth / ((p_star + net.circuit_power) * net.background)
 
 
-def cutoff_price(net: NetworkInstance, k: int, opponents: np.ndarray) -> float:
-    """Price above which follower k's best response is exactly 0.
+def cutoff_price(net: NetworkInstance, profile: np.ndarray) -> np.ndarray:
+    """Per follower, the price above which its best response to ``profile`` is exactly 0.
 
-    The payoff gradient at p_k = 0 is W*G_k/p_a - lambda_k*h_k0; it turns
-    negative at lambda_k = W*G_k/(p_a*h_k0). Useful for sizing sweep grids
-    so the revenue roll-off is actually inside them.
+    The payoff gradient at p_k = 0 is W*G_k/p_a - lambda_k*h_k0, with
+    G_k = h_kk / interference_k; it turns negative at
+    lambda_k = W*G_k/(p_a*h_k0). Useful for sizing sweep grids so the
+    revenue roll-off is actually inside them. Shaped like ``profile``.
     """
-    G = net.gain[k, k] / interference_denominator(net, k, opponents)
-    return net.bandwidth * G / (net.circuit_power * net.gain[k, 0])
-
-
-def _fixed_point_revenue(
-    net: NetworkInstance,
-    prices: np.ndarray,
-    init: np.ndarray,
-    tol: float,
-) -> tuple[float, np.ndarray, bool]:
-    report = run_algorithm1(net, prices, init=init, tol=tol)
-    p = report.final_profile
-    return leader_revenue(net, p, prices), p, report.converged
+    G = net.own_gain / interference(net, profile)
+    return net.bandwidth * G / (net.circuit_power * net.gain[1:, 0])
 
 
 def se_price_search(
@@ -151,9 +141,10 @@ def se_price_search(
 ) -> PriceSearchResult:
     """Semi-exhaustive search for the revenue-maximizing price.
 
-    Sweeps a log-spaced grid (warm-starting each follower equilibrium from
-    the previous grid point), then refines around the best interior cell
-    with a bounded 1-D minimization in log-price space. If the grid argmax
+    Solves the follower equilibria of a log-spaced grid as one batch (every
+    row started from the zero-price profile), then refines around the best
+    interior cell with a bounded 1-D minimization in log-price space, each
+    evaluation one single-row solve started from the best grid profile. If the grid argmax
     lies on an endpoint the result is flagged ``boundary_max`` and no
     refinement is attempted.
     """
@@ -174,42 +165,33 @@ def se_price_search(
         raise ValueError("degenerate price grid")
     grid = np.geomspace(lo, hi, cfg.grid_count)
 
-    revenues = np.empty(cfg.grid_count)
-    profiles = []
-    all_converged = zp.converged
-    init = zp.profile
-    for i, x in enumerate(grid):
-        revenue, p_eq, ok = _fixed_point_revenue(net, x * direction, init, inner_tol)
-        revenues[i] = revenue
-        profiles.append(p_eq)
-        all_converged = all_converged and ok
-        init = p_eq
+    prices = grid[:, None] * direction
+    batch = solve_equilibria(net, prices, zp.profile, tol=inner_tol)
+    revenues = np.array([leader_revenue(net, p, lam) for p, lam in zip(batch.profiles, prices)])
+    all_converged = zp.converged and bool(batch.converged.all())
 
     best = int(np.argmax(revenues))
     boundary = best in (0, cfg.grid_count - 1)
     best_x = float(grid[best])
     best_revenue = float(revenues[best])
-    best_profile = profiles[best]
+    best_profile = batch.profiles[best]
 
     if not boundary:
-        warm = best_profile
 
-        def neg_revenue(log_x: float) -> float:
-            nonlocal warm
-            revenue, p_eq, _ = _fixed_point_revenue(net, math.exp(log_x) * direction, warm, inner_tol)
-            warm = p_eq
-            return -revenue
+        def solved(x: float) -> tuple[float, np.ndarray, bool]:
+            """Revenue, profile and convergence at multiplier x, started from the best grid profile."""
+            lam = x * direction
+            one = solve_equilibria(net, lam[None], best_profile, tol=inner_tol)
+            return leader_revenue(net, one.profiles[0], lam), one.profiles[0], bool(one.converged[0])
 
         res = minimize_scalar(
-            neg_revenue,
+            lambda log_x: -solved(math.exp(log_x))[0],
             bounds=(math.log(grid[best - 1]), math.log(grid[best + 1])),
             method="bounded",
             options={"xatol": math.log1p(REFINEMENT_TOL)},
         )
         refined_x = float(math.exp(res.x))
-        refined_revenue, refined_profile, ok = _fixed_point_revenue(
-            net, refined_x * direction, best_profile, inner_tol
-        )
+        refined_revenue, refined_profile, ok = solved(refined_x)
         all_converged = all_converged and ok
         if refined_revenue > best_revenue:
             best_x, best_revenue, best_profile = refined_x, refined_revenue, refined_profile

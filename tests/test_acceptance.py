@@ -242,7 +242,7 @@ def criterion_05_unique_equilibrium_from_any_start():
                 return False, f"seed {seed} failed to converge from one start"
             worst = max(worst, float(np.abs(rep.final_profile - ref).max()))
         from_zero = run_algorithm1(net, np.zeros(6), init=np.zeros(6), tol=1e-9)
-        traj = np.array([profile for _, profile, _ in from_zero.trace])
+        traj = np.array(from_zero.trace)
         monotone = monotone and bool((np.diff(traj, axis=0) >= -1e-12).all())
     ok = worst <= 1e-5 and monotone
     return ok, (

@@ -13,10 +13,11 @@ from femtogame import (
     cross_second_derivative,
     payoff_gradient,
     run_algorithm1,
-    write_trace_csv,
+    solve_equilibria,
 )
+from femtogame.experiments import continuous_sweep_rows, sweep_grid
 from femtogame.oracles import grid_best_response
-from femtogame.pricing import cutoff_price
+from femtogame.pricing import cutoff_price, zero_price_equilibrium
 
 from conftest import hand_net, make_net
 
@@ -125,15 +126,18 @@ def test_best_response_stays_inside_power_bracket(g, mu, pa, p_max):
     # mu within 0.1 % of 1 is left out: there the rounding of
     # lambda / cutoff_price, not the solver, decides the on/off rule.
     net, opp = _scaled_follower(g, pa, p_max)
-    prices = np.array([mu * cutoff_price(net, 1, opp), 0.0])
-    br = best_response(net, 1, opp, prices)
-    if mu >= 1.0:
-        assert br == 0.0
-    else:
-        lo, hi = _power_bracket(g, mu, pa, p_max)
-        # Bisection stops within tol = 1e-9 W of the gradient root.
-        assert br > 0.0
-        assert lo - 1e-9 <= br <= hi + 1e-9
+    prices = np.array([mu * cutoff_price(net, opp)[0], 0.0])
+    scalar = best_response(net, 1, opp, prices)
+    # One synchronous round from opp is the batched Newton best response to opp.
+    batched = solve_equilibria(net, prices[None], opp, max_rounds=1).profiles[0, 0]
+    for br in (scalar, batched):
+        if mu >= 1.0:
+            assert br == 0.0
+        else:
+            lo, hi = _power_bracket(g, mu, pa, p_max)
+            # Both root searches stop within tol = 1e-9 W of the gradient root.
+            assert br > 0.0
+            assert lo - 1e-9 <= br <= hi + 1e-9
 
 
 def test_best_response_rejects_bad_tol(hand2):
@@ -156,7 +160,7 @@ def test_algorithm1_monotone_from_zero(net6):
     prices = np.full(6, 1e12)
     report = run_algorithm1(net6, prices, init=np.zeros(6))
     assert report.converged
-    powers = np.array([profile for _, profile, _ in report.trace])
+    powers = np.array(report.trace)
     assert (np.diff(powers, axis=0) >= -1e-12).all()
 
 
@@ -270,11 +274,84 @@ def test_supermodularity_implies_nonnegative_cross():
     assert checked >= 250  # the gate must actually fire often enough to mean something
 
 
-def test_trace_csv_is_deterministic(tmp_path, net6):
-    report = run_algorithm1(net6, np.full(6, 1e12), init=np.zeros(6))
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_trace_csv(net6, report, a)
-    write_trace_csv(net6, report, b)
-    assert a.read_bytes() == b.read_bytes()
-    header = a.read_text().splitlines()[0]
-    assert header == "round,k,p_k,u_k,gamma_k"
+def _nash_gap(net, profile, prices) -> float:
+    """Largest move scalar ``best_response`` makes from ``profile``."""
+    return max(
+        abs(best_response(net, k, profile, prices) - profile[k - 1])
+        for k in range(1, net.num_followers + 1)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    K=st.integers(min_value=1, max_value=8),
+    seed=st.integers(min_value=0, max_value=10_000),
+    start=st.floats(min_value=0.0, max_value=1.0),
+    rows=st.lists(
+        st.one_of(
+            st.floats(min_value=-8.0, max_value=0.5).map(lambda e: ("uniform", e)),
+            st.lists(st.floats(min_value=-8.0, max_value=0.5), min_size=8, max_size=8).map(
+                lambda e: ("per-link", e)
+            ),
+        ),
+        min_size=1,
+        max_size=5,
+    ),
+)
+def test_batched_equilibria_are_nash_and_match_algorithm1(K, seed, start, rows):
+    # Prices are decades of each follower's cutoff at p = 0, past which it is
+    # silent whatever the others do; start scales p_max into a shared init.
+    net = make_net(K, seed=seed)
+    cutoff = cutoff_price(net, np.zeros(K))
+    prices = np.array(
+        [
+            10.0**e * cutoff.max() * np.ones(K) if kind == "uniform" else 10.0 ** np.array(e[:K]) * cutoff
+            for kind, e in rows
+        ]
+    )
+    init = start * net.power_max
+    batch = solve_equilibria(net, prices, init)
+    for lam, profile, ok in zip(prices, batch.profiles, batch.converged):
+        if not ok:
+            continue
+        assert _nash_gap(net, profile, lam) <= 1e-7
+        reference = run_algorithm1(net, lam, init=init)
+        if reference.converged:
+            assert np.max(np.abs(profile - reference.final_profile)) <= 1e-6
+
+
+def test_damping_settles_the_two_cycle_of_topology_101():
+    # Default K = 50 topology 101: at sweep points 20 and 21 undamped best
+    # responses, synchronous or round-robin, fall into a 2-cycle.
+    net = make_net(50, seed=101)
+    grid = sweep_grid(net, 40)
+    assert all(row[4] for row in continuous_sweep_rows(net, grid))
+    prices = np.outer(grid, np.ones(50))
+    batch = solve_equilibria(net, prices, zero_price_equilibrium(net).profile)
+    assert batch.converged.all()
+    for i in (20, 21):
+        assert batch.damped[i]
+        assert _nash_gap(net, batch.profiles[i], prices[i]) <= 1e-7
+
+
+def test_solve_equilibria_rows_are_independent(net6):
+    prices = np.array([np.zeros(6), np.full(6, 1e12), np.full(6, 1e14)])
+    batch = solve_equilibria(net6, prices, np.zeros(6))
+    for i, lam in enumerate(prices):
+        alone = solve_equilibria(net6, lam[None], np.zeros(6))
+        assert np.array_equal(alone.profiles[0], batch.profiles[i])
+        assert alone.rounds[0] == batch.rounds[i]
+
+
+@pytest.mark.parametrize(
+    "prices", [[0.0, 0.0, 0.0], [[-5.0, 0.0, 0.0]], [[np.nan, 0.0, 0.0]], [[0.0, 0.0]]]
+)
+def test_solve_equilibria_rejects_invalid_prices(net3, prices):
+    with pytest.raises(ValueError, match="price"):
+        solve_equilibria(net3, np.array(prices), np.zeros(3))
+
+
+@pytest.mark.parametrize("init", [[np.nan, 0.0, 0.0], [2.0, 0.0, 0.0], [[0.0, 0.0, 0.0]] * 2])
+def test_solve_equilibria_rejects_invalid_init(net3, init):
+    with pytest.raises(ValueError):
+        solve_equilibria(net3, np.zeros((1, 3)), np.array(init))

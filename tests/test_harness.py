@@ -5,12 +5,22 @@ import os
 import re
 import subprocess
 import sys
+import warnings
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from femtogame import TopologyConfig, cli, default_topology, experiments, generate_topology
+from femtogame import (
+    TopologyConfig,
+    cli,
+    default_topology,
+    experiments,
+    generate_topology,
+    pricing,
+    solve_equilibria,
+)
 from femtogame._csv import format_cell, write_rows
 from femtogame.defaults import default_constants
 from femtogame.discrete import PowerLawSchedule
@@ -199,6 +209,16 @@ def test_sweep_experiment_summary_and_rows(tmp_path):
         "mean_efficiency_per_joule,mu_sinr_linear,converged,status"
     )
     assert len(lines) == 1 + summary["rows"]
+
+
+def test_sweep_grid_warns_on_unconverged_zero_price_equilibrium(monkeypatch):
+    net = generate_topology(default_topology(), 6, **default_constants())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        experiments.sweep_grid(net, 5)
+    monkeypatch.setattr(pricing, "solve_equilibria", partial(solve_equilibria, max_rounds=1))
+    with pytest.warns(RuntimeWarning, match="did not converge in 1 rounds"):
+        experiments.sweep_grid(net, 5)
 
 
 def test_experiment_rerun_is_byte_identical(tmp_path):

@@ -68,6 +68,34 @@ def test_gains_match_positions_and_exponents():
             assert net.gain[i, j] == pytest.approx(d**-expo, rel=1e-12)
 
 
+@pytest.mark.parametrize("sigma", [3.0, 8.0])
+def test_shadowing_spread_matches_sigma(sigma):
+    # Shadowing is drawn after the node drop, so a seed places the same nodes
+    # with and without it, and gain / pathloss is the lognormal factor alone.
+    K = 40
+    plain = generate_topology(replace(default_topology(), rng_seed=5), K, **default_constants())
+    cfg = replace(default_topology(), rng_seed=5, shadowing_sigma_db=sigma)
+    shadowed = generate_topology(cfg, K, **default_constants())
+    assert shadowed.positions == plain.positions
+    db = 10.0 * np.log10(shadowed.gain / plain.gain).ravel()
+    n = db.size
+    # Four standard errors of the sample mean and of the sample deviation.
+    assert abs(db.mean()) <= 4.0 * sigma / np.sqrt(n)
+    assert abs(db.std(ddof=1) - sigma) <= 4.0 * sigma / np.sqrt(2.0 * (n - 1))
+
+
+def test_zero_shadowing_is_exactly_pathloss():
+    cfg = replace(default_topology(), rng_seed=5, shadowing_sigma_db=0.0)
+    net = generate_topology(cfg, 40, **default_constants())
+    tx = np.vstack([net.positions["mu"], net.positions["fus"]])
+    rx = np.vstack([net.positions["mbs"], net.positions["faps"]])
+    diff = tx[:, None, :] - rx[None, :, :]
+    dist = np.maximum(np.sqrt((diff**2).sum(axis=2)), cfg.min_distance)
+    expo = np.full(dist.shape, cfg.pathloss_exponent_fu)
+    expo[0, :] = expo[:, 0] = cfg.pathloss_exponent_mu
+    assert np.array_equal(net.gain, dist**-expo)
+
+
 def test_positions_inside_their_discs():
     cfg = default_topology()
     for seed in range(5):

@@ -77,12 +77,12 @@ def test_asymptote_price_inverts_the_high_price_branch(net6):
 def test_cutoff_price_hand_value():
     net = toy_net()
     # G = 2 / (0.3 + 0.5) = 2.5; cutoff = 1 * 2.5 / (0.5 * 0.25) = 20
-    assert cutoff_price(net, 1, np.zeros(1)) == pytest.approx(20.0, rel=1e-12)
+    assert cutoff_price(net, np.zeros(1))[0] == pytest.approx(20.0, rel=1e-12)
 
 
 def test_best_response_drops_out_exactly_past_cutoff():
     net = toy_net()
-    co = cutoff_price(net, 1, np.zeros(1))
+    co = cutoff_price(net, np.zeros(1))[0]
     assert best_response(net, 1, np.zeros(1), np.array([0.95 * co])) > 0.0
     assert best_response(net, 1, np.zeros(1), np.array([1.05 * co])) == 0.0
 
@@ -132,7 +132,7 @@ def test_search_per_link_mode_scales_asymptote_prices(net3):
 def test_revenue_zero_at_zero_price_and_past_all_cutoffs(net3):
     zp = zero_price_equilibrium(net3)
     assert leader_revenue(net3, zp.profile, np.zeros(3)) == 0.0
-    cut = max(cutoff_price(net3, k, np.zeros(3)) for k in (1, 2, 3))
+    cut = cutoff_price(net3, np.zeros(3)).max()
     rep = run_algorithm1(net3, np.full(3, 10 * cut), init=np.zeros(3))
     assert rep.converged
     assert np.array_equal(rep.final_profile, np.zeros(3))
