@@ -54,16 +54,13 @@ from .network import (
     follower_sinr,
     generate_topology,
     interference,
-    sinr_follower,
     sinr_macro,
     watts_to_dbm,
 )
 from .payoff import (
     cross_second_derivative,
     efficiencies,
-    efficiency,
     follower_payoff,
-    interference_denominator,
     leader_revenue,
     payoff_gradient,
     payoffs,

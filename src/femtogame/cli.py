@@ -5,7 +5,7 @@ Subcommands:
 generate    draw a random topology and write it as a scenario network block
 sweep       uniform-price sweep of the continuous or discrete game -> CSV
             (alias: price-sweep)
-search      grid-plus-refinement search for the revenue-optimal price
+search      zooming grid search for the revenue-optimal price
             (alias: price-search)
 asymptote   closed-form high-price approximation per link
 learn       run the stochastic learning dynamics, optionally with the
@@ -13,7 +13,8 @@ learn       run the stochastic learning dynamics, optionally with the
 experiment  run a named study from the experiments module
 
 Exit codes: 0 success, 2 invalid input or configuration, 3 a required
-computation failed to converge.
+computation failed to converge or an experiment wrote a row whose status
+is not ok.
 """
 
 from __future__ import annotations
@@ -105,7 +106,7 @@ def cmd_search(args) -> int:
     else:
         print(json.dumps(payload, indent=2))
     if result.boundary_max:
-        print("note: best grid price sits on the grid boundary; widen the grid to verify", file=sys.stderr)
+        print("note: best price is a grid endpoint and was not refined; try more --points", file=sys.stderr)
     return EXIT_OK
 
 

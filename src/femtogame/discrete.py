@@ -12,7 +12,7 @@ small K * M^K.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -115,13 +115,7 @@ class ScheduleReport:
 
     @property
     def satisfied(self) -> bool:
-        return (
-            self.alpha1_sum_diverges
-            and self.alpha1_square_summable
-            and self.alpha2_sum_diverges
-            and self.alpha2_square_summable
-            and self.ratio_vanishes
-        )
+        return all(asdict(self).values())
 
 
 def validate_schedules(alpha1: PowerLawSchedule, alpha2: PowerLawSchedule) -> ScheduleReport:
@@ -130,7 +124,8 @@ def validate_schedules(alpha1: PowerLawSchedule, alpha2: PowerLawSchedule) -> Sc
     Note the Table defaults (1/t, 1/t^2) FAIL the divergence condition for
     alpha2 (sum 1/t^2 is finite); with them the strategies freeze after an
     initial transient. The report records this instead of rejecting, since
-    the defaults reproduce the published simulations.
+    the defaults reproduce the published simulations; ``LearnerConfig.run``
+    warns about it.
     """
     return ScheduleReport(
         alpha1_sum_diverges=alpha1.c <= 1.0,

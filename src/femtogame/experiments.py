@@ -39,7 +39,7 @@ from .pricing import (
     LearnerConfig,
     PriceSearchConfig,
     asymptote_price,
-    cutoff_price,
+    price_grid,
     run_algorithm2,
     se_price_search,
     zero_price_equilibrium,
@@ -179,12 +179,12 @@ def _spec_config(spec: ExperimentSpec) -> tuple[TopologyConfig, dict, str]:
 
 
 def sweep_grid(net: NetworkInstance, count: int) -> np.ndarray:
-    """Log grid from deep inside the linear-payment regime to past dropout.
+    """Uniform-price ``price_grid`` at the zero-price equilibrium.
 
-    Spans 1e-3 * min_k lambda^a_k up to 10 * max_k cutoff price (evaluated
-    at the zero-price equilibrium), so both the efficiency plateau and the
-    revenue roll-off are inside the sweep. Warns when that equilibrium did
-    not converge, since the grid then rests on an unsettled profile.
+    Spans 1e-3 * min_k lambda^a_k up to 10 * max_k cutoff price, so both the
+    efficiency plateau and the revenue roll-off are inside the sweep. Warns
+    when that equilibrium did not converge, since the grid then rests on an
+    unsettled profile.
     """
     zp = zero_price_equilibrium(net)
     if not zp.converged:
@@ -193,9 +193,7 @@ def sweep_grid(net: NetworkInstance, count: int) -> np.ndarray:
             RuntimeWarning,
             stacklevel=2,
         )
-    lo = 1e-3 * float(asymptote_price(net, zp.profile).min())
-    hi = 10.0 * float(cutoff_price(net, zp.profile).max())
-    return np.geomspace(lo, hi, count)
+    return price_grid(net, zp.profile, 1.0, count)
 
 
 def mean_efficiency(net: NetworkInstance, profile: np.ndarray) -> float:
@@ -317,7 +315,8 @@ def _fig23_trial(spec: ExperimentSpec, net: NetworkInstance, seed: int):
     }
     search = se_price_search(net, PriceSearchConfig(grid_count=spec.search_grid_count))
     schemes["se-search"] = _scheme(net, search.equilibrium, search.prices, search.all_converged)
-    tails = [(*_scheme_tail(name, m), "ok") for name, m in schemes.items()]
+    statuses = ("ok", "ok", "boundary" if search.boundary_max else "ok")
+    tails = [(*_scheme_tail(name, m), s) for (name, m), s in zip(schemes.items(), statuses)]
     return tails, {"k": net.num_followers, "seed": seed, **schemes}
 
 

@@ -27,7 +27,6 @@ __all__ = [
     "sinr_macro",
     "interference",
     "follower_sinr",
-    "sinr_follower",
 ]
 
 
@@ -280,9 +279,3 @@ def follower_sinr(net: NetworkInstance, p: np.ndarray) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     return net.own_gain * p / interference(net, p)
 
-
-def sinr_follower(net: NetworkInstance, k: int, p: np.ndarray) -> float:
-    """SINR of follower link k (1-based) at its FAP; one entry of ``follower_sinr``."""
-    if not 1 <= k <= net.num_followers:
-        raise ValueError(f"follower index {k} out of range 1..{net.num_followers}")
-    return float(follower_sinr(net, p)[k - 1])

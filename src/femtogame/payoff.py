@@ -28,8 +28,6 @@ __all__ = [
     "own_gradient_slope",
     "payoffs",
     "efficiencies",
-    "interference_denominator",
-    "efficiency",
     "follower_payoff",
     "leader_revenue",
     "payoff_gradient",
@@ -107,16 +105,6 @@ def efficiencies(net: NetworkInstance, p: np.ndarray) -> np.ndarray:
     return payoffs(net, p, 0.0)
 
 
-def interference_denominator(net: NetworkInstance, k: int, p: np.ndarray) -> float:
-    """Noise-plus-interference seen by FAP k; one entry of ``network.interference``."""
-    return float(interference(net, p)[k - 1])
-
-
-def efficiency(net: NetworkInstance, k: int, p: np.ndarray) -> float:
-    """Energy efficiency of follower k; one entry of ``efficiencies``."""
-    return float(efficiencies(net, p)[k - 1])
-
-
 def follower_payoff(net: NetworkInstance, k: int, p: np.ndarray, prices: np.ndarray) -> float:
     """Net payoff of follower k; one entry of ``payoffs``."""
     return float(payoffs(net, p, prices)[k - 1])
@@ -135,7 +123,7 @@ def payoff_gradient(net: NetworkInstance, k: int, p: np.ndarray, prices: np.ndar
     G_k = h_kk / (N_k + h_0k*p_0 + sum_{j!=k} h_jk*p_j). Continuous at
     p_k = 0, where it reduces to W*G_k/p_a - lambda_k*h_k0.
     """
-    G = net.gain[k, k] / interference_denominator(net, k, p)
+    G = net.gain[k, k] / interference(net, p)[k - 1]
     charge = prices[k - 1] * net.gain[k, 0]
     return own_gradient(p[k - 1], G, net.bandwidth, net.circuit_power, charge)
 
@@ -153,7 +141,7 @@ def cross_second_derivative(net: NetworkInstance, k: int, j: int, p: np.ndarray)
         raise ValueError("cross derivative requires j != k")
     if not 1 <= j <= net.num_followers:
         raise ValueError(f"follower index {j} out of range 1..{net.num_followers}")
-    denom = interference_denominator(net, k, p)
+    denom = interference(net, p)[k - 1]
     H = net.gain[j, k] * net.gain[k, k] / (denom * denom)
     pk = p[k - 1]
     pa = net.circuit_power

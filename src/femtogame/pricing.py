@@ -2,15 +2,15 @@
 
 Four routes to a price: the zero-price follower equilibrium (the reference
 operating point), the closed-form asymptote-intersection price, a
-semi-exhaustive grid search over uniform prices with 1-D refinement, and
-the heuristic price update driven by reported mixed strategies (the outer
-loop of the discrete game).
+semi-exhaustive grid search with zooming grid refinement, and the heuristic
+price update driven by reported mixed strategies (the outer loop of the
+discrete game).
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+import warnings
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .discrete import (
     expected_powers,
     initial_state,
     run_learning,
+    validate_schedules,
 )
 from .network import NetworkInstance, follower_sinr, interference, sinr_macro
 from .payoff import leader_revenue
@@ -35,12 +36,13 @@ __all__ = [
     "zero_price_equilibrium",
     "asymptote_price",
     "cutoff_price",
+    "price_grid",
     "se_price_search",
     "algorithm2_price_step",
     "run_algorithm2",
 ]
 
-REFINEMENT_TOL = 1e-3  # relative price tolerance of se_price_search's 1-D refinement
+REFINEMENT_TOL = 1e-3  # relative price tolerance of se_price_search's zooming refinement
 
 
 @dataclass(frozen=True)
@@ -48,15 +50,14 @@ class PriceSearchConfig:
     """Knobs for se_price_search.
 
     mode 'uniform-price' sweeps one price charged to every link; the grid
-    values are absolute prices. mode 'per-link' sweeps a scalar multiplier
-    applied to the per-link asymptote prices lambda^a. When grid bounds are
-    omitted they default to [1e-3 * min_k lambda^a_k, 1e3 * max_k lambda^a_k]
-    (uniform) or [1e-3, 1e3] (per-link multiplier).
+    values are absolute prices. mode 'per-link' sweeps a scalar multiplier x
+    of the per-link asymptote prices, charging x * lambda^a_k to link k; the
+    multipliers run from 1e-3 to 10 * max_k cutoff_k / lambda^a_k, so the
+    largest multiplier silences every link (``price_grid``). ``grid_count``
+    sizes the first grid and every zoom pass.
     """
 
     mode: str = "uniform-price"
-    grid_min: float | None = None
-    grid_max: float | None = None
     grid_count: int = 60
 
     def __post_init__(self) -> None:
@@ -64,11 +65,6 @@ class PriceSearchConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.grid_count < 2:
             raise ValueError("grid_count must be >= 2")
-        if self.grid_min is not None and self.grid_min <= 0.0:
-            raise ValueError("grid_min must be positive for log spacing")
-        if self.grid_max is not None and self.grid_min is not None:
-            if self.grid_max <= self.grid_min:
-                raise ValueError("grid_max must exceed grid_min")
 
 
 @dataclass
@@ -88,9 +84,9 @@ class PriceSearchResult:
     prices: np.ndarray
     revenue: float
     equilibrium: np.ndarray  # follower profile at the returned prices
-    boundary_max: bool  # grid argmax sat on an endpoint (grid too narrow)
-    grid_values: np.ndarray  # swept uniform prices or per-link multipliers
-    grid_revenues: np.ndarray
+    boundary_max: bool  # first grid's argmax sat on an endpoint (no refinement)
+    grid_values: np.ndarray  # first grid: uniform prices or per-link multipliers
+    grid_revenues: np.ndarray  # leader revenue at each first-grid value
     multiplier: float | None  # per-link mode: the returned multiplier
     all_converged: bool
 
@@ -134,6 +130,21 @@ def cutoff_price(net: NetworkInstance, profile: np.ndarray) -> np.ndarray:
     return net.bandwidth * G / (net.circuit_power * net.gain[1:, 0])
 
 
+def price_grid(net: NetworkInstance, p_star: np.ndarray, direction, count: int) -> np.ndarray:
+    """Log-spaced multipliers x of a price direction, from the linear-payment regime to past dropout.
+
+    The prices are x * direction. The multipliers span
+    1e-3 * min_k lambda^a_k / direction_k up to 10 * max_k cutoff_k / direction_k,
+    both evaluated at the zero-price profile ``p_star``, so the efficiency
+    plateau and the revenue roll-off both lie inside the grid.
+    """
+    lo = 1e-3 * float(np.min(asymptote_price(net, p_star) / direction))
+    hi = 10.0 * float(np.max(cutoff_price(net, p_star) / direction))
+    if hi <= lo:
+        raise ValueError("degenerate price grid")
+    return np.geomspace(lo, hi, count)
+
+
 def se_price_search(
     net: NetworkInstance,
     cfg: PriceSearchConfig = PriceSearchConfig(),
@@ -141,60 +152,41 @@ def se_price_search(
 ) -> PriceSearchResult:
     """Semi-exhaustive search for the revenue-maximizing price.
 
-    Solves the follower equilibria of a log-spaced grid as one batch (every
-    row started from the zero-price profile), then refines around the best
-    interior cell with a bounded 1-D minimization in log-price space, each
-    evaluation one single-row solve started from the best grid profile. If the grid argmax
-    lies on an endpoint the result is flagged ``boundary_max`` and no
-    refinement is attempted.
+    Pass 1 solves the follower equilibria of ``price_grid`` as one batch,
+    every row started from the zero-price profile. Each later pass solves
+    ``grid_count`` log-spaced points strictly inside the two cells around
+    the previous pass's best point, started from that point's profile, until
+    those two cells span a price ratio of at most (1 + REFINEMENT_TOL)^2.
+    If pass 1's argmax lies on an endpoint the result is flagged
+    ``boundary_max`` and no refinement is attempted. Returns the best point
+    over all passes.
     """
-    from scipy.optimize import minimize_scalar  # scipy's import cost is paid only here
-
     zp = zero_price_equilibrium(net, tol=inner_tol)
-    lam_a = asymptote_price(net, zp.profile)
+    direction = asymptote_price(net, zp.profile) if cfg.mode == "per-link" else np.ones(net.num_followers)
+    grid = price_grid(net, zp.profile, direction, cfg.grid_count)
 
-    if cfg.mode == "uniform-price":
-        lo = cfg.grid_min if cfg.grid_min is not None else 1e-3 * float(lam_a.min())
-        hi = cfg.grid_max if cfg.grid_max is not None else 1e3 * float(lam_a.max())
-        direction = np.ones(net.num_followers)
-    else:
-        lo = cfg.grid_min if cfg.grid_min is not None else 1e-3
-        hi = cfg.grid_max if cfg.grid_max is not None else 1e3
-        direction = lam_a
-    if hi <= lo:
-        raise ValueError("degenerate price grid")
-    grid = np.geomspace(lo, hi, cfg.grid_count)
-
-    prices = grid[:, None] * direction
-    batch = solve_equilibria(net, prices, zp.profile, tol=inner_tol)
-    revenues = np.array([leader_revenue(net, p, lam) for p, lam in zip(batch.profiles, prices)])
-    all_converged = zp.converged and bool(batch.converged.all())
-
-    best = int(np.argmax(revenues))
-    boundary = best in (0, cfg.grid_count - 1)
-    best_x = float(grid[best])
-    best_revenue = float(revenues[best])
-    best_profile = batch.profiles[best]
-
-    if not boundary:
-
-        def solved(x: float) -> tuple[float, np.ndarray, bool]:
-            """Revenue, profile and convergence at multiplier x, started from the best grid profile."""
-            lam = x * direction
-            one = solve_equilibria(net, lam[None], best_profile, tol=inner_tol)
-            return leader_revenue(net, one.profiles[0], lam), one.profiles[0], bool(one.converged[0])
-
-        res = minimize_scalar(
-            lambda log_x: -solved(math.exp(log_x))[0],
-            bounds=(math.log(grid[best - 1]), math.log(grid[best + 1])),
-            method="bounded",
-            options={"xatol": math.log1p(REFINEMENT_TOL)},
-        )
-        refined_x = float(math.exp(res.x))
-        refined_revenue, refined_profile, ok = solved(refined_x)
-        all_converged = all_converged and ok
-        if refined_revenue > best_revenue:
-            best_x, best_revenue, best_profile = refined_x, refined_revenue, refined_profile
+    # Pass 1 solves every point of its grid; a zoom pass solves only the
+    # interior of its edges, whose two ends the previous pass already solved.
+    values, edges, offset, start = grid, grid, 0, zp.profile  # values[i] is edges[i + offset]
+    all_converged = zp.converged
+    best_revenue = -np.inf
+    while True:
+        prices = values[:, None] * direction
+        batch = solve_equilibria(net, prices, start, tol=inner_tol)
+        revenues = np.array([leader_revenue(net, p, lam) for p, lam in zip(batch.profiles, prices)])
+        all_converged = all_converged and bool(batch.converged.all())
+        i = int(np.argmax(revenues))
+        if revenues[i] > best_revenue:
+            best_x, best_revenue, best_profile = float(values[i]), float(revenues[i]), batch.profiles[i]
+        if offset == 0:
+            grid_revenues, boundary = revenues, i in (0, cfg.grid_count - 1)
+            if boundary:
+                break
+        lo, hi = edges[i + offset - 1], edges[i + offset + 1]
+        if hi / lo <= (1.0 + REFINEMENT_TOL) ** 2:
+            break
+        edges = np.geomspace(lo, hi, cfg.grid_count + 2)
+        values, offset, start = edges[1:-1], 1, batch.profiles[i]
 
     return PriceSearchResult(
         prices=best_x * direction,
@@ -202,7 +194,7 @@ def se_price_search(
         equilibrium=best_profile,
         boundary_max=boundary,
         grid_values=grid,
-        grid_revenues=revenues,
+        grid_revenues=grid_revenues,
         multiplier=best_x if cfg.mode == "per-link" else None,
         all_converged=all_converged,
     )
@@ -235,7 +227,8 @@ class LearnerConfig:
     """Configuration of one discrete learning run; ``run`` carries it out.
 
     The defaults are the Table values: temperature 1, 1/t payoff-estimate
-    steps and 1/t^2 strategy steps.
+    steps and 1/t^2 strategy steps. Those break the two-timescale
+    conditions (``validate_schedules``), so ``run`` warns about them.
     """
 
     tau: float = 1.0
@@ -248,6 +241,10 @@ class LearnerConfig:
 
     def run(self, net: NetworkInstance, action_sets, prices) -> LearningReport:
         """Learn from a fresh state (uniform strategies, this config's seed) at ``prices``."""
+        unmet = [name for name, ok in asdict(validate_schedules(self.alpha1, self.alpha2)).items() if not ok]
+        if unmet:
+            message = f"step sizes fail the two-timescale conditions {', '.join(unmet)}"
+            warnings.warn(message, RuntimeWarning, stacklevel=2)
         state = initial_state(
             action_sets, tau=self.tau, alpha1=self.alpha1, alpha2=self.alpha2, rng_seed=self.rng_seed
         )

@@ -282,6 +282,18 @@ def test_discrete_compare_marks_unconverged_algorithm2_row(tmp_path):
     assert summary["rows_not_ok"] == 1
 
 
+def test_se_compare_marks_boundary_search_rows(tmp_path):
+    # A two-point search grid has no interior point, so every search ends on its boundary.
+    out = tmp_path / "f23.csv"
+    summary = run_experiment(
+        ExperimentSpec(experiment_id="fig2-3-se-compare", search_grid_count=2, output_path=out)
+    )
+    statuses = _statuses(out)
+    assert [s for name, s in statuses if name == "se-search"] == ["boundary"] * 3
+    assert {s for name, s in statuses if name != "se-search"} == {"ok"}
+    assert summary["rows_not_ok"] == 3
+
+
 def test_convergence_experiment_marks_unconverged_algorithm2_phase(tmp_path):
     out = tmp_path / "f67.csv"
     spec = ExperimentSpec(
@@ -404,6 +416,20 @@ def test_import_does_not_load_scipy():
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+
+
+def test_price_search_runs_without_scipy():
+    code = (
+        "import sys; sys.modules['scipy'] = None\n"
+        "import femtogame as fg\n"
+        "net = fg.generate_topology(fg.default_topology(), 3, **fg.default_constants())\n"
+        "for mode in ('uniform-price', 'per-link'):\n"
+        "    assert fg.se_price_search(net, fg.PriceSearchConfig(mode=mode, grid_count=12)).revenue > 0\n"
+        "print('done')"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "done"
 
 
 def test_cli_learn_rejects_nan_price():

@@ -12,8 +12,8 @@ from femtogame import (
     dbm_to_watts,
     default_constants,
     default_topology,
+    follower_sinr,
     generate_topology,
-    sinr_follower,
     sinr_macro,
     watts_to_dbm,
 )
@@ -124,21 +124,21 @@ def test_sinr_macro_decreases_with_follower_power(net6):
 
 
 def test_sinr_follower_zero_power_is_zero(hand2):
-    assert sinr_follower(hand2, 1, np.array([0.0, 0.3])) == 0.0
+    assert follower_sinr(hand2, np.array([0.0, 0.3]))[0] == 0.0
 
 
 def test_sinr_follower_single_link_value():
     net = hand_net(gain=[[1.0, 1e-3], [0.7, 1.0]], noise=[1e-7, 1e-7], mu_power=0.1)
-    got = sinr_follower(net, 1, np.array([0.1]))
+    got = follower_sinr(net, np.array([0.1]))[0]
     assert got == pytest.approx(0.1 / (1e-7 + 1e-4), rel=1e-12)
 
 
 def test_sinr_follower_hand_values(hand2):
     p = np.array([0.5, 0.25])
     # gamma_1 = 5*0.5 / (0.2 + 0.5*1 + 0.3*0.25)
-    assert sinr_follower(hand2, 1, p) == pytest.approx(2.5 / 0.775, rel=1e-12)
+    assert follower_sinr(hand2, p)[0] == pytest.approx(2.5 / 0.775, rel=1e-12)
     # gamma_2 = 4*0.25 / (0.3 + 0.3*1 + 0.2*0.5)
-    assert sinr_follower(hand2, 2, p) == pytest.approx(1.0 / 0.7, rel=1e-12)
+    assert follower_sinr(hand2, p)[1] == pytest.approx(1.0 / 0.7, rel=1e-12)
 
 
 def test_sinr_scale_invariance():
@@ -146,17 +146,10 @@ def test_sinr_scale_invariance():
     base = hand_net(gain=gain, noise=[0.2, 0.4], mu_power=0.8)
     scaled = hand_net(gain=gain, noise=[0.2 * 7, 0.4 * 7], mu_power=0.8 * 7)
     p = np.array([0.33])
-    assert sinr_follower(scaled, 1, 7 * p) == pytest.approx(
-        sinr_follower(base, 1, p), rel=1e-12
+    assert follower_sinr(scaled, 7 * p)[0] == pytest.approx(
+        follower_sinr(base, p)[0], rel=1e-12
     )
     assert sinr_macro(scaled, 7 * p) == pytest.approx(sinr_macro(base, p), rel=1e-12)
-
-
-def test_sinr_follower_rejects_bad_index(hand2):
-    with pytest.raises(ValueError):
-        sinr_follower(hand2, 0, np.zeros(2))
-    with pytest.raises(ValueError):
-        sinr_follower(hand2, 3, np.zeros(2))
 
 
 def test_instance_validation_rejects_bad_shapes():

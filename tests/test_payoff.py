@@ -10,11 +10,9 @@ from hypothesis import strategies as st
 from femtogame import (
     cross_second_derivative,
     efficiencies,
-    efficiency,
     follower_payoff,
     follower_sinr,
     interference,
-    interference_denominator,
     leader_revenue,
     payoff_gradient,
     payoffs,
@@ -27,7 +25,7 @@ from conftest import hand_net, make_net
 
 
 def test_efficiency_zero_power_is_zero(hand2):
-    assert efficiency(hand2, 1, np.array([0.0, 0.5])) == 0.0
+    assert efficiencies(hand2, np.array([0.0, 0.5]))[0] == 0.0
 
 
 def test_efficiency_unit_case():
@@ -41,7 +39,7 @@ def test_efficiency_unit_case():
         circuit_power=0.5,
         bandwidth=1.0,
     )
-    assert efficiency(net, 1, np.array([0.5])) == pytest.approx(1.0, rel=1e-12)
+    assert efficiencies(net, np.array([0.5]))[0] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_efficiency_vanishes_at_huge_power():
@@ -52,8 +50,8 @@ def test_efficiency_vanishes_at_huge_power():
         circuit_power=1e-3,
     )
     grid = np.geomspace(1e-6, 1.0, 2000)
-    peak = max(efficiency(net, 1, np.array([p])) for p in grid)
-    far = efficiency(net, 1, np.array([1e6 * net.circuit_power]))
+    peak = efficiencies(net, grid[:, None])[:, 0].max()
+    far = efficiencies(net, np.array([1e6 * net.circuit_power]))[0]
     assert far < 1e-3 * peak
 
 
@@ -63,13 +61,13 @@ def test_follower_payoff_zero_power(hand2):
 
 def test_follower_payoff_zero_price_equals_efficiency(hand2):
     p = np.array([0.6, 0.2])
-    assert follower_payoff(hand2, 1, p, np.zeros(2)) == efficiency(hand2, 1, p)
+    assert follower_payoff(hand2, 1, p, np.zeros(2)) == efficiencies(hand2, p)[0]
 
 
 def test_follower_payoff_negative_at_punitive_price(hand2):
     p = np.array([0.6, 0.2])
     grid = np.linspace(1e-6, 1.0, 2000)
-    psi_max = max(efficiency(hand2, 1, np.array([x, 0.2])) for x in grid)
+    psi_max = efficiencies(hand2, np.column_stack([grid, np.full_like(grid, 0.2)]))[:, 0].max()
     lam = 10.0 * psi_max / (hand2.gain[1, 0] * p[0])
     assert follower_payoff(hand2, 1, p, np.array([lam, 0.0])) < 0.0
 
@@ -106,7 +104,7 @@ def test_leader_revenue_linear_in_prices(a, b):
 
 def test_gradient_at_zero_closed_form(hand2):
     p = np.array([0.0, 0.3])
-    G = hand2.gain[1, 1] / interference_denominator(hand2, 1, p)
+    G = hand2.gain[1, 1] / interference(hand2, p)[0]
     expected = hand2.bandwidth * G / hand2.circuit_power
     assert payoff_gradient(hand2, 1, p, np.zeros(2)) == pytest.approx(expected, rel=1e-12)
     # A price above W*G/(p_a*h_k0) makes even the first watt unprofitable.

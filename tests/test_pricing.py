@@ -1,7 +1,11 @@
 """Leader-side machinery: asymptote prices, revenue search, heuristic updates."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from femtogame import (
     LearnerConfig,
@@ -16,8 +20,9 @@ from femtogame import (
     se_price_search,
     zero_price_equilibrium,
 )
-from femtogame.discrete import ActionSet, default_action_sets, expected_follower_payoff
-from femtogame.payoff import efficiency
+from femtogame.discrete import ActionSet, PowerLawSchedule, default_action_sets, expected_follower_payoff
+from femtogame.experiments import continuous_sweep_rows, sweep_grid
+from femtogame.payoff import efficiencies
 
 from conftest import hand_net, make_net
 
@@ -112,13 +117,45 @@ def test_search_is_deterministic(net3):
 
 
 def test_search_flags_boundary_when_grid_stops_short(net3):
-    zp = zero_price_equilibrium(net3)
-    lam_a = float(asymptote_price(net3, zp.profile).min())
-    res = se_price_search(
-        net3,
-        PriceSearchConfig(grid_min=1e-6 * lam_a, grid_max=1e-4 * lam_a, grid_count=10),
-    )
+    # A two-point grid has no interior point, so its argmax sits on an endpoint.
+    res = se_price_search(net3, PriceSearchConfig(grid_count=2))
     assert res.boundary_max
+
+
+def test_search_reaches_the_interior_peak_past_the_asymptote_range():
+    # Default K = 2 topology 7: the revenue peak lies above 1e3 * max lambda^a,
+    # where a grid bounded by the asymptote prices stops short of it.
+    net = make_net(2, seed=7)
+    res = se_price_search(net, PriceSearchConfig(grid_count=24))
+    assert not res.boundary_max
+    sweep_best = max(row[1] for row in continuous_sweep_rows(net, sweep_grid(net, 40)))
+    assert res.revenue >= sweep_best
+
+
+def test_search_grid_is_the_sweep_grid(net3):
+    res = se_price_search(net3, PriceSearchConfig(grid_count=25))
+    assert np.array_equal(res.grid_values, sweep_grid(net3, 25))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    K=st.integers(min_value=1, max_value=4),
+    seed=st.integers(min_value=0, max_value=10_000),
+    mode=st.sampled_from(["uniform-price", "per-link"]),
+)
+def test_search_returns_a_nash_point_at_least_as_good_as_its_grid(K, seed, mode):
+    net = make_net(K, seed=seed)
+    cfg = PriceSearchConfig(mode=mode, grid_count=12)
+    res = se_price_search(net, cfg)
+    assert res.all_converged
+    assert res.revenue >= res.grid_revenues.max()
+    assert res.revenue == leader_revenue(net, res.equilibrium, res.prices)
+    for k in range(1, K + 1):
+        assert abs(best_response(net, k, res.equilibrium, res.prices) - res.equilibrium[k - 1]) <= 1e-7
+    again = se_price_search(net, cfg)
+    for field in ("prices", "equilibrium", "grid_values", "grid_revenues"):
+        assert np.array_equal(getattr(res, field), getattr(again, field))
+    assert res.revenue == again.revenue
 
 
 def test_search_per_link_mode_scales_asymptote_prices(net3):
@@ -143,10 +180,17 @@ def test_price_search_config_validation():
         PriceSearchConfig(mode="exhaustive")
     with pytest.raises(ValueError):
         PriceSearchConfig(grid_count=1)
-    with pytest.raises(ValueError):
-        PriceSearchConfig(grid_min=0.0)
-    with pytest.raises(ValueError):
-        PriceSearchConfig(grid_min=2.0, grid_max=1.0)
+
+
+def test_learner_run_warns_on_broken_step_sizes():
+    net = make_net(2, seed=0)
+    acts = default_action_sets(net, 3)
+    with pytest.warns(RuntimeWarning, match="alpha2_sum_diverges"):
+        LearnerConfig(max_iters=5).run(net, acts, np.zeros(2))
+    adapting = LearnerConfig(alpha1=PowerLawSchedule(c=0.6), alpha2=PowerLawSchedule(c=1.0), max_iters=5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        adapting.run(net, acts, np.zeros(2))
 
 
 def test_price_step_degenerate_strategy_hand_value():
@@ -154,7 +198,7 @@ def test_price_step_degenerate_strategy_hand_value():
     acts = [ActionSet(powers=np.array([0.0, 0.02, 0.05]))]
     pi = np.array([[0.0, 0.0, 1.0]])
     prices, flagged = algorithm2_price_step(net, acts, pi)
-    want = efficiency(net, 1, np.array([0.05])) / (net.gain[1, 0] * 0.05)
+    want = efficiencies(net, np.array([0.05]))[0] / (net.gain[1, 0] * 0.05)
     assert prices[0] == pytest.approx(want, rel=1e-12)
     assert not flagged.any()
 
