@@ -114,8 +114,12 @@ class ScheduleReport:
     ratio_vanishes: bool
 
     @property
+    def unmet(self) -> list[str]:
+        return [name for name, ok in asdict(self).items() if not ok]
+
+    @property
     def satisfied(self) -> bool:
-        return all(asdict(self).values())
+        return not self.unmet
 
 
 def validate_schedules(alpha1: PowerLawSchedule, alpha2: PowerLawSchedule) -> ScheduleReport:

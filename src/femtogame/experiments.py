@@ -315,8 +315,8 @@ def _fig23_trial(spec: ExperimentSpec, net: NetworkInstance, seed: int):
     }
     search = se_price_search(net, PriceSearchConfig(grid_count=spec.search_grid_count))
     schemes["se-search"] = _scheme(net, search.equilibrium, search.prices, search.all_converged)
-    statuses = ("ok", "ok", "boundary" if search.boundary_max else "ok")
-    tails = [(*_scheme_tail(name, m), s) for (name, m), s in zip(schemes.items(), statuses)]
+    status = {"se-search": "boundary" if search.boundary_max else "ok"}
+    tails = [(*_scheme_tail(name, m), status.get(name, "ok")) for name, m in schemes.items()]
     return tails, {"k": net.num_followers, "seed": seed, **schemes}
 
 

@@ -10,7 +10,7 @@ discrete game).
 from __future__ import annotations
 
 import warnings
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -241,10 +241,9 @@ class LearnerConfig:
 
     def run(self, net: NetworkInstance, action_sets, prices) -> LearningReport:
         """Learn from a fresh state (uniform strategies, this config's seed) at ``prices``."""
-        unmet = [name for name, ok in asdict(validate_schedules(self.alpha1, self.alpha2)).items() if not ok]
+        unmet = ", ".join(validate_schedules(self.alpha1, self.alpha2).unmet)
         if unmet:
-            message = f"step sizes fail the two-timescale conditions {', '.join(unmet)}"
-            warnings.warn(message, RuntimeWarning, stacklevel=2)
+            warnings.warn(f"step sizes fail the two-timescale conditions {unmet}", RuntimeWarning, stacklevel=2)
         state = initial_state(
             action_sets, tau=self.tau, alpha1=self.alpha1, alpha2=self.alpha2, rng_seed=self.rng_seed
         )
@@ -282,7 +281,6 @@ def run_algorithm2(
     prices = np.zeros(K)
     flagged = np.zeros(K, dtype=bool)
     trace = []
-    converged = False
     outer = 0
     while True:
         seeded = replace(learner, rng_seed=learner.rng_seed + outer)
@@ -291,10 +289,8 @@ def run_algorithm2(
         mu_sinr = sinr_macro(net, mean_p)
         revenue = leader_revenue(net, mean_p, prices)
         trace.append((outer, prices.copy(), mean_p, mu_sinr, revenue))
-        if mu_sinr >= threshold:
-            converged = True
-            break
-        if outer >= max_outer:
+        converged = bool(mu_sinr >= threshold)
+        if converged or outer >= max_outer:
             break
         prices, flagged = algorithm2_price_step(net, action_sets, strategies)
         outer += 1

@@ -96,11 +96,13 @@ def test_table_default_schedules_fail_divergence():
     assert rep.alpha1_sum_diverges and rep.alpha1_square_summable
     assert not rep.alpha2_sum_diverges  # sum 1/t^2 converges: strategies freeze
     assert not rep.satisfied
+    assert rep.unmet == ["alpha2_sum_diverges"]
 
 
 def test_valid_two_timescale_pair():
     rep = validate_schedules(PowerLawSchedule(c=0.6), PowerLawSchedule(c=1.0))
     assert rep.satisfied
+    assert rep.unmet == []
 
 
 # ---------------------------------------------------------------------- logit

@@ -22,7 +22,7 @@ from femtogame import (
 )
 from femtogame.discrete import ActionSet, PowerLawSchedule, default_action_sets, expected_follower_payoff
 from femtogame.experiments import continuous_sweep_rows, sweep_grid
-from femtogame.payoff import efficiencies
+from femtogame.payoff import efficiencies, follower_payoff
 
 from conftest import hand_net, make_net
 
@@ -130,6 +130,32 @@ def test_search_reaches_the_interior_peak_past_the_asymptote_range():
     assert not res.boundary_max
     sweep_best = max(row[1] for row in continuous_sweep_rows(net, sweep_grid(net, 40)))
     assert res.revenue >= sweep_best
+
+
+def test_search_shortfall_on_two_near_equal_peaks_stays_pinned():
+    # Default K = 4 topology 8: the revenue curve has two near-equal peaks and
+    # the 24-point first grid zooms in on the lower one, 1.49 % short of the
+    # 40-point sweep's best. Pinned so the shortfall cannot grow unnoticed.
+    net = make_net(4, seed=8)
+    res = se_price_search(net, PriceSearchConfig(grid_count=24))
+    sweep_best = max(row[1] for row in continuous_sweep_rows(net, sweep_grid(net, 40)))
+    assert res.revenue >= 0.985 * sweep_best
+
+
+def test_search_equilibrium_beats_a_ten_percent_power_cut():
+    # Default K = 6 topology 0: at the revenue peak one follower sends about
+    # 6.7e-5 W. Cutting any active follower's power by 10 %, or moving it by
+    # 0.1 %, must lower its own payoff.
+    net = make_net(6, seed=0)
+    res = se_price_search(net)
+    p = res.equilibrium
+    assert (p > 0).any()
+    for k in np.flatnonzero(p > 0):
+        at_eq = follower_payoff(net, k + 1, p, res.prices)
+        for factor in (0.9, 0.999, 1.001):
+            moved = p.copy()
+            moved[k] *= factor
+            assert follower_payoff(net, k + 1, moved, res.prices) < at_eq
 
 
 def test_search_grid_is_the_sweep_grid(net3):
