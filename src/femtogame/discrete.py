@@ -5,12 +5,15 @@ on it, and learn from realized payoffs only: a fast timescale updates the
 per-action payoff estimates U_k (only the sampled action moves), a slow
 timescale nudges pi_k toward the Logit response of the current estimates.
 Expected payoffs/revenue under product-form strategies are computed by
-explicit enumeration over joint action profiles, so they are reserved for
-small K * M^K.
+explicit enumeration over the joint profiles of the strategies' support
+(actions of probability exactly 0 are skipped), in blocks of at most
+``BLOCK_ROWS`` profiles; the full K * M^K is still capped, so they are
+reserved for small games.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -43,6 +46,7 @@ __all__ = [
 ]
 
 ENUMERATION_CAP = 10_000_000  # reject expected-value sums with K * M^K above this
+BLOCK_ROWS = 8192  # joint profiles per payoffs() call; sized by timing K = 7, M = 6 (BENCH_9.json)
 
 
 @dataclass(frozen=True)
@@ -171,7 +175,7 @@ def expected_powers(action_sets, strategies) -> np.ndarray:
     )
 
 
-def _check_enumeration_size(action_sets) -> int:
+def _check_enumeration_size(action_sets) -> None:
     total = 1
     for a in action_sets:
         total *= len(a)
@@ -180,32 +184,40 @@ def _check_enumeration_size(action_sets) -> int:
         raise ValueError(
             f"joint enumeration size K*M^K = {K * total} exceeds cap {ENUMERATION_CAP}"
         )
-    return total
 
 
 def expected_payoffs(net: NetworkInstance, action_sets, strategies, prices) -> np.ndarray:
     """Expected net payoff of every follower under product-form mixed strategies.
 
-    Sums (psi_k(p) - lambda_k*h_k0*p_k) * prod_i pi_i(p_i) over every joint
-    action profile p, for all k at once. The joint grid is evaluated one
-    slice per action of follower 1, so M^(K-1) profiles are held at a time;
-    rejects problem sizes with K * M^K above ``ENUMERATION_CAP``.
+    Sums (psi_k(p) - lambda_k*h_k0*p_k) * prod_i pi_i(p_i) over the joint
+    profiles p of the support, for all k at once: actions of probability
+    exactly 0 are dropped first (their terms are 0). The trailing followers'
+    support grid forms one block of at most ``BLOCK_ROWS`` profiles, and the
+    loop runs over the supported actions of the leading followers, one
+    ``payoffs`` call per block. Rejects problem sizes with K * M^K (the full
+    grid, support or not) above ``ENUMERATION_CAP``.
     """
     _check_enumeration_size(action_sets)
     for pi in strategies:
         validate_simplex(pi)
     K = net.num_followers
-    sizes = [len(a) for a in action_sets[1:]]
-    count = math.prod(sizes)
-    profiles = np.empty((count, K))
-    prob = np.ones(count)
-    for i, idx in enumerate(np.indices(sizes).reshape(K - 1, count), start=1):
-        profiles[:, i] = action_sets[i].powers[idx]
-        prob *= strategies[i][idx]
+    support = [np.flatnonzero(pi) for pi in strategies]
+    powers = [a.powers[s] for a, s in zip(action_sets, support)]
+    weights = [np.asarray(pi, dtype=float)[s] for pi, s in zip(strategies, support)]
+    lead, rows = K, 1  # followers lead..K-1 form the block, the ones before it are looped over
+    while lead and rows * support[lead - 1].size <= BLOCK_ROWS:
+        lead -= 1
+        rows *= support[lead].size
+    profiles = np.empty((rows, K))
+    prob = np.ones(rows)
+    grid = np.indices([s.size for s in support[lead:]]).reshape(K - lead, rows)
+    for i, idx in enumerate(grid, start=lead):
+        profiles[:, i] = powers[i][idx]
+        prob *= weights[i][idx]
     total = np.zeros(K)
-    for p1, w1 in zip(action_sets[0].powers, strategies[0]):
-        profiles[:, 0] = p1
-        total += (w1 * prob) @ payoffs(net, profiles, prices)
+    for p, w in zip(itertools.product(*powers[:lead]), itertools.product(*weights[:lead])):
+        profiles[:, :lead] = p
+        total += (math.prod(w) * prob) @ payoffs(net, profiles, prices)
     return total
 
 

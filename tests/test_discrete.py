@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from femtogame import follower_payoff
+from femtogame import discrete, follower_payoff
 from femtogame.discrete import (
     ActionSet,
     _sample_actions,
@@ -26,6 +26,7 @@ from femtogame.discrete import (
     write_learning_csv,
 )
 from femtogame.oracles import enumerate_expected_payoff
+from femtogame.payoff import payoffs
 from femtogame.pricing import asymptote_price, zero_price_equilibrium
 
 from conftest import hand_net, make_net
@@ -384,6 +385,61 @@ def test_expected_payoffs_match_enumeration_oracle(sizes, seed, log_price):
         scale = enumerate_expected_payoff(net, k, acts, pis, np.zeros(K)) + abs(want)
         assert got[k - 1] == pytest.approx(want, rel=0.0, abs=1e-12 * scale)
         assert expected_follower_payoff(net, k, acts, pis, prices) == got[k - 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sizes=st.lists(st.integers(2, 4), min_size=1, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+    log_price=st.floats(0.0, 14.0),
+    block=st.sampled_from(["one", "last", "default"]),
+)
+def test_expected_payoffs_over_support_in_blocks_match_oracle(sizes, seed, log_price, block):
+    K = len(sizes)
+    net = make_net(K, seed=seed % 500)
+    rng = np.random.default_rng(seed)
+    acts = [ActionSet.from_table(M, float(pm)) for M, pm in zip(sizes, net.power_max)]
+    pis = []
+    for M in sizes:  # exact zeros in arbitrary components, at least one action kept
+        keep = rng.random(M) < 0.5
+        keep[rng.integers(M)] = True
+        pi = rng.dirichlet(np.ones(M)) * keep
+        pis.append(pi / pi.sum())
+    support = [int(np.count_nonzero(pi)) for pi in pis]
+    # "last": only the last follower's support fits a block, so every
+    # follower before it with two or more supported actions is looped over.
+    block_rows = {"one": 1, "last": support[-1], "default": discrete.BLOCK_ROWS}[block]
+    prices = 10.0**log_price * rng.random(K)
+    rows = []
+
+    def counted(net, profiles, prices):
+        rows.append(len(profiles))
+        return payoffs(net, profiles, prices)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(discrete, "BLOCK_ROWS", block_rows)
+        mp.setattr(discrete, "payoffs", counted)
+        got = expected_payoffs(net, acts, pis, prices)
+    assert max(rows) <= block_rows
+    assert sum(rows) == np.prod(support)
+    for k in range(1, K + 1):
+        want = enumerate_expected_payoff(net, k, acts, pis, prices)
+        scale = enumerate_expected_payoff(net, k, acts, pis, np.zeros(K)) + abs(want)
+        assert got[k - 1] == pytest.approx(want, rel=0.0, abs=1e-12 * scale)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_expected_payoffs_of_pure_strategies_are_the_profile_payoffs(seed):
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(2, 7, size=int(rng.integers(1, 6)))
+    K = len(sizes)
+    net = make_net(K, seed=seed)
+    acts = [ActionSet.from_table(int(M), float(pm)) for M, pm in zip(sizes, net.power_max)]
+    picks = [int(rng.integers(M)) for M in sizes]
+    pis = [np.eye(M)[j] for M, j in zip(sizes, picks)]
+    profile = np.array([a.powers[j] for a, j in zip(acts, picks)])
+    prices = 10.0 ** rng.uniform(0.0, 14.0) * rng.random(K)
+    np.testing.assert_array_equal(expected_payoffs(net, acts, pis, prices), payoffs(net, profile, prices))
 
 
 def test_run_learning_rejects_invalid_prices(net3):
