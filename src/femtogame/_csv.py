@@ -17,20 +17,21 @@ __all__ = ["format_cell", "write_rows"]
 
 
 def format_cell(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, np.integer):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
+    if type(value) is not float:  # plain floats, the common cell, skip the type tests
+        if isinstance(value, (bool, np.bool_)):
+            return "1" if value else "0"
+        if isinstance(value, np.integer):
+            return str(int(value))
+        if not isinstance(value, (float, np.floating)):
+            return str(value)
         value = float(value)
-        if not math.isfinite(value):
-            raise ValueError(f"non-finite value in CSV row: {value!r}")
-        return repr(value)
-    return str(value)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value in CSV row: {value!r}")
+    return repr(value)
 
 
 def write_rows(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(format_cell(v) for v in row))
+        lines.append(",".join(map(format_cell, row)))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")

@@ -20,8 +20,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from ._csv import write_rows
-from .network import NetworkInstance
-from .payoff import leader_revenue, payoffs, validate_prices
+from .network import NetworkInstance, follower_sinr
+from .payoff import leader_revenue, own_payoff, payoffs, validate_prices
 
 __all__ = [
     "ActionSet",
@@ -318,34 +318,15 @@ def initial_state(
 
 
 def _sample_actions(pi: np.ndarray, draws: np.ndarray) -> np.ndarray:
-    """Inverse-CDF sampling, one action per row of pi: the number of CDF
-    entries below the row's draw (``searchsorted`` per row), capped at M-1."""
-    return np.minimum((np.cumsum(pi, axis=1) < draws[:, None]).sum(axis=1), pi.shape[1] - 1)
+    """Inverse-CDF sampling, one action per row of pi: the number of the
+    first M-1 CDF entries below the row's draw. This is ``searchsorted`` per
+    row, capped at M-1 for a row whose full CDF rounds below its draw."""
+    return (pi[:, :-1].cumsum(axis=1) < draws[:, None]).sum(axis=1)
 
 
 def learning_step(state: LearningState, net: NetworkInstance, prices) -> LearningState:
-    """One slot of the coupled processes; mutates and returns ``state``.
-
-    (a) every follower samples an action from its pi_k; (b) realized payoffs
-    come from the pure joint profile; (c) U moves toward the observation
-    with step alpha1(t), only at the sampled action; (d) pi moves toward
-    logit_response(U_k) with step alpha2(t) in all components (an exact
-    convex combination, so the simplex is preserved); (e) t advances.
-    """
-    t = state.t + 1
-    a1 = state.alpha1(t)
-    a2 = state.alpha2(t)
-    K = state.pi.shape[0]
-    sampled = _sample_actions(state.pi, state.rng.random(K))
-    rows = np.arange(K)
-    payoff = payoffs(net, state.powers[rows, sampled], prices)  # realized, from the pure joint action
-    state.U[rows, sampled] += a1 * (payoff - state.U[rows, sampled])
-    shifted = (state.U - state.U.max(axis=1, keepdims=True)) / state.tau
-    e = np.exp(shifted)
-    beta = e / e.sum(axis=1, keepdims=True)
-    state.pi *= 1.0 - a2
-    state.pi += a2 * beta
-    state.t = t
+    """One slot of ``run_learning`` (``max_iters=1``); mutates and returns ``state``."""
+    run_learning(net, prices, state, max_iters=1)
     return state
 
 
@@ -376,29 +357,59 @@ def run_learning(
     window: int = 50,
     max_iters: int = 10_000,
 ) -> LearningReport:
-    """Iterate learning_step until the strategies settle or max_iters.
+    """Run the coupled processes slot by slot until the strategies settle or max_iters.
+
+    Each slot t: (a) every follower samples an action from its pi_k; (b)
+    realized payoffs come from the pure joint profile; (c) U moves toward
+    the observation with step alpha1(t), only at the sampled action; (d) pi
+    moves toward logit_response(U_k) with step alpha2(t) in all components
+    (an exact convex combination, so the simplex is preserved); (e) state.t
+    advances. ``state`` is mutated in place. All slots run in this one
+    loop; the charges, flat views and schedules are set up once per run.
 
     Convergence detector: over the last ``window`` iterations of the
     strategy trace, the largest per-component range of any pi_k falls
-    below ``tol``. The trace buffer is allocated for ``max_iters`` slots
-    (its pages become resident only when written) and trimmed on return.
+    below ``tol``. The range is computed only once the window's first and
+    last strategies differ by less than ``tol``: an exact pre-check, as the
+    rounded range is never below the rounded gap of two of its entries.
+    The trace buffer is allocated for ``max_iters`` slots (its pages become
+    resident only when written) and trimmed on return.
     """
-    if window < 2:
-        raise ValueError("window must be >= 2")
-    prices = validate_prices(net, prices)
-    trace = np.empty((max_iters, *state.pi.shape))
+    if window < 2 or max_iters < 1 or not tol >= 0.0:
+        raise ValueError(f"need window >= 2, max_iters >= 1 and tol >= 0; got {window}, {max_iters}, {tol}")
+    charge = validate_prices(net, prices) * net.gain[1:, 0]
+    W, pa = net.bandwidth, net.circuit_power
+    state.U, state.pi = U, pi = np.ascontiguousarray(state.U), np.ascontiguousarray(state.pi)
+    K, M = pi.shape
+    U_flat = U.reshape(-1)  # a view, so writes through it land in U
+    menu = np.asarray(state.powers, dtype=float).reshape(-1)
+    row_start = np.arange(0, K * M, M)
+    rng, alpha1, alpha2, tau = state.rng, state.alpha1, state.alpha2, state.tau
+    trace = np.empty((max_iters, K, M))
     converged = False
-    iterations = 0
     for iterations in range(1, max_iters + 1):
-        learning_step(state, net, prices)
-        trace[iterations - 1] = state.pi
-        if iterations >= window and np.ptp(trace[iterations - window : iterations], axis=0).max() < tol:
+        t = state.t + iterations
+        a1, a2 = alpha1(t), alpha2(t)
+        cell = row_start + _sample_actions(pi, rng.random(K))
+        p = menu[cell]  # the pure joint action
+        U_flat[cell] += a1 * (own_payoff(p, follower_sinr(net, p), W, pa, charge) - U_flat[cell])
+        e = np.exp((U - U.max(axis=1, keepdims=True)) / tau)
+        beta = e / e.sum(axis=1, keepdims=True)
+        pi *= 1.0 - a2
+        pi += a2 * beta
+        trace[iterations - 1] = pi
+        if (
+            iterations >= window
+            and abs(pi - trace[iterations - window]).max() < tol
+            and np.ptp(trace[iterations - window : iterations], axis=0).max() < tol
+        ):
             converged = True
             break
+    state.t += iterations
     pi_trace = trace[:iterations].copy()
     return LearningReport(
-        strategies=state.pi.copy(),
-        U=state.U.copy(),
+        strategies=pi.copy(),
+        U=U.copy(),
         expected_power_trace=(pi_trace * state.powers).sum(axis=2),
         pi_trace=pi_trace,
         iterations=iterations,

@@ -27,7 +27,7 @@ from femtogame.discrete import (
 )
 from femtogame.oracles import enumerate_expected_payoff
 from femtogame.payoff import payoffs
-from femtogame.pricing import asymptote_price, zero_price_equilibrium
+from femtogame.pricing import LearnerConfig, asymptote_price, zero_price_equilibrium
 
 from conftest import hand_net, make_net
 
@@ -363,6 +363,17 @@ def test_vectorized_sampling_matches_searchsorted(rows, seed):
     assert _sample_actions(pi, draws).tolist() == want
 
 
+def test_sampling_caps_a_row_whose_cdf_rounds_below_the_draw():
+    # Seven 1/7s sum to 1 - 2**-52, one step below 1 - 2**-53, the largest
+    # draw rng.random() can return: that draw lies above the whole CDF, so
+    # searchsorted gives M and the sample must be capped at M - 1.
+    pi = np.full((1, 7), 1.0 / 7.0)
+    draw = np.array([1.0 - 2.0**-53])
+    assert np.cumsum(pi)[-1] == 1.0 - 2.0**-52
+    assert int(np.searchsorted(np.cumsum(pi), draw[0])) == 7
+    assert _sample_actions(pi, draw).tolist() == [6]
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     sizes=st.lists(st.integers(2, 3), min_size=1, max_size=3),
@@ -547,6 +558,80 @@ def test_run_learning_stops_at_first_settled_window(seed, tol, window, K, M):
         assert (T, settled) == (max_iters, [])
     assert np.array_equal(rep.strategies, rep.pi_trace[-1])
     assert np.array_equal(rep.expected_power_trace, (rep.pi_trace * menu).sum(-1))
+
+
+def _reference_sample_actions(pi, draws):
+    return np.minimum((np.cumsum(pi, axis=1) < draws[:, None]).sum(axis=1), pi.shape[1] - 1)
+
+
+def _reference_slot(state, net, prices):
+    """One learning slot as a standalone function, kept as the reference the fused loop must match."""
+    t = state.t + 1
+    a1 = state.alpha1(t)
+    a2 = state.alpha2(t)
+    K = state.pi.shape[0]
+    sampled = _reference_sample_actions(state.pi, state.rng.random(K))
+    rows = np.arange(K)
+    payoff = payoffs(net, state.powers[rows, sampled], prices)  # realized, from the pure joint action
+    state.U[rows, sampled] += a1 * (payoff - state.U[rows, sampled])
+    shifted = (state.U - state.U.max(axis=1, keepdims=True)) / state.tau
+    e = np.exp(shifted)
+    beta = e / e.sum(axis=1, keepdims=True)
+    state.pi *= 1.0 - a2
+    state.pi += a2 * beta
+    state.t = t
+    return state
+
+
+def _reference_learning(net, prices, state, tol, window, max_iters):
+    """Reference slots until the last ``window`` strategies span less than tol; (pi trace, converged)."""
+    trace = []
+    for _ in range(max_iters):
+        _reference_slot(state, net, prices)
+        trace.append(state.pi.copy())
+        if len(trace) >= window and np.ptp(trace[-window:], axis=0).max() < tol:
+            return np.array(trace), True
+    return np.array(trace), False
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    K=st.integers(1, 4),
+    M=st.integers(2, 5),
+    tau=st.floats(0.05, 5.0),
+    adapting=st.booleans(),
+    log_price=st.none() | st.floats(0.0, 14.0),
+    tol=st.just(0.0) | st.floats(1e-4, 0.2),
+    window=st.integers(2, 12),
+    max_iters=st.integers(1, 300),
+)
+def test_run_learning_matches_reference_slot_loop(seed, K, M, tau, adapting, log_price, tol, window, max_iters):
+    net = make_net(K, seed=seed % 500)
+    acts = [ActionSet.from_table(M, float(pm)) for pm in net.power_max]
+    rng = np.random.default_rng(seed)
+    prices = np.zeros(K) if log_price is None else 10.0**log_price * rng.random(K)
+    # stock Table pair (1/t, 1/t^2) or the adapting pair (c = 0.6, 1.0)
+    steps = (PowerLawSchedule(c=0.6), PowerLawSchedule()) if adapting else (PowerLawSchedule(), PowerLawSchedule(c=2.0))
+    ref = initial_state(acts, tau=tau, alpha1=steps[0], alpha2=steps[1], rng_seed=seed)
+    fused = initial_state(acts, tau=tau, alpha1=steps[0], alpha2=steps[1], rng_seed=seed)
+    pi_trace, converged = _reference_learning(net, prices, ref, tol, window, max_iters)
+    rep = run_learning(net, prices, fused, tol=tol, window=window, max_iters=max_iters)
+    assert np.array_equal(rep.pi_trace, pi_trace)
+    assert np.array_equal(rep.U, ref.U)
+    assert np.array_equal(rep.strategies, ref.pi)
+    assert (rep.iterations, rep.converged, fused.t) == (len(pi_trace), converged, ref.t)
+    assert fused.rng.random() == ref.rng.random()  # the generator is left where the slots left it
+
+
+@pytest.mark.parametrize("max_iters, tol", [(0, 1e-3), (-5, 1e-3), (10, float("nan")), (10, -1.0)])
+def test_run_learning_rejects_bad_run_length_and_tol(net3, max_iters, tol):
+    acts = default_action_sets(net3, 3)
+    learner = LearnerConfig(alpha1=PowerLawSchedule(c=0.6), alpha2=PowerLawSchedule(), tol=tol, max_iters=max_iters)
+    with pytest.raises(ValueError, match="max_iters >= 1 and tol >= 0"):
+        run_learning(net3, np.zeros(3), initial_state(acts), tol=tol, max_iters=max_iters)
+    with pytest.raises(ValueError, match="max_iters >= 1 and tol >= 0"):
+        learner.run(net3, acts, np.zeros(3))
 
 
 def test_learning_csv_round_trip(tmp_path):

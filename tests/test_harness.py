@@ -149,10 +149,19 @@ def test_explicit_network_cannot_be_reseeded(tmp_path):
 def test_format_cell_values():
     assert format_cell(True) == "1"
     assert format_cell(np.bool_(False)) == "0"
+    assert format_cell(np.bool_(True)) == "1"
     assert format_cell(np.float64(1.5)) == "1.5"
+    assert format_cell(np.float64(0.1)) == "0.1"
+    assert format_cell(np.float32(0.5)) == "0.5"
     assert format_cell(np.int64(3)) == "3"
     assert format_cell(0.1) == "0.1"
+    assert format_cell(-0.0) == "-0.0"
+    assert format_cell(1e-300) == "1e-300"
+    assert format_cell(7) == "7"
     assert format_cell("ok") == "ok"
+    for bad in (float("inf"), float("-inf"), float("nan"), np.float64("inf"), np.float64("nan")):
+        with pytest.raises(ValueError, match="non-finite"):
+            format_cell(bad)
 
 
 def test_format_cell_rejects_non_finite():
@@ -569,6 +578,16 @@ def test_cli_learn_rejects_unknown_learner_fields(tmp_path):
     res = run_cli("learn", "--config", str(path), "--followers", "2")
     assert res.returncode == 2, res.stdout + res.stderr
     assert "unknown learner field" in res.stderr
+
+
+@pytest.mark.parametrize("bad", [{"max_iters": 0}, {"tol": -1.0}])
+def test_cli_learn_rejects_empty_run_and_negative_tol(tmp_path, capsys, bad):
+    path = tmp_path / "learner.json"
+    path.write_text(json.dumps({"learner": {**_ADAPTING_LEARNER, **bad}}))
+    out = tmp_path / "learn.csv"
+    assert cli.main(["learn", "--config", str(path), "--followers", "2", "--out", str(out)]) == cli.EXIT_BAD_INPUT
+    assert "max_iters >= 1 and tol >= 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_learner_block_keeps_defaults_of_absent_fields(tmp_path):
