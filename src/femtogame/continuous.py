@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .network import NetworkInstance, follower_sinr, interference
-from .payoff import own_gradient, own_gradient_slope, own_payoff, validate_power_profile, validate_prices
+from .payoff import own_gradient, own_gradient_and_slope, own_payoff, validate_power_profile, validate_prices
 
 __all__ = [
     "BisectionError",
@@ -197,7 +197,7 @@ def _best_responses(
     """
     W, pa = net.bandwidth, net.circuit_power
     p_max = np.broadcast_to(net.power_max, G.shape)
-    on = own_gradient(0.0, G, W, pa, charge) > 0.0
+    on = W * G / pa - charge > 0.0  # own_gradient at p = 0
     full = own_gradient(p_max, G, W, pa, charge) >= 0.0
     out = np.where(on & full, p_max, 0.0)
     idx = np.flatnonzero(on & ~full)
@@ -210,8 +210,7 @@ def _best_responses(
         for _ in range(max_iter):
             if idx.size == 0:
                 return out
-            g = own_gradient(x, G, W, pa, c)
-            slope = own_gradient_slope(x, G, W, pa)
+            g, slope = own_gradient_and_slope(x, G, W, pa, c)
             rising = g > 0.0
             lo = np.where(rising, x, lo)
             hi = np.where(rising, hi, x)
@@ -248,16 +247,14 @@ def solve_equilibria(
     whose proposal BR(p) lands nearer its profile two rounds back than its
     current one, with residual still >= ``tol``, is in a 2-cycle: it takes
     damped steps p <- (1 - DAMPING) p + DAMPING BR(p) from then on and
-    ``damped`` records it. ``init`` is one (K,) start or (B, K) starts.
+    ``damped`` records it. ``init`` is one (K,) start or (B, K) starts;
+    the prices and the starts are each validated in one pass over the batch.
     """
     prices = np.asarray(prices, dtype=float)
     if prices.ndim != 2:
         raise ValueError("prices must be shaped (B, K)")
-    B, K = len(prices), net.num_followers
-    p = np.array(np.broadcast_to(np.asarray(init, dtype=float), (B, K)))
-    for lam, row in zip(prices, p):
-        validate_prices(net, lam)
-        validate_power_profile(net, row)
+    B, K = validate_prices(net, prices, ndim=2).shape
+    p = validate_power_profile(net, np.array(np.broadcast_to(np.asarray(init, dtype=float), (B, K))), ndim=2)
     charge = prices * net.gain[1:, 0]
     before = np.full((B, K), np.nan)  # each row's profile one round back
     converged = np.zeros(B, dtype=bool)

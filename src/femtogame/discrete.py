@@ -96,8 +96,8 @@ class PowerLawSchedule:
     c: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.a <= 0.0 or self.b < 0.0 or self.c <= 0.0:
-            raise ValueError("need a > 0, b >= 0, c > 0")
+        if not (0.0 < self.a < math.inf and 0.0 <= self.b < math.inf and 0.0 < self.c < math.inf):
+            raise ValueError(f"need finite a > 0, b >= 0, c > 0; got {self.a}, {self.b}, {self.c}")
 
     def __call__(self, t: int) -> float:
         return self.a / (t + self.b) ** self.c
@@ -158,7 +158,7 @@ def logit_response(values: np.ndarray, tau: float) -> np.ndarray:
 
     Max-subtraction keeps the exponentials finite for any finite values.
     """
-    if tau <= 0.0:
+    if not tau > 0.0:
         raise ValueError("tau must be positive")
     values = np.asarray(values, dtype=float)
     if not np.all(np.isfinite(values)):
@@ -303,7 +303,7 @@ def initial_state(
         raise ValueError("learning requires a common action-set size M")
     M = sizes.pop()
     K = len(action_sets)
-    if tau <= 0.0:
+    if not tau > 0.0:
         raise ValueError("tau must be positive")
     return LearningState(
         powers=np.vstack([a.powers for a in action_sets]),

@@ -8,10 +8,10 @@ the gain-matrix convention (index 0 = macro link).
 The follower model is written once: ``payoffs`` and ``efficiencies``
 evaluate every follower of profiles shaped (..., K) through
 ``network.interference``, and the scalar functions are views of one entry.
-``own_payoff``, ``own_gradient`` and ``own_gradient_slope`` hold the payoff
-and its first two own-power derivatives as expressions in one follower's
-power, shared by the scalar best-response bisection and the batched Newton
-solver.
+``own_payoff``, ``own_gradient`` and ``own_gradient_and_slope`` hold the
+payoff and its first two own-power derivatives as expressions in one
+follower's power, shared by the scalar best-response bisection and the
+batched Newton solver.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ __all__ = [
     "validate_prices",
     "own_payoff",
     "own_gradient",
-    "own_gradient_slope",
+    "own_gradient_and_slope",
     "payoffs",
     "efficiencies",
     "follower_payoff",
@@ -35,20 +35,20 @@ __all__ = [
 ]
 
 
-def validate_power_profile(net: NetworkInstance, p: np.ndarray) -> np.ndarray:
-    """Check 0 <= p_k <= p_max componentwise; returns p as a float array."""
+def validate_power_profile(net: NetworkInstance, p: np.ndarray, ndim: int = 1) -> np.ndarray:
+    """Check 0 <= p_k <= p_max for one (K,) profile, or (B, K) profiles with ``ndim=2``; returns a float array."""
     p = np.asarray(p, dtype=float)
-    if p.shape != (net.num_followers,):
+    if p.ndim != ndim or p.shape[-1] != net.num_followers:
         raise ValueError(f"power profile must have length {net.num_followers}")
     if np.any(p < 0.0) or np.any(p > net.power_max) or not np.all(np.isfinite(p)):
         raise ValueError("power profile out of [0, p_max] bounds")
     return p
 
 
-def validate_prices(net: NetworkInstance, prices: np.ndarray) -> np.ndarray:
-    """Check prices are finite and componentwise >= 0; returns float array."""
+def validate_prices(net: NetworkInstance, prices: np.ndarray, ndim: int = 1) -> np.ndarray:
+    """Check one (K,) price vector, or a (B, K) batch with ``ndim=2``, is finite and >= 0; returns a float array."""
     lam = np.asarray(prices, dtype=float)
-    if lam.shape != (net.num_followers,):
+    if lam.ndim != ndim or lam.shape[-1] != net.num_followers:
         raise ValueError(f"price vector must have length {net.num_followers}")
     if np.any(lam < 0.0) or not np.all(np.isfinite(lam)):
         raise ValueError("prices must be finite and nonnegative")
@@ -75,19 +75,24 @@ def own_gradient(p, G, W: float, pa: float, charge):
     return -W * np.log1p(gamma) / (total * total) + W * G / ((1.0 + gamma) * total) - charge
 
 
-def own_gradient_slope(p, G, W: float, pa: float):
-    """d/dp of ``own_gradient``, elementwise; the Newton step's derivative.
+def own_gradient_and_slope(p, G, W: float, pa: float, charge):
+    """``own_gradient`` (bit-equal) and its derivative, the Newton step's slope, from shared intermediates.
 
-    2W*log(1+G p)/(p+p_a)^3 - 2W*G/((1+G p)(p+p_a)^2) - W*G^2/((1+G p)^2 (p+p_a)).
+    slope = 2W*log(1+G p)/(p+p_a)^3 - 2W*G/((1+G p)(p+p_a)^2) - W*G^2/((1+G p)^2 (p+p_a)).
     """
     gamma = G * p
     total = p + pa
+    log = np.log1p(gamma)
+    total2 = total * total
     one_plus = 1.0 + gamma
-    return (
-        2.0 * W * np.log1p(gamma) / (total * total * total)
-        - 2.0 * W * G / (one_plus * total * total)
+    spread = one_plus * total
+    gradient = -W * log / total2 + W * G / spread - charge
+    slope = (
+        2.0 * W * log / (total2 * total)
+        - 2.0 * W * G / (spread * total)
         - W * G * G / (one_plus * one_plus * total)
     )
+    return gradient, slope
 
 
 def payoffs(net: NetworkInstance, p: np.ndarray, prices) -> np.ndarray:

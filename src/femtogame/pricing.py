@@ -91,14 +91,24 @@ class PriceSearchResult:
     all_converged: bool
 
 
+_last_zero_price = (None, None, None)  # (net, tol, result) of the latest zero_price_equilibrium solve
+
+
 def zero_price_equilibrium(net: NetworkInstance, tol: float = 1e-7) -> ZeroPriceResult:
-    """Follower equilibrium at lambda = 0 from p = 0: the unpriced allocation p* and gamma*."""
-    zero = np.zeros((1, net.num_followers))
-    batch = solve_equilibria(net, zero, zero, tol=tol)
-    p = batch.profiles[0]
-    return ZeroPriceResult(
-        profile=p, sinr=follower_sinr(net, p), converged=bool(batch.converged[0]), rounds=int(batch.rounds[0])
-    )
+    """Follower equilibrium at lambda = 0 from p = 0: the unpriced allocation p* and gamma*.
+
+    One slot keeps the latest result, keyed on ``tol`` and on the network object by ``is`` (a frozen
+    ``NetworkInstance`` cannot go stale); every call returns fresh copies of ``profile`` and ``sinr``.
+    """
+    global _last_zero_price
+    last_net, last_tol, zp = _last_zero_price
+    if last_net is not net or last_tol != tol:
+        zero = np.zeros((1, net.num_followers))
+        batch = solve_equilibria(net, zero, zero, tol=tol)
+        p = batch.profiles[0]
+        zp = ZeroPriceResult(p, follower_sinr(net, p), bool(batch.converged[0]), int(batch.rounds[0]))
+        _last_zero_price = (net, tol, zp)
+    return replace(zp, profile=zp.profile.copy(), sinr=zp.sinr.copy())
 
 
 def asymptote_price(net: NetworkInstance, p_star: np.ndarray) -> np.ndarray:
@@ -173,7 +183,7 @@ def se_price_search(
     while True:
         prices = values[:, None] * direction
         batch = solve_equilibria(net, prices, start, tol=inner_tol)
-        revenues = np.array([leader_revenue(net, p, lam) for p, lam in zip(batch.profiles, prices)])
+        revenues = (prices * net.gain[1:, 0] * batch.profiles).sum(axis=1)  # leader_revenue per row
         all_converged = all_converged and bool(batch.converged.all())
         i = int(np.argmax(revenues))
         if revenues[i] > best_revenue:
@@ -229,6 +239,7 @@ class LearnerConfig:
     The defaults are the Table values: temperature 1, 1/t payoff-estimate
     steps and 1/t^2 strategy steps. Those break the two-timescale
     conditions (``validate_schedules``), so ``run`` warns about them.
+    Values no run can use are refused on construction.
     """
 
     tau: float = 1.0
@@ -238,6 +249,10 @@ class LearnerConfig:
     tol: float = 1e-3
     window: int = 50
     max_iters: int = 10_000
+
+    def __post_init__(self) -> None:
+        if not (0.0 < self.tau < np.inf and 0.0 <= self.tol < np.inf and self.window >= 2 and self.max_iters >= 1):
+            raise ValueError(f"need window >= 2, max_iters >= 1 and tol >= 0, tau > 0 and both finite; got {self}")
 
     def run(self, net: NetworkInstance, action_sets, prices) -> LearningReport:
         """Learn from a fresh state (uniform strategies, this config's seed) at ``prices``."""

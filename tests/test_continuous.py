@@ -15,8 +15,11 @@ from femtogame import (
     run_algorithm1,
     solve_equilibria,
 )
+from femtogame.continuous import DAMPING
 from femtogame.experiments import continuous_sweep_rows, sweep_grid
+from femtogame.network import interference
 from femtogame.oracles import grid_best_response
+from femtogame.payoff import own_gradient, own_payoff, validate_power_profile, validate_prices
 from femtogame.pricing import cutoff_price, zero_price_equilibrium
 
 from conftest import hand_net, make_net
@@ -183,7 +186,7 @@ def test_algorithm1_converges_from_any_start(net6):
 
 
 @pytest.mark.parametrize(
-    "prices", [[-5.0, 0.0, 0.0], [np.inf, 0.0, 0.0], [np.nan, 0.0, 0.0], [0.0, 0.0]]
+    "prices", [[-5.0, 0.0, 0.0], [np.inf, 0.0, 0.0], [np.nan, 0.0, 0.0], [0.0, 0.0], [[0.0, 0.0, 0.0]]]
 )
 def test_algorithm1_rejects_invalid_prices(net3, prices):
     with pytest.raises(ValueError, match="price"):
@@ -191,7 +194,7 @@ def test_algorithm1_rejects_invalid_prices(net3, prices):
 
 
 @pytest.mark.parametrize(
-    "init", [[np.nan, 0.0, 0.0], [-1e-3, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0]]
+    "init", [[np.nan, 0.0, 0.0], [-1e-3, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0], [[0.0, 0.0, 0.0]]]
 )
 def test_algorithm1_rejects_invalid_init(net3, init):
     with pytest.raises(ValueError, match="power profile"):
@@ -344,7 +347,15 @@ def test_solve_equilibria_rows_are_independent(net6):
 
 
 @pytest.mark.parametrize(
-    "prices", [[0.0, 0.0, 0.0], [[-5.0, 0.0, 0.0]], [[np.nan, 0.0, 0.0]], [[0.0, 0.0]]]
+    "prices",
+    [
+        [0.0, 0.0, 0.0],
+        [[-5.0, 0.0, 0.0]],
+        [[np.nan, 0.0, 0.0]],
+        [[0.0, 0.0]],
+        [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, -1.0, 0.0]],  # the bad row is not row 0
+        [[0.0, 0.0, 0.0], [0.0, 0.0, np.inf]],
+    ],
 )
 def test_solve_equilibria_rejects_invalid_prices(net3, prices):
     with pytest.raises(ValueError, match="price"):
@@ -355,3 +366,140 @@ def test_solve_equilibria_rejects_invalid_prices(net3, prices):
 def test_solve_equilibria_rejects_invalid_init(net3, init):
     with pytest.raises(ValueError):
         solve_equilibria(net3, np.zeros((1, 3)), np.array(init))
+
+
+# The batched solver as it stood before it validated whole batches and shared
+# the gradient's intermediates with its slope: per-row validation, separate
+# gradient and slope, and the p = 0 boundary through own_gradient.
+def _reference_gradient_slope(p, G, W, pa):
+    gamma = G * p
+    total = p + pa
+    one_plus = 1.0 + gamma
+    return (
+        2.0 * W * np.log1p(gamma) / (total * total * total)
+        - 2.0 * W * G / (one_plus * total * total)
+        - W * G * G / (one_plus * one_plus * total)
+    )
+
+
+def _reference_best_responses(net, G, charge, start, tol=1e-9, max_iter=200):
+    W, pa = net.bandwidth, net.circuit_power
+    p_max = np.broadcast_to(net.power_max, G.shape)
+    on = own_gradient(0.0, G, W, pa, charge) > 0.0
+    full = own_gradient(p_max, G, W, pa, charge) >= 0.0
+    out = np.where(on & full, p_max, 0.0)
+    idx = np.flatnonzero(on & ~full)
+    G, c = G.ravel()[idx], charge.ravel()[idx]
+    lo, hi = np.zeros(idx.size), p_max.ravel()[idx]
+    x = np.clip(start.ravel()[idx], lo, hi)
+    step_old = hi - lo
+    flat = out.ravel()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(max_iter):
+            if idx.size == 0:
+                return out
+            g = own_gradient(x, G, W, pa, c)
+            slope = _reference_gradient_slope(x, G, W, pa)
+            rising = g > 0.0
+            lo = np.where(rising, x, lo)
+            hi = np.where(rising, hi, x)
+            newton = x - g / slope
+            bisect = ~((newton > lo) & (newton < hi)) | (np.abs(2.0 * g) > np.abs(step_old * slope))
+            new = np.where(bisect, 0.5 * (lo + hi), newton)
+            step_old = np.abs(new - x)
+            x = new
+            done = step_old <= tol
+            if done.any():
+                root = x[done]
+                keep = own_payoff(root, G[done] * root, W, pa, c[done]) > 0.0
+                flat[idx[done]] = np.where(keep, root, 0.0)
+                live = ~done
+                idx, G, c, lo, hi, x, step_old = (a[live] for a in (idx, G, c, lo, hi, x, step_old))
+    raise AssertionError("reference best responses did not finish")
+
+
+def _reference_solve_equilibria(net, prices, init, tol=1e-7, max_rounds=10_000):
+    prices = np.asarray(prices, dtype=float)
+    if prices.ndim != 2:
+        raise ValueError("prices must be shaped (B, K)")
+    B, K = len(prices), net.num_followers
+    p = np.array(np.broadcast_to(np.asarray(init, dtype=float), (B, K)))
+    for lam, row in zip(prices, p):
+        validate_prices(net, lam)
+        validate_power_profile(net, row)
+    charge = prices * net.gain[1:, 0]
+    before = np.full((B, K), np.nan)
+    converged = np.zeros(B, dtype=bool)
+    quiet = np.zeros(B, dtype=bool)
+    damped = np.zeros(B, dtype=bool)
+    rounds = np.zeros(B, dtype=int)
+    rows = np.arange(B)
+    for t in range(1, max_rounds + 1):
+        if not rows.size:
+            break
+        P = p[rows]
+        proposal = _reference_best_responses(net, net.own_gain / interference(net, P), charge[rows], P)
+        residual = np.abs(proposal - P).max(axis=1)
+        returned = np.abs(proposal - before[rows]).max(axis=1) < residual
+        slow = damped[rows] | (returned & (residual >= tol))
+        damped[rows] = slow
+        rounds[rows] = t
+        before[rows] = P
+        settled = (residual < tol) & quiet[rows]
+        quiet[rows] = residual < tol
+        converged[rows[settled]] = True
+        step = np.where(slow[:, None], (1.0 - DAMPING) * P + DAMPING * proposal, proposal)
+        p[rows[~settled]] = step[~settled]
+        rows = rows[~settled]
+    return p, converged, rounds, damped
+
+
+def _assert_same_as_reference(net, prices, init):
+    batch = solve_equilibria(net, prices, init)
+    profiles, converged, rounds, damped = _reference_solve_equilibria(net, prices, init)
+    assert np.array_equal(batch.profiles, profiles)
+    assert np.array_equal(batch.converged, converged)
+    assert np.array_equal(batch.rounds, rounds)
+    assert np.array_equal(batch.damped, damped)
+    return batch
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    K=st.integers(min_value=1, max_value=8),
+    seed=st.integers(min_value=0, max_value=10_000),
+    p_max_decade=st.floats(min_value=-4.0, max_value=-1.0),
+    exponents=st.lists(
+        st.lists(st.floats(min_value=-6.0, max_value=1.0) | st.just(-np.inf), min_size=8, max_size=8),
+        min_size=1,
+        max_size=6,
+    ),
+    starts=st.none() | st.floats(min_value=0.0, max_value=1.0),
+)
+def test_solve_equilibria_is_bit_identical_to_the_reference_solver(K, seed, p_max_decade, exponents, starts):
+    # Link k of row b pays 10**e * its cutoff at p = 0: e = -inf is free, so
+    # weak links sit at p_max (sized by p_max_decade) and e > 0 links are
+    # silent. starts None gives each row its own start, a float one shared start.
+    net = make_net(K, seed=seed, power_max=10.0**p_max_decade)
+    prices = 10.0 ** np.array(exponents)[:, :K] * cutoff_price(net, np.zeros(K))
+    if starts is None:
+        init = np.random.default_rng(seed).random(prices.shape) * net.power_max
+    else:
+        init = starts * net.power_max
+    _assert_same_as_reference(net, prices, init)
+
+
+def test_solve_equilibria_matches_the_reference_on_damped_rows():
+    # Sweep points 20 and 21 of default K = 50 topology 101 take damped steps.
+    net = make_net(50, seed=101)
+    prices = np.outer(sweep_grid(net, 40)[18:24], np.ones(50))
+    batch = _assert_same_as_reference(net, prices, zero_price_equilibrium(net).profile)
+    assert batch.damped[2] and batch.damped[3]
+
+
+@pytest.mark.parametrize("bad", [-1e-3, 2.0, np.nan])
+def test_solve_equilibria_rejects_a_bad_init_row_after_good_ones(net3, bad):
+    init = np.zeros((4, 3))
+    init[3, 2] = bad
+    with pytest.raises(ValueError, match="power profile"):
+        solve_equilibria(net3, np.zeros((4, 3)), init)

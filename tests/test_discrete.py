@@ -92,6 +92,21 @@ def test_power_law_schedule_values():
         PowerLawSchedule(c=-1.0)
 
 
+@pytest.mark.parametrize("field", ["a", "b", "c"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_power_law_schedule_rejects_non_finite_constants(field, value):
+    with pytest.raises(ValueError, match="finite"):
+        PowerLawSchedule(**{field: value})
+
+
+def test_nan_temperature_is_refused(net3):
+    acts = default_action_sets(net3, 3)
+    with pytest.raises(ValueError, match="tau must be positive"):
+        initial_state(acts, tau=float("nan"))
+    with pytest.raises(ValueError, match="tau must be positive"):
+        logit_response(np.zeros(3), float("nan"))
+
+
 def test_table_default_schedules_fail_divergence():
     rep = validate_schedules(PowerLawSchedule(), PowerLawSchedule(c=2.0))
     assert rep.alpha1_sum_diverges and rep.alpha1_square_summable
@@ -455,7 +470,7 @@ def test_expected_payoffs_of_pure_strategies_are_the_profile_payoffs(seed):
 
 def test_run_learning_rejects_invalid_prices(net3):
     state = initial_state(default_action_sets(net3, 3))
-    for prices in ([np.nan, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0]):
+    for prices in ([np.nan, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0], [[0.0, 0.0, 0.0]]):
         with pytest.raises(ValueError, match="price"):
             run_learning(net3, np.array(prices), state, max_iters=5)
 
@@ -627,11 +642,10 @@ def test_run_learning_matches_reference_slot_loop(seed, K, M, tau, adapting, log
 @pytest.mark.parametrize("max_iters, tol", [(0, 1e-3), (-5, 1e-3), (10, float("nan")), (10, -1.0)])
 def test_run_learning_rejects_bad_run_length_and_tol(net3, max_iters, tol):
     acts = default_action_sets(net3, 3)
-    learner = LearnerConfig(alpha1=PowerLawSchedule(c=0.6), alpha2=PowerLawSchedule(), tol=tol, max_iters=max_iters)
     with pytest.raises(ValueError, match="max_iters >= 1 and tol >= 0"):
         run_learning(net3, np.zeros(3), initial_state(acts), tol=tol, max_iters=max_iters)
-    with pytest.raises(ValueError, match="max_iters >= 1 and tol >= 0"):
-        learner.run(net3, acts, np.zeros(3))
+    with pytest.raises(ValueError, match="max_iters >= 1 and tol >= 0"):  # refused before any run
+        LearnerConfig(alpha1=PowerLawSchedule(c=0.6), alpha2=PowerLawSchedule(), tol=tol, max_iters=max_iters)
 
 
 def test_learning_csv_round_trip(tmp_path):

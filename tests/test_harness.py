@@ -226,6 +226,9 @@ def test_sweep_grid_warns_on_unconverged_zero_price_equilibrium(monkeypatch):
         warnings.simplefilter("error")
         experiments.sweep_grid(net, 5)
     monkeypatch.setattr(pricing, "solve_equilibria", partial(solve_equilibria, max_rounds=1))
+    # A new network object with the same seed: zero_price_equilibrium keeps its
+    # last result for the object it was given, which would skip the patched solver.
+    net = generate_topology(default_topology(), 6, **default_constants())
     with pytest.warns(RuntimeWarning, match="did not converge in 1 rounds"):
         experiments.sweep_grid(net, 5)
 
@@ -587,6 +590,53 @@ def test_cli_learn_rejects_empty_run_and_negative_tol(tmp_path, capsys, bad):
     out = tmp_path / "learn.csv"
     assert cli.main(["learn", "--config", str(path), "--followers", "2", "--out", str(out)]) == cli.EXIT_BAD_INPUT
     assert "max_iters >= 1 and tol >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# Values the learner block parses but LearnerConfig or PowerLawSchedule must
+# refuse; Python's json reads NaN and Infinity.
+_BAD_LEARNER_VALUES = [
+    {"tau": float("nan")},
+    {"tau": 0.0},
+    {"tau": float("inf")},
+    {"tol": float("nan")},
+    {"tol": float("inf")},
+    {"tol": -1.0},
+    {"window": 1},
+    {"max_iters": 0},
+    {"alpha1": {"a": float("nan")}},
+    {"alpha1": {"b": float("nan")}},
+    {"alpha2": {"c": float("nan")}},
+    {"alpha2": {"a": float("inf")}},
+]
+
+
+@pytest.mark.parametrize("bad", _BAD_LEARNER_VALUES)
+def test_scenario_rejects_bad_learner_values(tmp_path, bad):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"learner": {**_ADAPTING_LEARNER, **bad}}))
+    with pytest.raises(ScenarioError):
+        load_scenario(path)
+
+
+@pytest.mark.parametrize("bad", [{"tau": float("nan")}, {"alpha1": {"a": float("nan")}}, {"window": 1}])
+def test_cli_learn_refuses_bad_learner_values_before_learning(tmp_path, capsys, bad):
+    path = tmp_path / "learner.json"
+    path.write_text(json.dumps({"learner": {**_ADAPTING_LEARNER, **bad}}))
+    out = tmp_path / "learn.csv"
+    assert cli.main(["learn", "--config", str(path), "--followers", "2", "--out", str(out)]) == cli.EXIT_BAD_INPUT
+    captured = capsys.readouterr()
+    assert "need" in captured.err and "iterations" not in captured.out
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", [{"max_iters": 0}, {"tau": float("nan")}, {"alpha2": {"c": float("nan")}}])
+def test_cli_experiment_refuses_bad_learner_values_before_any_trial(tmp_path, capsys, bad):
+    code, summary, out = _experiment(
+        tmp_path, capsys, {"learner": {**_ADAPTING_LEARNER, **bad}}, "--id", "fig6-7-convergence", "--followers", "2"
+    )
+    assert code == cli.EXIT_BAD_INPUT
+    assert summary is None
     assert not out.exists()
 
 

@@ -20,6 +20,7 @@ from femtogame import (
     validate_prices,
 )
 from femtogame.oracles import finite_difference_cross, finite_difference_gradient
+from femtogame.payoff import own_gradient, own_gradient_and_slope
 
 from conftest import hand_net, make_net
 
@@ -131,6 +132,23 @@ def test_gradient_matches_finite_difference():
         rel = abs(an - fd) / max(abs(an), abs(fd), 1.0)
         worst = max(worst, rel)
     assert worst < 1e-5
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    p=st.floats(min_value=0.0, max_value=1.0),
+    G=st.floats(min_value=1e-3, max_value=1e6),
+    pa=st.floats(min_value=1e-4, max_value=1.0),
+    charge=st.floats(min_value=0.0, max_value=1e8),
+)
+def test_gradient_and_slope_share_the_gradient_bits(p, G, pa, charge):
+    W = 1e6
+    gradient, slope = own_gradient_and_slope(p, G, W, pa, charge)
+    assert gradient == own_gradient(p, G, W, pa, charge)
+    assert own_gradient(0.0, G, W, pa, charge) == W * G / pa - charge  # the batched solver's p = 0 test
+    h = 1e-5 * (p + min(pa, 1.0 / G))  # small against p + p_a and 1/G + p, the scales of the two terms
+    fd = (own_gradient(p + h, G, W, pa, 0.0) - own_gradient(p - h, G, W, pa, 0.0)) / (2.0 * h)  # charge drops out
+    assert slope == pytest.approx(fd, rel=1e-4)
 
 
 def test_cross_derivative_matches_finite_difference():

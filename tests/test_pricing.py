@@ -15,9 +15,11 @@ from femtogame import (
     best_response,
     cutoff_price,
     leader_revenue,
+    pricing,
     run_algorithm1,
     run_algorithm2,
     se_price_search,
+    solve_equilibria,
     zero_price_equilibrium,
 )
 from femtogame.discrete import ActionSet, PowerLawSchedule, default_action_sets, expected_follower_payoff
@@ -55,6 +57,42 @@ def test_zero_price_profile_satisfies_interior_first_order_condition():
             g = G * p[k - 1]
             residual = (1 + g) * np.log1p(g) - g - G * net.circuit_power
             assert abs(residual) / g < 1e-4
+
+
+def test_zero_price_equilibrium_solves_once_per_network_and_tol(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve_equilibria(*args, **kwargs)
+
+    monkeypatch.setattr(pricing, "solve_equilibria", counted)
+    net = make_net(5, seed=3)
+    first = zero_price_equilibrium(net)
+    again = zero_price_equilibrium(net)
+    assert len(calls) == 1
+    assert np.array_equal(again.profile, first.profile) and np.array_equal(again.sinr, first.sinr)
+    assert (again.converged, again.rounds) == (first.converged, first.rounds)
+    zero_price_equilibrium(net, tol=1e-9)  # another tol is another key
+    assert len(calls) == 2
+    equal = make_net(5, seed=3)  # equal arrays, another object: keyed on identity
+    assert np.array_equal(equal.gain, net.gain)
+    assert np.array_equal(zero_price_equilibrium(equal).profile, first.profile)
+    assert len(calls) == 3
+    zero_price_equilibrium(net)  # one slot: the last call evicted net
+    assert len(calls) == 4
+
+
+def test_zero_price_equilibrium_returns_copies_of_its_arrays():
+    net = make_net(4, seed=2)
+    first = zero_price_equilibrium(net)
+    expected_profile, expected_sinr = first.profile.copy(), first.sinr.copy()
+    first.profile[:] = -1.0
+    first.sinr[:] = np.nan
+    again = zero_price_equilibrium(net)
+    assert np.array_equal(again.profile, expected_profile)
+    assert np.array_equal(again.sinr, expected_sinr)
+    assert again.profile is not first.profile
 
 
 def test_asymptote_price_closed_form():
