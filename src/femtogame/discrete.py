@@ -46,7 +46,9 @@ __all__ = [
 ]
 
 ENUMERATION_CAP = 10_000_000  # reject expected-value sums with K * M^K above this
-BLOCK_ROWS = 8192  # joint profiles per payoffs() call; sized by timing K = 7, M = 6 (BENCH_9.json)
+# Joint profiles per payoffs() call, timed at K = 7, M = 6 (BENCH_9.json; BENCH_12.json re-timed it with
+# out= buffers). It also fixes expected_payoffs' summation order: another value moves its last bits.
+BLOCK_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -145,10 +147,10 @@ def validate_schedules(alpha1: PowerLawSchedule, alpha2: PowerLawSchedule) -> Sc
 
 
 def validate_simplex(pi: np.ndarray, atol: float = 1e-12) -> None:
-    """Raise unless pi is componentwise in [0,1] and sums to 1 within atol."""
+    """Raise unless pi is componentwise in [0,1] (so finite) and sums to 1 within atol."""
     pi = np.asarray(pi, dtype=float)
-    if np.any(pi < 0.0) or np.any(pi > 1.0):
-        raise ValueError("probabilities out of [0, 1]")
+    if not np.all((pi >= 0.0) & (pi <= 1.0)):
+        raise ValueError("probabilities must be finite and in [0, 1]")
     if abs(float(pi.sum()) - 1.0) > atol:
         raise ValueError(f"probabilities sum to {pi.sum()!r}, not 1")
 
@@ -175,15 +177,15 @@ def expected_powers(action_sets, strategies) -> np.ndarray:
     )
 
 
-def _check_enumeration_size(action_sets) -> None:
-    total = 1
-    for a in action_sets:
-        total *= len(a)
-    K = len(action_sets)
-    if K * total > ENUMERATION_CAP:
-        raise ValueError(
-            f"joint enumeration size K*M^K = {K * total} exceeds cap {ENUMERATION_CAP}"
-        )
+def _validate_mixed(net: NetworkInstance, action_sets, strategies, prices) -> np.ndarray:
+    """Check one action set and one simplex strategy over it per follower, and the prices; returns the prices."""
+    if not len(action_sets) == len(strategies) == net.num_followers:
+        raise ValueError(f"need {net.num_followers} action sets and strategies")
+    for a, pi in zip(action_sets, strategies):
+        if np.shape(pi) != (len(a),):
+            raise ValueError(f"a strategy over {len(a)} actions has shape {np.shape(pi)}")
+        validate_simplex(pi)
+    return validate_prices(net, prices)
 
 
 def expected_payoffs(net: NetworkInstance, action_sets, strategies, prices) -> np.ndarray:
@@ -194,13 +196,15 @@ def expected_payoffs(net: NetworkInstance, action_sets, strategies, prices) -> n
     exactly 0 are dropped first (their terms are 0). The trailing followers'
     support grid forms one block of at most ``BLOCK_ROWS`` profiles, and the
     loop runs over the supported actions of the leading followers, one
-    ``payoffs`` call per block. Rejects problem sizes with K * M^K (the full
-    grid, support or not) above ``ENUMERATION_CAP``.
+    ``payoffs`` call per block, each written into the same output buffer
+    allocated once per call. Rejects strategies or prices that do not fit
+    the network and its action sets, and K * M^K (the full grid, support or
+    not) above ``ENUMERATION_CAP``.
     """
-    _check_enumeration_size(action_sets)
-    for pi in strategies:
-        validate_simplex(pi)
+    prices = _validate_mixed(net, action_sets, strategies, prices)
     K = net.num_followers
+    if (size := K * math.prod(len(a) for a in action_sets)) > ENUMERATION_CAP:
+        raise ValueError(f"joint enumeration size K*M^K = {size} exceeds cap {ENUMERATION_CAP}")
     support = [np.flatnonzero(pi) for pi in strategies]
     powers = [a.powers[s] for a, s in zip(action_sets, support)]
     weights = [np.asarray(pi, dtype=float)[s] for pi, s in zip(strategies, support)]
@@ -214,10 +218,11 @@ def expected_payoffs(net: NetworkInstance, action_sets, strategies, prices) -> n
     for i, idx in enumerate(grid, start=lead):
         profiles[:, i] = powers[i][idx]
         prob *= weights[i][idx]
+    block = np.empty((rows, K))
     total = np.zeros(K)
     for p, w in zip(itertools.product(*powers[:lead]), itertools.product(*weights[:lead])):
         profiles[:, :lead] = p
-        total += (math.prod(w) * prob) @ payoffs(net, profiles, prices)
+        total += (math.prod(w) * prob) @ payoffs(net, profiles, prices, out=block)
     return total
 
 
@@ -234,6 +239,7 @@ def expected_follower_payoff(
 
 def expected_leader_revenue(net: NetworkInstance, action_sets, strategies, prices) -> float:
     """Expected MBS revenue: sum_k lambda_k * h_k0 * sum_j pi^j_k * p^j_k."""
+    prices = _validate_mixed(net, action_sets, strategies, prices)
     return leader_revenue(net, expected_powers(action_sets, strategies), prices)
 
 
@@ -245,7 +251,9 @@ def discrete_best_response(
     Evaluates every action as one (M, K) batch of trial profiles. Ties break
     toward the smaller power, so a follower indifferent between transmitting
     and staying silent stays silent (the silent action pays exactly 0).
+    Rejects NaN or negative prices, so ``discrete_equilibrium`` does too.
     """
+    prices = validate_prices(net, prices)
     trials = np.tile(np.asarray(opponents, dtype=float), (len(action_set), 1))
     trials[:, k - 1] = action_set.powers
     return int(np.argmax(payoffs(net, trials, prices)[:, k - 1]))

@@ -264,18 +264,21 @@ def sinr_macro(net: NetworkInstance, p: np.ndarray) -> float:
     return net.gain[0, 0] * net.mu_power / (net.noise[0] + cross)
 
 
-def interference(net: NetworkInstance, p: np.ndarray) -> np.ndarray:
+def interference(net: NetworkInstance, p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Noise plus interference at every FAP for profiles p shaped (..., K).
 
     Entry k-1 of the last axis is N_k + h_0k*p_0 + sum_{j != k} h_jk*p_j, the
-    SINR denominator of follower k; it does not depend on p_k itself.
+    SINR denominator of follower k; it does not depend on p_k itself. ``out``
+    (shaped like p, not p itself) gets the bits a new array would.
     """
-    p = np.asarray(p, dtype=float)
-    return net.background + p @ net.cross_gain
+    out = np.matmul(np.asarray(p, dtype=float), net.cross_gain, out=out)
+    out += net.background
+    return out
 
 
-def follower_sinr(net: NetworkInstance, p: np.ndarray) -> np.ndarray:
-    """SINR of every follower link for profiles p shaped (..., K): h_kk*p_k / interference_k."""
+def follower_sinr(net: NetworkInstance, p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """SINR of every follower link for profiles p shaped (..., K): h_kk*p_k / interference_k; ``out`` as there."""
     p = np.asarray(p, dtype=float)
-    return net.own_gain * p / interference(net, p)
+    out = interference(net, p, out=out)
+    return np.divide(net.own_gain * p, out, out=out)
 

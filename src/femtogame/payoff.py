@@ -55,13 +55,19 @@ def validate_prices(net: NetworkInstance, prices: np.ndarray, ndim: int = 1) -> 
     return lam
 
 
-def own_payoff(p, gamma, W: float, pa: float, charge):
+def own_payoff(p, gamma, W: float, pa: float, charge, out=None):
     """W * log(1 + gamma) / (p + p_a) - charge * p, elementwise.
 
     ``charge`` is lambda_k * h_k0; with charge 0 this is the efficiency.
-    Natural logarithm; the value is 0 at p = 0.
+    Natural logarithm; the value is 0 at p = 0. The value is shaped like
+    ``gamma`` and lands in ``out``, which may be ``gamma`` itself, with the
+    bits of ``out=None``. Floats give an np.float64.
     """
-    return W * np.log1p(gamma) / (p + pa) - charge * p
+    value = np.log1p(gamma, out=out)
+    value *= W
+    value /= p + pa
+    value -= charge * p
+    return value
 
 
 def own_gradient(p, G, W: float, pa: float, charge):
@@ -95,14 +101,17 @@ def own_gradient_and_slope(p, G, W: float, pa: float, charge):
     return gradient, slope
 
 
-def payoffs(net: NetworkInstance, p: np.ndarray, prices) -> np.ndarray:
+def payoffs(net: NetworkInstance, p: np.ndarray, prices, out: np.ndarray | None = None) -> np.ndarray:
     """Net payoff of every follower for profiles p shaped (..., K).
 
-    psi(gamma_k, p_k) - lambda_k * h_k0 * p_k, one value per follower.
+    psi(gamma_k, p_k) - lambda_k * h_k0 * p_k, one value per follower, shaped
+    like p (prices broadcast to it). The SINR, then the payoff, go into one
+    array: ``out`` (shaped like p, not p itself) if given.
     """
     p = np.asarray(p, dtype=float)
     charge = np.asarray(prices, dtype=float) * net.gain[1:, 0]
-    return own_payoff(p, follower_sinr(net, p), net.bandwidth, net.circuit_power, charge)
+    gamma = follower_sinr(net, p, out=out)
+    return own_payoff(p, gamma, net.bandwidth, net.circuit_power, charge, out=gamma)
 
 
 def efficiencies(net: NetworkInstance, p: np.ndarray) -> np.ndarray:

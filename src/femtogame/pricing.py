@@ -225,9 +225,9 @@ def algorithm2_price_step(
 
     Returns (prices, flagged) with ``flagged`` a boolean vector.
     """
+    mean_psi = expected_payoffs(net, action_sets, strategies, np.zeros(net.num_followers))  # first: it checks the strategies
     base = net.gain[1:, 0] * expected_powers(action_sets, strategies)
     flagged = base <= 0.0
-    mean_psi = expected_payoffs(net, action_sets, strategies, np.zeros(net.num_followers))
     prices = np.divide(mean_psi, base, out=np.zeros_like(base), where=~flagged)
     return prices, flagged
 

@@ -171,6 +171,12 @@ def test_validate_simplex_rejects():
         validate_simplex(np.array([-0.1, 1.1]))
 
 
+@pytest.mark.parametrize("pi", [[np.nan, 1.0], [np.nan, np.nan], [np.inf, 0.0]])
+def test_validate_simplex_rejects_non_finite(pi):
+    with pytest.raises(ValueError, match="finite"):
+        validate_simplex(np.array(pi))
+
+
 # ------------------------------------------------------------ expected values
 
 
@@ -247,7 +253,58 @@ def test_expected_payoff_rejects_non_simplex():
         expected_follower_payoff(net, 1, acts, [np.array([0.5, 0.6])] * 2, np.zeros(2))
 
 
+def _four_followers_on_three_actions():
+    net = make_net(4, seed=2)
+    return net, default_action_sets(net, 3), np.full((4, 3), 1 / 3)
+
+
+@pytest.mark.parametrize("function", [expected_payoffs, expected_leader_revenue])
+@pytest.mark.parametrize("rows, cols", [(4, 2), (4, 4), (3, 3), (5, 3)])
+def test_enumeration_entry_points_reject_strategies_that_do_not_fit(function, rows, cols):
+    net, acts, _ = _four_followers_on_three_actions()
+    with pytest.raises(ValueError, match="strateg"):
+        function(net, acts, np.full((rows, cols), 1 / cols), np.zeros(4))
+
+
+@pytest.mark.parametrize("function", [expected_payoffs, expected_leader_revenue])
+def test_enumeration_entry_points_reject_a_missing_action_set(function):
+    net, acts, pis = _four_followers_on_three_actions()
+    with pytest.raises(ValueError, match="action sets"):
+        function(net, acts[:3], pis, np.zeros(4))
+
+
+@pytest.mark.parametrize("function", [expected_payoffs, expected_leader_revenue])
+@pytest.mark.parametrize("bad", [np.nan, -1.0, np.inf])
+def test_enumeration_entry_points_reject_invalid_prices(function, bad):
+    net, acts, pis = _four_followers_on_three_actions()
+    with pytest.raises(ValueError, match="price"):
+        function(net, acts, pis, np.array([0.0, bad, 0.0, 0.0]))
+    with pytest.raises(ValueError, match="price"):
+        function(net, acts, pis, np.zeros(3))
+
+
+@pytest.mark.parametrize("pi", [[0.5, 0.6, 0.0], [np.nan, 0.5, 0.5], [-0.5, 1.0, 0.5]])
+def test_expected_leader_revenue_rejects_non_simplex(pi):
+    net, acts, pis = _four_followers_on_three_actions()
+    pis[2] = pi
+    with pytest.raises(ValueError, match="probabilities"):
+        expected_leader_revenue(net, acts, pis, np.zeros(4))
+
+
 # ------------------------------------------------------- pure-strategy play
+
+
+@pytest.mark.parametrize("bad", [np.nan, -1.0])
+def test_pure_strategy_play_rejects_invalid_prices(bad):
+    net = two_link_net()
+    acts = [ActionSet(powers=np.array([0.0, 0.1, 0.2]))] * 2
+    prices = np.array([bad, 0.0])
+    with pytest.raises(ValueError, match="price"):
+        discrete_best_response(net, 1, np.zeros(2), prices, acts[0])
+    with pytest.raises(ValueError, match="price"):
+        discrete_equilibrium(net, acts, prices)
+    with pytest.raises(ValueError, match="price"):
+        discrete_equilibrium(net, acts, np.full(2, bad))
 
 
 def test_discrete_best_response_punitive_price_stays_silent():
@@ -436,11 +493,12 @@ def test_expected_payoffs_over_support_in_blocks_match_oracle(sizes, seed, log_p
     # follower before it with two or more supported actions is looped over.
     block_rows = {"one": 1, "last": support[-1], "default": discrete.BLOCK_ROWS}[block]
     prices = 10.0**log_price * rng.random(K)
-    rows = []
+    rows, outs = [], []
 
-    def counted(net, profiles, prices):
+    def counted(net, profiles, prices, out=None):
         rows.append(len(profiles))
-        return payoffs(net, profiles, prices)
+        outs.append(out)
+        return payoffs(net, profiles, prices, out=out)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(discrete, "BLOCK_ROWS", block_rows)
@@ -448,6 +506,7 @@ def test_expected_payoffs_over_support_in_blocks_match_oracle(sizes, seed, log_p
         got = expected_payoffs(net, acts, pis, prices)
     assert max(rows) <= block_rows
     assert sum(rows) == np.prod(support)
+    assert outs[0] is not None and all(out is outs[0] for out in outs)  # one buffer for every block
     for k in range(1, K + 1):
         want = enumerate_expected_payoff(net, k, acts, pis, prices)
         scale = enumerate_expected_payoff(net, k, acts, pis, np.zeros(K)) + abs(want)

@@ -297,6 +297,23 @@ def test_algorithm2_stops_immediately_when_target_already_met(net6):
     assert len(res.trace) == 1
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_algorithm2_price_step_rejects_non_finite_strategies(net6, bad):
+    acts = default_action_sets(net6, 3)
+    pis = np.full((6, 3), 1 / 3)
+    pis[4] = [bad, 0.5, 0.5]
+    with pytest.raises(ValueError, match="finite"):
+        algorithm2_price_step(net6, acts, pis)
+    with pytest.raises(ValueError, match="finite"):
+        algorithm2_price_step(net6, acts, np.full((6, 3), np.nan))
+
+
+@pytest.mark.parametrize("shape", [(5, 3), (6, 2)])
+def test_algorithm2_price_step_rejects_strategies_that_do_not_fit(net6, shape):
+    with pytest.raises(ValueError, match="strateg"):
+        algorithm2_price_step(net6, default_action_sets(net6, 3), np.full(shape, 1 / shape[1]))
+
+
 def test_algorithm2_price_step_raises_macro_sinr():
     net = make_net(2, seed=3)
     acts = default_action_sets(net, 4)
