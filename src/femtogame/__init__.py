@@ -27,8 +27,7 @@ from .discrete import (
     PowerLawSchedule,
     ScheduleReport,
     default_action_sets,
-    discrete_best_response,
-    discrete_equilibrium,
+    discrete_equilibria,
     expected_follower_payoff,
     expected_leader_revenue,
     expected_payoffs,

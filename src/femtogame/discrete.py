@@ -37,8 +37,7 @@ __all__ = [
     "expected_payoffs",
     "expected_follower_payoff",
     "expected_leader_revenue",
-    "discrete_best_response",
-    "discrete_equilibrium",
+    "discrete_equilibria",
     "initial_state",
     "learning_step",
     "run_learning",
@@ -170,22 +169,20 @@ def logit_response(values: np.ndarray, tau: float) -> np.ndarray:
     return e / e.sum()
 
 
-def expected_powers(action_sets, strategies) -> np.ndarray:
-    """Per-follower mean transmit power sum_j pi^j * p^j."""
-    return np.array(
-        [float(np.dot(strategies[i], action_sets[i].powers)) for i in range(len(action_sets))]
-    )
-
-
-def _validate_mixed(net: NetworkInstance, action_sets, strategies, prices) -> np.ndarray:
-    """Check one action set and one simplex strategy over it per follower, and the prices; returns the prices."""
-    if not len(action_sets) == len(strategies) == net.num_followers:
-        raise ValueError(f"need {net.num_followers} action sets and strategies")
+def _validate_strategies(action_sets, strategies, K: int) -> None:
+    """Check K action sets and one simplex strategy over each, of the set's length."""
+    if not len(action_sets) == len(strategies) == K:
+        raise ValueError(f"need {K} action sets and strategies")
     for a, pi in zip(action_sets, strategies):
         if np.shape(pi) != (len(a),):
             raise ValueError(f"a strategy over {len(a)} actions has shape {np.shape(pi)}")
         validate_simplex(pi)
-    return validate_prices(net, prices)
+
+
+def expected_powers(action_sets, strategies) -> np.ndarray:
+    """Per-follower mean transmit power sum_j pi^j * p^j; rejects strategies that do not fit the action sets."""
+    _validate_strategies(action_sets, strategies, len(action_sets))
+    return np.array([float(np.dot(pi, a.powers)) for a, pi in zip(action_sets, strategies)])
 
 
 def expected_payoffs(net: NetworkInstance, action_sets, strategies, prices) -> np.ndarray:
@@ -201,7 +198,8 @@ def expected_payoffs(net: NetworkInstance, action_sets, strategies, prices) -> n
     the network and its action sets, and K * M^K (the full grid, support or
     not) above ``ENUMERATION_CAP``.
     """
-    prices = _validate_mixed(net, action_sets, strategies, prices)
+    _validate_strategies(action_sets, strategies, net.num_followers)
+    prices = validate_prices(net, prices)
     K = net.num_followers
     if (size := K * math.prod(len(a) for a in action_sets)) > ENUMERATION_CAP:
         raise ValueError(f"joint enumeration size K*M^K = {size} exceeds cap {ENUMERATION_CAP}")
@@ -239,49 +237,47 @@ def expected_follower_payoff(
 
 def expected_leader_revenue(net: NetworkInstance, action_sets, strategies, prices) -> float:
     """Expected MBS revenue: sum_k lambda_k * h_k0 * sum_j pi^j_k * p^j_k."""
-    prices = _validate_mixed(net, action_sets, strategies, prices)
-    return leader_revenue(net, expected_powers(action_sets, strategies), prices)
+    if len(action_sets) != net.num_followers:
+        raise ValueError(f"need {net.num_followers} action sets and strategies")
+    return leader_revenue(net, expected_powers(action_sets, strategies), validate_prices(net, prices))
 
 
-def discrete_best_response(
-    net: NetworkInstance, k: int, opponents: np.ndarray, prices, action_set: ActionSet
-) -> int:
-    """Index of follower k's payoff-maximizing action against pure opponents.
-
-    Evaluates every action as one (M, K) batch of trial profiles. Ties break
-    toward the smaller power, so a follower indifferent between transmitting
-    and staying silent stays silent (the silent action pays exactly 0).
-    Rejects NaN or negative prices, so ``discrete_equilibrium`` does too.
-    """
-    prices = validate_prices(net, prices)
-    trials = np.tile(np.asarray(opponents, dtype=float), (len(action_set), 1))
-    trials[:, k - 1] = action_set.powers
-    return int(np.argmax(payoffs(net, trials, prices)[:, k - 1]))
-
-
-def discrete_equilibrium(
+def discrete_equilibria(
     net: NetworkInstance, action_sets, prices, max_rounds: int = 200
-) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Pure-strategy NE of the finite game by round-robin best response.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pure-strategy NE of the finite game for every row of a (B, K) price batch.
 
-    Starts from the all-zero profile (the game's smallest point) and iterates
-    until no follower moves. Returns (action indices, power profile,
-    converged); a cycle shows up as converged = False after max_rounds.
+    Round-robin best response from the all-zero profile (the game's smallest
+    point): follower k = 1..K of every unfinished row moves in turn, and a
+    row is done after a round in which no follower moved. Each best response
+    evaluates the follower's whole (M, K) block of trial profiles, stacked
+    over rows, and takes the first argmax, so ties break toward the smaller
+    power (the silent action pays exactly 0). Returns (action indices (B, K),
+    power profiles (B, K), converged (B,)); a row still moving after
+    ``max_rounds`` rounds (a cycle) has converged = False.
     """
     K = net.num_followers
-    idx = np.zeros(K, dtype=int)
-    profile = np.zeros(K)
+    if len(action_sets) != K:
+        raise ValueError(f"need {K} action sets, got {len(action_sets)}")
+    prices = validate_prices(net, prices, ndim=2)
+    idx = np.zeros(prices.shape, dtype=int)
+    profiles = np.zeros(prices.shape)
+    converged = np.zeros(len(prices), dtype=bool)
+    rows = np.arange(len(prices))  # the unfinished rows
     for _ in range(max_rounds):
-        moved = False
-        for k in range(1, K + 1):
-            j = discrete_best_response(net, k, profile, prices, action_sets[k - 1])
-            if j != idx[k - 1]:
-                idx[k - 1] = j
-                profile[k - 1] = action_sets[k - 1].powers[j]
-                moved = True
-        if not moved:
-            return idx, profile, True
-    return idx, profile, False
+        if not rows.size:
+            break
+        moved = np.zeros(rows.size, dtype=bool)
+        for k, a in enumerate(action_sets):
+            trials = np.repeat(profiles[rows, None, :], len(a), axis=1)
+            trials[:, :, k] = a.powers
+            j = np.argmax(payoffs(net, trials, prices[rows, None, :])[:, :, k], axis=1)
+            moved |= j != idx[rows, k]
+            idx[rows, k] = j
+            profiles[rows, k] = a.powers[j]
+        converged[rows[~moved]] = True
+        rows = rows[moved]
+    return idx, profiles, converged
 
 
 @dataclass

@@ -32,7 +32,7 @@ import numpy as np
 from ._csv import write_rows
 from .continuous import solve_equilibria
 from .defaults import default_constants, default_topology
-from .discrete import default_action_sets, discrete_equilibrium
+from .discrete import default_action_sets, discrete_equilibria
 from .network import NetworkInstance, TopologyConfig, generate_topology, sinr_macro
 from .payoff import efficiencies, leader_revenue
 from .pricing import (
@@ -206,8 +206,8 @@ def _metrics(net: NetworkInstance, p: np.ndarray, prices) -> tuple[float, float,
     return leader_revenue(net, p, prices), mean_efficiency(net, p), sinr_macro(net, p)
 
 
-def _scheme(net: NetworkInstance, p: np.ndarray, prices, converged: bool) -> dict:
-    revenue, eff, mu = _metrics(net, p, prices)
+def _scheme(revenue: float, eff: float, mu: float, converged: bool) -> dict:
+    """A scheme's summary entry from its metrics, in the order of a sweep row's cells."""
     return {"efficiency": eff, "revenue": revenue, "mu_sinr": mu, "converged": converged}
 
 
@@ -238,20 +238,17 @@ def continuous_sweep_rows(net: NetworkInstance, grid: np.ndarray, inner_tol: flo
 
 
 def discrete_sweep_rows(net: NetworkInstance, grid: np.ndarray, num_actions: int):
-    """Pure-strategy discrete-NE metrics per uniform price.
+    """Pure-strategy discrete-NE metrics per uniform price: (lambda, revenue, mean eff, MU SINR, converged).
 
-    The finite game is solved exactly by best-response iteration at each
-    grid point, so rows are deterministic: (lambda, revenue, mean
-    efficiency, MU SINR, converged).
+    One ``discrete_equilibria`` batch over the whole grid, solved exactly, so
+    rows are deterministic.
     """
-    K = net.num_followers
-    actions = default_action_sets(net, num_actions)
-    rows = []
-    for lam in grid:
-        prices = np.full(K, float(lam))
-        _, profile, converged = discrete_equilibrium(net, actions, prices)
-        rows.append((float(lam), *_metrics(net, profile, prices), converged))
-    return rows
+    prices = np.outer(grid, np.ones(net.num_followers))
+    _, profiles, converged = discrete_equilibria(net, default_action_sets(net, num_actions), prices)
+    return [
+        (float(x), *_metrics(net, p, lam), bool(ok))
+        for x, lam, p, ok in zip(grid, prices, profiles, converged)
+    ]
 
 
 def _plateau_decades(grid: np.ndarray, effs: np.ndarray, reference: float) -> float:
@@ -310,32 +307,26 @@ def _fig23_trial(spec: ExperimentSpec, net: NetworkInstance, seed: int):
     prices = {"zero-price": np.zeros(net.num_followers), "asymptote": asymptote_price(net, zp.profile)}
     batch = solve_equilibria(net, np.array(list(prices.values())), zp.profile)
     schemes = {
-        name: _scheme(net, p, lam, bool(ok))
+        name: _scheme(*_metrics(net, p, lam), bool(ok))
         for (name, lam), p, ok in zip(prices.items(), batch.profiles, batch.converged)
     }
     search = se_price_search(net, PriceSearchConfig(grid_count=spec.search_grid_count))
-    schemes["se-search"] = _scheme(net, search.equilibrium, search.prices, search.all_converged)
+    schemes["se-search"] = _scheme(*_metrics(net, search.equilibrium, search.prices), search.all_converged)
     status = {"se-search": "boundary" if search.boundary_max else "ok"}
     tails = [(*_scheme_tail(name, m), status.get(name, "ok")) for name, m in schemes.items()]
     return tails, {"k": net.num_followers, "seed": seed, **schemes}
 
 
 def _fig5_trial(spec: ExperimentSpec, net: NetworkInstance, seed: int):
-    def solved(prices):
-        _, profile, converged = discrete_equilibrium(net, actions, prices)
-        return _scheme(net, profile, prices, converged)
-
     actions = default_action_sets(net, spec.num_actions)
-    zp = zero_price_equilibrium(net)
-    grid = sweep_grid(net, spec.search_grid_count)
-    sweep = discrete_sweep_rows(net, grid, spec.num_actions)
-    se_price = float(grid[int(np.argmax([m[1] for m in sweep]))])
+    sweep = discrete_sweep_rows(net, sweep_grid(net, spec.search_grid_count), spec.num_actions)
+    best = sweep[int(np.argmax([m[1] for m in sweep]))]
     alg2 = run_algorithm2(net, actions, learner=replace(spec.learner, rng_seed=seed), max_outer=20)
-    schemes = {
-        "se-search": solved(np.full(net.num_followers, se_price)),
-        "asymptote": solved(asymptote_price(net, zp.profile)),
-        "algorithm2": solved(alg2.prices),
-    }
+    prices = np.array([asymptote_price(net, zero_price_equilibrium(net).profile), alg2.prices])
+    _, profiles, converged = discrete_equilibria(net, actions, prices)
+    schemes = {"se-search": _scheme(*best[1:])}
+    for name, lam, p, ok in zip(("asymptote", "algorithm2"), prices, profiles, converged):
+        schemes[name] = _scheme(*_metrics(net, p, lam), bool(ok))
     alg2_cells = (alg2.outer_iterations, _alg2_status(alg2))
     tails = [
         (*_scheme_tail(name, m), *(alg2_cells if name == "algorithm2" else ("", "ok")))

@@ -32,16 +32,12 @@ class OracleConfig:
 
     grid_points: int = 1_000_000
     fd_step: float = 1e-6
-    sample_count: int = 100
-    rng_seed: int = 0
 
     def __post_init__(self) -> None:
         if self.grid_points < 1_000:
             raise ValueError("grid_points must be >= 1000")
         if not 0.0 < self.fd_step <= 1e-3:
             raise ValueError("fd_step must be in (0, 1e-3]")
-        if self.sample_count < 1:
-            raise ValueError("sample_count must be >= 1")
 
 
 def _interference(net: NetworkInstance, k: int, profile) -> float:

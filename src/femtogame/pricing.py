@@ -146,8 +146,11 @@ def price_grid(net: NetworkInstance, p_star: np.ndarray, direction, count: int) 
     The prices are x * direction. The multipliers span
     1e-3 * min_k lambda^a_k / direction_k up to 10 * max_k cutoff_k / direction_k,
     both evaluated at the zero-price profile ``p_star``, so the efficiency
-    plateau and the revenue roll-off both lie inside the grid.
+    plateau and the revenue roll-off both lie inside the grid. Refuses
+    ``count < 2``.
     """
+    if count < 2:
+        raise ValueError(f"a price grid needs at least 2 points, got {count}")
     lo = 1e-3 * float(np.min(asymptote_price(net, p_star) / direction))
     hi = 10.0 * float(np.max(cutoff_price(net, p_star) / direction))
     if hi <= lo:
@@ -225,7 +228,7 @@ def algorithm2_price_step(
 
     Returns (prices, flagged) with ``flagged`` a boolean vector.
     """
-    mean_psi = expected_payoffs(net, action_sets, strategies, np.zeros(net.num_followers))  # first: it checks the strategies
+    mean_psi = expected_payoffs(net, action_sets, strategies, np.zeros(net.num_followers))
     base = net.gain[1:, 0] * expected_powers(action_sets, strategies)
     flagged = base <= 0.0
     prices = np.divide(mean_psi, base, out=np.zeros_like(base), where=~flagged)

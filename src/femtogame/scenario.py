@@ -225,8 +225,8 @@ def network_from_scenario(
     cfg = scenario.topology or defaults.default_topology()
     if seed is not None:
         cfg = replace(cfg, rng_seed=seed)
-    K = num_followers or scenario.num_followers or 6
-    return generate_topology(cfg, K, **scenario.constants)
+    K = num_followers if num_followers is not None else scenario.num_followers
+    return generate_topology(cfg, 6 if K is None else K, **scenario.constants)
 
 
 def save_network(net: NetworkInstance, path: str | Path) -> None:

@@ -1,8 +1,10 @@
 """Finite action sets, expected values by enumeration, and the learning loop."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from femtogame import discrete, follower_payoff
@@ -11,8 +13,7 @@ from femtogame.discrete import (
     _sample_actions,
     PowerLawSchedule,
     default_action_sets,
-    discrete_best_response,
-    discrete_equilibrium,
+    discrete_equilibria,
     expected_follower_payoff,
     expected_leader_revenue,
     expected_payoffs,
@@ -25,9 +26,11 @@ from femtogame.discrete import (
     validate_simplex,
     write_learning_csv,
 )
+from femtogame.experiments import sweep_grid
+from femtogame.network import NetworkInstance
 from femtogame.oracles import enumerate_expected_payoff
-from femtogame.payoff import payoffs
-from femtogame.pricing import LearnerConfig, asymptote_price, zero_price_equilibrium
+from femtogame.payoff import payoffs, validate_prices
+from femtogame.pricing import LearnerConfig, algorithm2_price_step, asymptote_price, zero_price_equilibrium
 
 from conftest import hand_net, make_net
 
@@ -291,6 +294,16 @@ def test_expected_leader_revenue_rejects_non_simplex(pi):
         expected_leader_revenue(net, acts, pis, np.zeros(4))
 
 
+@pytest.mark.parametrize(
+    "strategies, message",
+    [(np.full((3, 3), 1 / 3), "strateg"), (np.full((4, 2), 1 / 2), "strateg"), (np.full((4, 3), np.nan), "finite")],
+)
+def test_expected_powers_rejects_strategies_that_do_not_fit(strategies, message):
+    _, acts, _ = _four_followers_on_three_actions()
+    with pytest.raises(ValueError, match=message):
+        expected_powers(acts, strategies)
+
+
 # ------------------------------------------------------- pure-strategy play
 
 
@@ -298,33 +311,24 @@ def test_expected_leader_revenue_rejects_non_simplex(pi):
 def test_pure_strategy_play_rejects_invalid_prices(bad):
     net = two_link_net()
     acts = [ActionSet(powers=np.array([0.0, 0.1, 0.2]))] * 2
-    prices = np.array([bad, 0.0])
     with pytest.raises(ValueError, match="price"):
-        discrete_best_response(net, 1, np.zeros(2), prices, acts[0])
+        discrete_equilibria(net, acts, np.array([[bad, 0.0]]))
     with pytest.raises(ValueError, match="price"):
-        discrete_equilibrium(net, acts, prices)
-    with pytest.raises(ValueError, match="price"):
-        discrete_equilibrium(net, acts, np.full(2, bad))
+        discrete_equilibria(net, acts, np.array([[0.0, 0.0], [bad, bad]]))
+
+
+@pytest.mark.parametrize("count", [2, 4])
+def test_discrete_equilibria_refuses_a_set_count_other_than_k(net3, count):
+    acts = default_action_sets(make_net(4, seed=1), 6)[:count]
+    with pytest.raises(ValueError, match="3 action sets"):
+        discrete_equilibria(net3, acts, np.zeros((1, 3)))
 
 
 def test_discrete_best_response_punitive_price_stays_silent():
     net = one_link_net()
     acts = ActionSet(powers=np.array([0.0, 0.02, 0.05]))
-    assert discrete_best_response(net, 1, np.zeros(1), np.array([1e6]), acts) == 0
-
-
-def test_discrete_best_response_matches_enumeration():
-    net = two_link_net()
-    acts = ActionSet(powers=np.array([0.0, 0.05, 0.1, 0.2]))
-    opp = np.array([0.0, 0.1])
-    lam = np.array([0.5, 0.5])
-    j = discrete_best_response(net, 1, opp, lam, acts)
-    utils = []
-    for p in acts.powers:
-        prof = opp.copy()
-        prof[0] = p
-        utils.append(follower_payoff(net, 1, prof, lam))
-    assert j == int(np.argmax(utils))
+    idx, _, _ = discrete_equilibria(net, [acts], np.array([[1e6]]))
+    assert idx[0, 0] == 0
 
 
 def test_discrete_equilibrium_is_nash():
@@ -332,7 +336,7 @@ def test_discrete_equilibrium_is_nash():
         net = make_net(4, seed=seed)
         acts = default_action_sets(net, 6)
         lam = asymptote_price(net, zero_price_equilibrium(net).profile)
-        idx, prof, ok = discrete_equilibrium(net, acts, lam)
+        idx, prof, ok = (a[0] for a in discrete_equilibria(net, acts, lam[None]))
         assert ok
         for k in range(1, 5):
             u_now = follower_payoff(net, k, prof, lam)
@@ -345,10 +349,94 @@ def test_discrete_equilibrium_is_nash():
 
 def test_discrete_equilibrium_all_silent_at_huge_price(net3):
     acts = default_action_sets(net3, 6)
-    idx, prof, ok = discrete_equilibrium(net3, acts, np.full(3, 1e30))
-    assert ok
-    assert np.array_equal(prof, np.zeros(3))
-    assert np.array_equal(idx, np.zeros(3, dtype=int))
+    idx, prof, ok = discrete_equilibria(net3, acts, np.full((1, 3), 1e30))
+    assert ok.all()
+    assert np.array_equal(prof, np.zeros((1, 3)))
+    assert np.array_equal(idx, np.zeros((1, 3), dtype=int))
+
+
+def reference_best_response(
+    net: NetworkInstance, k: int, opponents: np.ndarray, prices, action_set: ActionSet
+) -> int:
+    """Index of follower k's payoff-maximizing action against pure opponents.
+
+    Evaluates every action as one (M, K) batch of trial profiles. Ties break
+    toward the smaller power, so a follower indifferent between transmitting
+    and staying silent stays silent (the silent action pays exactly 0).
+    Rejects NaN or negative prices, so ``reference_equilibrium`` does too.
+    """
+    prices = validate_prices(net, prices)
+    trials = np.tile(np.asarray(opponents, dtype=float), (len(action_set), 1))
+    trials[:, k - 1] = action_set.powers
+    return int(np.argmax(payoffs(net, trials, prices)[:, k - 1]))
+
+
+def reference_equilibrium(
+    net: NetworkInstance, action_sets, prices, max_rounds: int = 200
+) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Pure-strategy NE of the finite game by round-robin best response.
+
+    Starts from the all-zero profile (the game's smallest point) and iterates
+    until no follower moves. Returns (action indices, power profile,
+    converged); a cycle shows up as converged = False after max_rounds.
+    """
+    K = net.num_followers
+    idx = np.zeros(K, dtype=int)
+    profile = np.zeros(K)
+    for _ in range(max_rounds):
+        moved = False
+        for k in range(1, K + 1):
+            j = reference_best_response(net, k, profile, prices, action_sets[k - 1])
+            if j != idx[k - 1]:
+                idx[k - 1] = j
+                profile[k - 1] = action_sets[k - 1].powers[j]
+                moved = True
+        if not moved:
+            return idx, profile, True
+    return idx, profile, False
+
+
+def _price_row(net, acts, kind, rng):
+    """One (K,) price vector of the named kind for the batched-solver property test."""
+    K = net.num_followers
+    if kind == "zero":
+        return np.zeros(K)
+    if kind == "grid":  # a uniform point of the sweep grid
+        return np.full(K, sweep_grid(net, 40)[rng.integers(40)])
+    if kind == "per-link":
+        return 10.0 ** rng.uniform(0.0, 14.0, K)
+    # Algorithm-2 break-even prices of random strategies on one or two low actions: there the
+    # lowest positive power pays about 0, a near-tie with silence.
+    strategies = []
+    for a in acts:
+        support = rng.choice(min(3, len(a)), size=rng.integers(1, 3), replace=False)
+        pi = np.zeros(len(a))
+        pi[support] = rng.uniform(0.1, 1.0, support.size)
+        strategies.append(pi / pi.sum())
+    return algorithm2_price_step(net, acts, strategies)[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    sizes=st.lists(st.integers(2, 7), min_size=1, max_size=8),
+    kinds=st.lists(st.sampled_from(["zero", "grid", "per-link", "algorithm2"]), min_size=1, max_size=6),
+    max_rounds=st.sampled_from([1, 2, 200]),
+)
+def test_discrete_equilibria_match_the_scalar_round_robin(seed, sizes, kinds, max_rounds):
+    K = len(sizes)
+    if "algorithm2" in kinds:
+        assume(K * math.prod(sizes) <= discrete.ENUMERATION_CAP)
+    net = make_net(K, seed=seed % 500)
+    acts = [ActionSet.from_table(M, float(pm)) for M, pm in zip(sizes, net.power_max)]
+    rng = np.random.default_rng(seed)
+    prices = np.array([_price_row(net, acts, kind, rng) for kind in kinds])
+    idx, profiles, converged = discrete_equilibria(net, acts, prices, max_rounds=max_rounds)
+    for b, lam in enumerate(prices):
+        ref_idx, ref_profile, ref_converged = reference_equilibrium(net, acts, lam, max_rounds=max_rounds)
+        assert np.array_equal(idx[b], ref_idx)
+        assert np.array_equal(profiles[b], ref_profile)
+        assert converged[b] == ref_converged
 
 
 # ------------------------------------------------------------------- learning

@@ -558,6 +558,30 @@ def test_cli_experiment_rejects_out_of_range_sizes(tmp_path, capsys, flags):
 
 
 @pytest.mark.parametrize(
+    "argv, scenario",
+    [
+        (("generate", "--followers", "0"), None),
+        (("sweep", "--followers", "0"), None),
+        (("sweep", "--game", "discrete", "--followers", "0"), None),
+        (("asymptote", "--followers", "0"), None),
+        (("sweep",), {"topology": {"num_followers": 0}}),
+        (("sweep", "--points", "0"), None),
+        (("sweep", "--points", "1"), None),
+        (("sweep", "--game", "discrete", "--points", "1"), None),
+    ],
+)
+def test_cli_rejects_zero_followers_and_degenerate_sweeps(tmp_path, capsys, argv, scenario):
+    out = tmp_path / "out.file"
+    config = ()
+    if scenario is not None:
+        (tmp_path / "scenario.json").write_text(json.dumps(scenario))
+        config = ("--config", str(tmp_path / "scenario.json"))
+    assert cli.main([*argv, *config, "--out", str(out)]) == cli.EXIT_BAD_INPUT
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "block",
     [
         {"max_iter": 5},

@@ -24,8 +24,6 @@ def test_config_validation():
         OracleConfig(fd_step=0.0)
     with pytest.raises(ValueError):
         OracleConfig(fd_step=0.1)
-    with pytest.raises(ValueError):
-        OracleConfig(sample_count=0)
 
 
 def test_fd_gradient_exact_on_affine():
