@@ -17,7 +17,7 @@ from femtogame.pricing import asymptote_price, zero_price_equilibrium
 
 net = generate_topology(default_topology(), 3, **default_constants())
 actions = default_action_sets(net, 6)
-print("action grid per link (W):", np.round(actions[0].powers, 4))
+print("action grid per link (W):", np.round(actions[0], 4))
 
 
 def watch(prices, label):
@@ -33,7 +33,7 @@ def watch(prices, label):
         top = int(np.argmax(report.strategies[k]))
         print(
             f"  link {k + 1}: favourite action {top} "
-            f"(p = {actions[k].powers[top]:.4f} W, "
+            f"(p = {actions[k, top]:.4f} W, "
             f"mass {report.strategies[k][top]:.2f}), "
             f"expected power {report.expected_power_trace[-1, k]:.4f} W"
         )

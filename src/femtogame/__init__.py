@@ -21,7 +21,6 @@ from .continuous import (
 )
 from .defaults import default_constants, default_topology
 from .discrete import (
-    ActionSet,
     LearningReport,
     LearningState,
     PowerLawSchedule,

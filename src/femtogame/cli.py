@@ -138,6 +138,8 @@ def cmd_learn(args) -> int:
     if args.seed is not None:
         learner = replace(learner, rng_seed=args.seed)
     if args.algorithm2:
+        if args.price is not None:
+            raise ValueError("--price does not apply to --algorithm2, which sets its own prices")
         result = run_algorithm2(net, actions, learner=learner)
         print(
             f"outer iterations: {result.outer_iterations}, converged: {result.converged}, "
@@ -153,7 +155,7 @@ def cmd_learn(args) -> int:
             write_rows(args.out, header, rows)
             print(f"wrote outer-loop trace to {args.out}")
         return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
-    report = learner.run(net, actions, np.full(net.num_followers, args.price))
+    report = learner.run(net, actions, np.full(net.num_followers, 0.0 if args.price is None else args.price))
     print(f"iterations: {report.iterations}, converged: {report.converged}")
     if args.out:
         write_learning_csv(report, args.out)
@@ -227,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("learn", help="stochastic learning run -> CSV")
     common(p)
-    p.add_argument("--price", type=float, default=0.0, help="uniform interference price")
+    p.add_argument("--price", type=float, help="uniform interference price (default 0)")
     p.add_argument("--algorithm2", action="store_true", help="run the heuristic outer price loop")
 
     p = sub.add_parser("experiment", help="run a named study")

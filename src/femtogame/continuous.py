@@ -147,7 +147,6 @@ def run_algorithm1(
     sched: BrSchedule = BrSchedule(),
     tol: float = 1e-7,
     max_rounds: int = 10_000,
-    br_tol: float = 1e-9,
 ) -> EquilibriumReport:
     """Asynchronous best-response iteration to a power-allocation fixed point.
 
@@ -171,7 +170,7 @@ def run_algorithm1(
     for rounds in range(1, max_rounds + 1):
         previous = p.copy()
         for k in _round_order(sched, K, rng):
-            p[k - 1] = best_response(net, int(k), p, prices, tol=br_tol)
+            p[k - 1] = best_response(net, int(k), p, prices)
         residual = float(np.max(np.abs(p - previous)))
         trace.append(p.copy())
         if residual < tol:

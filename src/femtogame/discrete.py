@@ -1,9 +1,10 @@
 """Discrete-strategy follower game and two-timescale stochastic learning.
 
-Followers draw powers from a finite action set, keep a mixed strategy pi_k
-on it, and learn from realized payoffs only: a fast timescale updates the
-per-action payoff estimates U_k (only the sampled action moves), a slow
-timescale nudges pi_k toward the Logit response of the current estimates.
+Followers draw powers from a finite menu, one (K, M) array with a row per
+follower, keep a mixed strategy pi_k on their row, and learn from realized
+payoffs only: a fast timescale updates the per-action payoff estimates U_k
+(only the sampled action moves), a slow timescale nudges pi_k toward the
+Logit response of the current estimates.
 Expected payoffs/revenue under product-form strategies are computed by
 explicit enumeration over the joint profiles of the strategies' support
 (actions of probability exactly 0 are skipped), in blocks of at most
@@ -24,7 +25,6 @@ from .network import NetworkInstance, follower_sinr
 from .payoff import leader_revenue, own_payoff, payoffs, validate_prices
 
 __all__ = [
-    "ActionSet",
     "PowerLawSchedule",
     "ScheduleReport",
     "LearningState",
@@ -50,38 +50,13 @@ ENUMERATION_CAP = 10_000_000  # reject expected-value sums with K * M^K above th
 BLOCK_ROWS = 8192
 
 
-@dataclass(frozen=True)
-class ActionSet:
-    """Ordered finite power menu for one follower; first entry is exactly 0."""
-
-    powers: np.ndarray
-
-    def __post_init__(self) -> None:
-        powers = np.asarray(self.powers, dtype=float)
-        if powers.ndim != 1 or powers.size < 2:
-            raise ValueError("action set needs at least two powers")
-        if powers[0] != 0.0:
-            raise ValueError("first action must be exactly 0")
-        if np.any(np.diff(powers) <= 0.0):
-            raise ValueError("powers must be strictly increasing")
-        powers.setflags(write=False)
-        object.__setattr__(self, "powers", powers)
-
-    @classmethod
-    def from_table(cls, M: int, p_max: float, p_min: float = 0.0) -> "ActionSet":
-        """M powers p^j = (1 - j/M)*p_min + (j/M)*p_max for j = 0..M-1."""
-        if M < 2:
-            raise ValueError("M must be >= 2")
-        j = np.arange(M)
-        return cls((1.0 - j / M) * p_min + (j / M) * p_max)
-
-    def __len__(self) -> int:
-        return int(self.powers.size)
-
-
-def default_action_sets(net: NetworkInstance, M: int = 6) -> list[ActionSet]:
-    """One Table-style action set per follower, scaled to its own p_max."""
-    return [ActionSet.from_table(M, float(pm)) for pm in net.power_max]
+def default_action_sets(net: NetworkInstance, M: int = 6) -> np.ndarray:
+    """The Table power menu p^j = (j/M) * p_max,k for j = 0..M-1: a read-only (K, M) array, one row per follower."""
+    if M < 2:
+        raise ValueError("M must be >= 2")
+    menu = np.outer(net.power_max, np.arange(M) / M)
+    menu.setflags(write=False)
+    return menu
 
 
 @dataclass(frozen=True)
@@ -169,20 +144,35 @@ def logit_response(values: np.ndarray, tau: float) -> np.ndarray:
     return e / e.sum()
 
 
-def _validate_strategies(action_sets, strategies, K: int) -> None:
-    """Check K action sets and one simplex strategy over each, of the set's length."""
-    if not len(action_sets) == len(strategies) == K:
-        raise ValueError(f"need {K} action sets and strategies")
-    for a, pi in zip(action_sets, strategies):
-        if np.shape(pi) != (len(a),):
-            raise ValueError(f"a strategy over {len(a)} actions has shape {np.shape(pi)}")
-        validate_simplex(pi)
+def _validate_menu(action_sets, K: int) -> np.ndarray:
+    """The menu as a float array; raise unless it is (K, M), M >= 2, finite, each row 0 first and increasing."""
+    menu = np.asarray(action_sets, dtype=float)
+    if menu.ndim != 2 or menu.shape[0] != K or menu.shape[1] < 2:
+        raise ValueError(f"need {K} action sets as the rows of a (K, M) power menu, M >= 2; got shape {menu.shape}")
+    if not (np.isfinite(menu).all() and (menu[:, 0] == 0.0).all() and (np.diff(menu, axis=1) > 0.0).all()):
+        raise ValueError("every menu row must be finite, start at exactly 0 and strictly increase")
+    return menu
+
+
+def _validate_strategies(action_sets, strategies, K: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (K, M) menu and the strategies as float arrays; raise unless each strategy is a simplex over its row."""
+    menu = _validate_menu(action_sets, K)
+    pi = np.asarray(strategies, dtype=float)
+    if pi.shape != menu.shape:
+        raise ValueError(f"strategies of shape {pi.shape} do not fit a {menu.shape} menu")
+    for row in pi:
+        validate_simplex(row)
+    return menu, pi
+
+
+def _mean_powers(menu: np.ndarray, pi: np.ndarray) -> np.ndarray:
+    """sum_j pi^j * p^j per row, as one stacked (1, M) @ (M, 1) product per row (each row rounds like np.dot)."""
+    return (pi[:, None, :] @ menu[:, :, None])[:, 0, 0]
 
 
 def expected_powers(action_sets, strategies) -> np.ndarray:
-    """Per-follower mean transmit power sum_j pi^j * p^j; rejects strategies that do not fit the action sets."""
-    _validate_strategies(action_sets, strategies, len(action_sets))
-    return np.array([float(np.dot(pi, a.powers)) for a, pi in zip(action_sets, strategies)])
+    """Per-follower mean transmit power sum_j pi^j * p^j; rejects strategies that do not fit the menu."""
+    return _mean_powers(*_validate_strategies(action_sets, strategies, len(action_sets)))
 
 
 def expected_payoffs(net: NetworkInstance, action_sets, strategies, prices) -> np.ndarray:
@@ -195,17 +185,17 @@ def expected_payoffs(net: NetworkInstance, action_sets, strategies, prices) -> n
     loop runs over the supported actions of the leading followers, one
     ``payoffs`` call per block, each written into the same output buffer
     allocated once per call. Rejects strategies or prices that do not fit
-    the network and its action sets, and K * M^K (the full grid, support or
+    the network and its (K, M) menu, and K * M^K (the full grid, support or
     not) above ``ENUMERATION_CAP``.
     """
-    _validate_strategies(action_sets, strategies, net.num_followers)
+    menu, pi = _validate_strategies(action_sets, strategies, net.num_followers)
     prices = validate_prices(net, prices)
-    K = net.num_followers
-    if (size := K * math.prod(len(a) for a in action_sets)) > ENUMERATION_CAP:
+    K, M = menu.shape
+    if (size := K * M**K) > ENUMERATION_CAP:
         raise ValueError(f"joint enumeration size K*M^K = {size} exceeds cap {ENUMERATION_CAP}")
-    support = [np.flatnonzero(pi) for pi in strategies]
-    powers = [a.powers[s] for a, s in zip(action_sets, support)]
-    weights = [np.asarray(pi, dtype=float)[s] for pi, s in zip(strategies, support)]
+    support = [np.flatnonzero(row) for row in pi]
+    powers = [menu[k, s] for k, s in enumerate(support)]
+    weights = [pi[k, s] for k, s in enumerate(support)]
     lead, rows = K, 1  # followers lead..K-1 form the block, the ones before it are looped over
     while lead and rows * support[lead - 1].size <= BLOCK_ROWS:
         lead -= 1
@@ -237,9 +227,8 @@ def expected_follower_payoff(
 
 def expected_leader_revenue(net: NetworkInstance, action_sets, strategies, prices) -> float:
     """Expected MBS revenue: sum_k lambda_k * h_k0 * sum_j pi^j_k * p^j_k."""
-    if len(action_sets) != net.num_followers:
-        raise ValueError(f"need {net.num_followers} action sets and strategies")
-    return leader_revenue(net, expected_powers(action_sets, strategies), validate_prices(net, prices))
+    mean_p = _mean_powers(*_validate_strategies(action_sets, strategies, net.num_followers))
+    return leader_revenue(net, mean_p, validate_prices(net, prices))
 
 
 def discrete_equilibria(
@@ -256,9 +245,7 @@ def discrete_equilibria(
     power profiles (B, K), converged (B,)); a row still moving after
     ``max_rounds`` rounds (a cycle) has converged = False.
     """
-    K = net.num_followers
-    if len(action_sets) != K:
-        raise ValueError(f"need {K} action sets, got {len(action_sets)}")
+    menu = _validate_menu(action_sets, net.num_followers)
     prices = validate_prices(net, prices, ndim=2)
     idx = np.zeros(prices.shape, dtype=int)
     profiles = np.zeros(prices.shape)
@@ -268,13 +255,13 @@ def discrete_equilibria(
         if not rows.size:
             break
         moved = np.zeros(rows.size, dtype=bool)
-        for k, a in enumerate(action_sets):
-            trials = np.repeat(profiles[rows, None, :], len(a), axis=1)
-            trials[:, :, k] = a.powers
+        for k, a in enumerate(menu):
+            trials = np.repeat(profiles[rows, None, :], a.size, axis=1)
+            trials[:, :, k] = a
             j = np.argmax(payoffs(net, trials, prices[rows, None, :])[:, :, k], axis=1)
             moved |= j != idx[rows, k]
             idx[rows, k] = j
-            profiles[rows, k] = a.powers[j]
+            profiles[rows, k] = a[j]
         converged[rows[~moved]] = True
         rows = rows[moved]
     return idx, profiles, converged
@@ -284,7 +271,7 @@ def discrete_equilibria(
 class LearningState:
     """Mutable state of the coupled learning processes for all followers."""
 
-    powers: np.ndarray  # (K, M) power menus, one row per follower
+    powers: np.ndarray  # (K, M) power menu, one row per follower
     U: np.ndarray  # (K, M) payoff estimates
     pi: np.ndarray  # (K, M) mixed strategies
     t: int
@@ -301,16 +288,13 @@ def initial_state(
     alpha2: PowerLawSchedule = PowerLawSchedule(c=2.0),
     rng_seed: int = 0,
 ) -> LearningState:
-    """Uniform strategies, zero payoff estimates, step counter at 0."""
-    sizes = {len(a) for a in action_sets}
-    if len(sizes) != 1:
-        raise ValueError("learning requires a common action-set size M")
-    M = sizes.pop()
-    K = len(action_sets)
+    """Uniform strategies over the (K, M) menu, zero payoff estimates, step counter at 0."""
+    menu = _validate_menu(action_sets, len(action_sets))
+    K, M = menu.shape
     if not tau > 0.0:
         raise ValueError("tau must be positive")
     return LearningState(
-        powers=np.vstack([a.powers for a in action_sets]),
+        powers=menu,
         U=np.zeros((K, M)),
         pi=np.full((K, M), 1.0 / M),
         t=0,

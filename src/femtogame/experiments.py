@@ -222,15 +222,14 @@ def _failed_row(spec: ExperimentSpec, lead: tuple, exc: Exception) -> tuple:
     return (*lead, *blanks, f"failed:{type(exc).__name__}")
 
 
-def continuous_sweep_rows(net: NetworkInstance, grid: np.ndarray, inner_tol: float = 1e-7):
+def continuous_sweep_rows(net: NetworkInstance, grid: np.ndarray):
     """Equilibrium metrics per uniform price: (lambda, revenue, mean eff, MU SINR, converged).
 
     One batched solve over the whole grid, every row started from the
     zero-price equilibrium.
     """
     prices = np.outer(grid, np.ones(net.num_followers))
-    init = zero_price_equilibrium(net, tol=inner_tol).profile
-    batch = solve_equilibria(net, prices, init, tol=inner_tol)
+    batch = solve_equilibria(net, prices, zero_price_equilibrium(net).profile)
     return [
         (float(x), *_metrics(net, p, lam), bool(ok))
         for x, lam, p, ok in zip(grid, prices, batch.profiles, batch.converged)

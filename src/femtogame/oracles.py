@@ -31,13 +31,10 @@ class OracleConfig:
     """Budgets for the brute-force checks."""
 
     grid_points: int = 1_000_000
-    fd_step: float = 1e-6
 
     def __post_init__(self) -> None:
         if self.grid_points < 1_000:
             raise ValueError("grid_points must be >= 1000")
-        if not 0.0 < self.fd_step <= 1e-3:
-            raise ValueError("fd_step must be in (0, 1e-3]")
 
 
 def _interference(net: NetworkInstance, k: int, profile) -> float:
@@ -149,6 +146,6 @@ def enumerate_expected_payoff(
             prob *= float(strategies[i][j])
         if prob == 0.0:
             continue
-        profile = np.array([action_sets[i].powers[j] for i, j in enumerate(combo)])
+        profile = np.array([action_sets[i][j] for i, j in enumerate(combo)])
         terms.append(prob * _payoff(net, k, profile, prices))
     return math.fsum(terms)

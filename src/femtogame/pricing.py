@@ -161,7 +161,6 @@ def price_grid(net: NetworkInstance, p_star: np.ndarray, direction, count: int) 
 def se_price_search(
     net: NetworkInstance,
     cfg: PriceSearchConfig = PriceSearchConfig(),
-    inner_tol: float = 1e-7,
 ) -> PriceSearchResult:
     """Semi-exhaustive search for the revenue-maximizing price.
 
@@ -174,7 +173,7 @@ def se_price_search(
     ``boundary_max`` and no refinement is attempted. Returns the best point
     over all passes.
     """
-    zp = zero_price_equilibrium(net, tol=inner_tol)
+    zp = zero_price_equilibrium(net)
     direction = asymptote_price(net, zp.profile) if cfg.mode == "per-link" else np.ones(net.num_followers)
     grid = price_grid(net, zp.profile, direction, cfg.grid_count)
 
@@ -185,7 +184,7 @@ def se_price_search(
     best_revenue = -np.inf
     while True:
         prices = values[:, None] * direction
-        batch = solve_equilibria(net, prices, start, tol=inner_tol)
+        batch = solve_equilibria(net, prices, start)
         revenues = (prices * net.gain[1:, 0] * batch.profiles).sum(axis=1)  # leader_revenue per row
         all_converged = all_converged and bool(batch.converged.all())
         i = int(np.argmax(revenues))
@@ -293,8 +292,11 @@ def run_algorithm2(
     computes the expected macro SINR from the reported strategies' expected
     powers, and while the target is unmet applies ``algorithm2_price_step``
     and re-learns. Hitting ``max_outer`` returns a flagged partial result.
+    Refuses ``max_outer < 0`` and a threshold that is NaN or not positive.
     """
     threshold = net.mu_sinr_threshold if sinr_threshold is None else sinr_threshold
+    if max_outer < 0 or not threshold > 0.0:
+        raise ValueError(f"need max_outer >= 0 and a positive SINR threshold; got {max_outer}, {threshold}")
     K = net.num_followers
     prices = np.zeros(K)
     flagged = np.zeros(K, dtype=bool)

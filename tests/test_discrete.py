@@ -1,6 +1,4 @@
-"""Finite action sets, expected values by enumeration, and the learning loop."""
-
-import math
+"""Finite power menus, expected values by enumeration, and the learning loop."""
 
 import numpy as np
 import pytest
@@ -9,7 +7,6 @@ from hypothesis import strategies as st
 
 from femtogame import discrete, follower_payoff
 from femtogame.discrete import (
-    ActionSet,
     _sample_actions,
     PowerLawSchedule,
     default_action_sets,
@@ -56,30 +53,74 @@ def one_link_net():
     )
 
 
-# ---------------------------------------------------------------- action sets
+# ---------------------------------------------------------------- power menus
 
 
-def test_from_table_spacing():
-    a = ActionSet.from_table(6, 0.1)
-    assert np.array_equal(a.powers, np.arange(6) / 6 * 0.1)
-    assert a.powers[0] == 0.0
-    assert a.powers.max() < 0.1  # p_max itself is not an action
+def test_default_menu_spacing():
+    net = make_net(3, seed=0)
+    menu = default_action_sets(net, 6)
+    assert menu.shape == (3, 6)
+    assert np.array_equal(menu[0], np.arange(6) / 6 * net.power_max[0])
+    assert np.all(menu[:, 0] == 0.0)
+    assert np.all(menu.max(axis=1) < net.power_max)  # p_max itself is not an action
+    assert not menu.flags.writeable
 
 
-def test_from_table_with_floor():
-    a = ActionSet.from_table(4, 0.8, p_min=0.0)
-    assert len(a) == 4
+def test_default_menu_refuses_fewer_than_two_actions():
+    net = make_net(2, seed=0)
+    assert default_action_sets(net, 4).shape == (2, 4)
     with pytest.raises(ValueError):
-        ActionSet.from_table(1, 0.1)
+        default_action_sets(net, 1)
 
 
-def test_action_set_validation():
+@pytest.mark.parametrize(
+    "menu",
+    [
+        [[0.01, 0.02]],  # must start at exactly 0
+        [[0.0, 0.02, 0.02]],  # strictly increasing
+        [[0.0]],  # at least two actions
+        [0.0, 0.1],  # one row per follower, not a flat vector
+        [[0.0, 0.1], [0.0, 0.1, 0.2]],  # ragged rows are no (K, M) array
+    ],
+)
+def test_menu_validation(menu):
     with pytest.raises(ValueError):
-        ActionSet(powers=np.array([0.01, 0.02]))  # must start at exactly 0
-    with pytest.raises(ValueError):
-        ActionSet(powers=np.array([0.0, 0.02, 0.02]))  # strictly increasing
-    with pytest.raises(ValueError):
-        ActionSet(powers=np.array([0.0]))
+        initial_state(menu)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+@pytest.mark.parametrize("entry", ["discrete_equilibria", "expected_payoffs", "expected_powers", "initial_state"])
+def test_entry_points_refuse_a_menu_with_non_finite_powers(net3, entry, bad):
+    menu = np.array(default_action_sets(net3, 3))
+    menu[1, 2] = bad
+    pis = np.full((3, 3), 1 / 3)
+    calls = {
+        "discrete_equilibria": lambda: discrete_equilibria(net3, menu, np.zeros((1, 3))),
+        "expected_payoffs": lambda: expected_payoffs(net3, menu, pis, np.zeros(3)),
+        "expected_powers": lambda: expected_powers(menu, pis),
+        "initial_state": lambda: initial_state(menu),
+    }
+    with pytest.raises(ValueError, match="finite"):
+        calls[entry]()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    K=st.integers(1, 8),
+    M=st.integers(2, 7),
+)
+def test_menu_and_expected_powers_are_bit_equal_to_the_per_row_forms(seed, K, M):
+    net = make_net(K, seed=seed % 500)
+    menu = default_action_sets(net, M)
+    j = np.arange(M)
+    assert np.array_equal(menu, [(1.0 - j / M) * 0.0 + (j / M) * float(pm) for pm in net.power_max])
+    rng = np.random.default_rng(seed)
+    pis = rng.dirichlet(np.ones(M), size=K) * (rng.random((K, M)) < 0.6)  # exact zeros in arbitrary components
+    pis[np.arange(K), rng.integers(M, size=K)] += 1.0
+    pis /= pis.sum(axis=1, keepdims=True)
+    want = np.array([float(np.dot(pi, row)) for pi, row in zip(pis, menu)])
+    assert np.array_equal(expected_powers(menu, pis), want)
 
 
 # ------------------------------------------------------------------ schedules
@@ -184,7 +225,7 @@ def test_validate_simplex_rejects_non_finite(pi):
 
 
 def test_expected_power_is_dot_product():
-    acts = [ActionSet(powers=np.array([0.0, 0.02, 0.05]))]
+    acts = np.array([[0.0, 0.02, 0.05]])
     assert expected_powers(acts, [np.array([0.2, 0.3, 0.5])])[0] == pytest.approx(
         0.3 * 0.02 + 0.5 * 0.05, rel=1e-15
     )
@@ -192,7 +233,7 @@ def test_expected_power_is_dot_product():
 
 def test_expected_payoff_degenerate_equals_pure():
     net = two_link_net()
-    acts = [ActionSet(powers=np.array([0.0, 0.1, 0.25]))] * 2
+    acts = np.array([[0.0, 0.1, 0.25]] * 2)
     pis = [np.array([0.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0])]
     pure = np.array([0.1, 0.25])
     for k in (1, 2):
@@ -203,20 +244,20 @@ def test_expected_payoff_degenerate_equals_pure():
 
 def test_expected_payoff_matches_four_term_sum():
     net = two_link_net()
-    acts = [ActionSet(powers=np.array([0.0, 0.2])), ActionSet(powers=np.array([0.0, 0.3]))]
+    acts = np.array([[0.0, 0.2], [0.0, 0.3]])
     pis = [np.array([0.3, 0.7]), np.array([0.6, 0.4])]
     lam = np.array([0.8, 1.3])
     manual = 0.0
     for j1, w1 in enumerate(pis[0]):
         for j2, w2 in enumerate(pis[1]):
-            prof = np.array([acts[0].powers[j1], acts[1].powers[j2]])
+            prof = np.array([acts[0, j1], acts[1, j2]])
             manual += w1 * w2 * follower_payoff(net, 1, prof, lam)
     assert expected_follower_payoff(net, 1, acts, pis, lam) == pytest.approx(manual, rel=1e-12)
 
 
 def test_expected_payoff_linear_in_own_strategy():
     net = two_link_net()
-    acts = [ActionSet(powers=np.array([0.0, 0.1, 0.25]))] * 2
+    acts = np.array([[0.0, 0.1, 0.25]] * 2)
     opp = np.array([0.2, 0.5, 0.3])
     a = np.array([1.0, 0.0, 0.0])
     b = np.array([0.0, 0.25, 0.75])
@@ -232,7 +273,7 @@ def test_expected_payoff_linear_in_own_strategy():
 
 def test_expected_revenue_hand_values():
     net = two_link_net()
-    acts = [ActionSet(powers=np.array([0.0, 0.4])), ActionSet(powers=np.array([0.0, 0.4]))]
+    acts = np.array([[0.0, 0.4], [0.0, 0.4]])
     lam = np.array([2.0, 3.0])
     silent = [np.array([1.0, 0.0])] * 2
     assert expected_leader_revenue(net, acts, silent, lam) == 0.0
@@ -251,7 +292,7 @@ def test_enumeration_cap_rejected():
 
 def test_expected_payoff_rejects_non_simplex():
     net = two_link_net()
-    acts = [ActionSet(powers=np.array([0.0, 0.1]))] * 2
+    acts = np.array([[0.0, 0.1]] * 2)
     with pytest.raises(ValueError):
         expected_follower_payoff(net, 1, acts, [np.array([0.5, 0.6])] * 2, np.zeros(2))
 
@@ -310,7 +351,7 @@ def test_expected_powers_rejects_strategies_that_do_not_fit(strategies, message)
 @pytest.mark.parametrize("bad", [np.nan, -1.0])
 def test_pure_strategy_play_rejects_invalid_prices(bad):
     net = two_link_net()
-    acts = [ActionSet(powers=np.array([0.0, 0.1, 0.2]))] * 2
+    acts = np.array([[0.0, 0.1, 0.2]] * 2)
     with pytest.raises(ValueError, match="price"):
         discrete_equilibria(net, acts, np.array([[bad, 0.0]]))
     with pytest.raises(ValueError, match="price"):
@@ -326,8 +367,8 @@ def test_discrete_equilibria_refuses_a_set_count_other_than_k(net3, count):
 
 def test_discrete_best_response_punitive_price_stays_silent():
     net = one_link_net()
-    acts = ActionSet(powers=np.array([0.0, 0.02, 0.05]))
-    idx, _, _ = discrete_equilibria(net, [acts], np.array([[1e6]]))
+    acts = np.array([[0.0, 0.02, 0.05]])
+    idx, _, _ = discrete_equilibria(net, acts, np.array([[1e6]]))
     assert idx[0, 0] == 0
 
 
@@ -340,11 +381,11 @@ def test_discrete_equilibrium_is_nash():
         assert ok
         for k in range(1, 5):
             u_now = follower_payoff(net, k, prof, lam)
-            for p in acts[k - 1].powers:
+            for p in acts[k - 1]:
                 trial = prof.copy()
                 trial[k - 1] = p
                 assert follower_payoff(net, k, trial, lam) <= u_now + 1e-12
-        assert np.array_equal(prof, [acts[i].powers[idx[i]] for i in range(4)])
+        assert np.array_equal(prof, acts[np.arange(4), idx])
 
 
 def test_discrete_equilibrium_all_silent_at_huge_price(net3):
@@ -356,7 +397,7 @@ def test_discrete_equilibrium_all_silent_at_huge_price(net3):
 
 
 def reference_best_response(
-    net: NetworkInstance, k: int, opponents: np.ndarray, prices, action_set: ActionSet
+    net: NetworkInstance, k: int, opponents: np.ndarray, prices, menu_row: np.ndarray
 ) -> int:
     """Index of follower k's payoff-maximizing action against pure opponents.
 
@@ -366,8 +407,8 @@ def reference_best_response(
     Rejects NaN or negative prices, so ``reference_equilibrium`` does too.
     """
     prices = validate_prices(net, prices)
-    trials = np.tile(np.asarray(opponents, dtype=float), (len(action_set), 1))
-    trials[:, k - 1] = action_set.powers
+    trials = np.tile(np.asarray(opponents, dtype=float), (len(menu_row), 1))
+    trials[:, k - 1] = menu_row
     return int(np.argmax(payoffs(net, trials, prices)[:, k - 1]))
 
 
@@ -389,7 +430,7 @@ def reference_equilibrium(
             j = reference_best_response(net, k, profile, prices, action_sets[k - 1])
             if j != idx[k - 1]:
                 idx[k - 1] = j
-                profile[k - 1] = action_sets[k - 1].powers[j]
+                profile[k - 1] = action_sets[k - 1, j]
                 moved = True
         if not moved:
             return idx, profile, True
@@ -419,16 +460,16 @@ def _price_row(net, acts, kind, rng):
 @settings(max_examples=300, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    sizes=st.lists(st.integers(2, 7), min_size=1, max_size=8),
+    K=st.integers(1, 8),
+    M=st.integers(2, 7),
     kinds=st.lists(st.sampled_from(["zero", "grid", "per-link", "algorithm2"]), min_size=1, max_size=6),
     max_rounds=st.sampled_from([1, 2, 200]),
 )
-def test_discrete_equilibria_match_the_scalar_round_robin(seed, sizes, kinds, max_rounds):
-    K = len(sizes)
+def test_discrete_equilibria_match_the_scalar_round_robin(seed, K, M, kinds, max_rounds):
     if "algorithm2" in kinds:
-        assume(K * math.prod(sizes) <= discrete.ENUMERATION_CAP)
+        assume(K * M**K <= discrete.ENUMERATION_CAP)
     net = make_net(K, seed=seed % 500)
-    acts = [ActionSet.from_table(M, float(pm)) for M, pm in zip(sizes, net.power_max)]
+    acts = default_action_sets(net, M)
     rng = np.random.default_rng(seed)
     prices = np.array([_price_row(net, acts, kind, rng) for kind in kinds])
     idx, profiles, converged = discrete_equilibria(net, acts, prices, max_rounds=max_rounds)
@@ -443,13 +484,14 @@ def test_discrete_equilibria_match_the_scalar_round_robin(seed, sizes, kinds, ma
 
 
 def test_initial_state_shape_and_validation():
-    acts = [ActionSet(powers=np.array([0.0, 0.1, 0.2]))] * 2
+    acts = np.array([[0.0, 0.1, 0.2]] * 2)
     st_ = initial_state(acts)
     assert np.array_equal(st_.pi, np.full((2, 3), 1 / 3))
     assert np.array_equal(st_.U, np.zeros((2, 3)))
     assert st_.t == 0
+    assert np.array_equal(st_.powers, acts)
     with pytest.raises(ValueError):
-        initial_state([ActionSet(powers=np.array([0.0, 0.1]))] + acts[:1])
+        initial_state(acts[:, :1])
     with pytest.raises(ValueError):
         initial_state(acts, tau=0.0)
 
@@ -458,7 +500,7 @@ def test_first_step_writes_realized_payoff_into_estimate():
     # alpha1(1) = 1, so the sampled action's estimate becomes the realized
     # payoff itself; seed 0's first uniform draw lands on action 1.
     net = one_link_net()
-    acts = [ActionSet(powers=np.array([0.0, 0.05]))]
+    acts = np.array([[0.0, 0.05]])
     state = initial_state(acts, rng_seed=0)
     learning_step(state, net, np.zeros(1))
     assert state.t == 1
@@ -468,7 +510,7 @@ def test_first_step_writes_realized_payoff_into_estimate():
 
 def test_first_step_strategy_follows_update_rule():
     net = one_link_net()
-    acts = [ActionSet(powers=np.array([0.0, 0.05]))]
+    acts = np.array([[0.0, 0.05]])
     state = initial_state(
         acts, alpha1=PowerLawSchedule(c=0.6), alpha2=PowerLawSchedule(a=1.0, b=1.0), rng_seed=0
     )
@@ -483,7 +525,7 @@ def test_table_default_step_jumps_to_logit():
     # alpha2(1) = 1 under the 1/t^2 default: pi leaves the uniform start in
     # one step and lands exactly on the logit response of the estimates.
     net = one_link_net()
-    acts = [ActionSet(powers=np.array([0.0, 0.05]))]
+    acts = np.array([[0.0, 0.05]])
     state = initial_state(acts, rng_seed=0)
     learning_step(state, net, np.zeros(1))
     assert np.array_equal(state.pi[0], logit_response(state.U[0], 1.0))
@@ -536,19 +578,18 @@ def test_sampling_caps_a_row_whose_cdf_rounds_below_the_draw():
 
 @settings(max_examples=40, deadline=None)
 @given(
-    sizes=st.lists(st.integers(2, 3), min_size=1, max_size=3),
+    K=st.integers(1, 3),
+    M=st.integers(2, 3),
     seed=st.integers(0, 2**32 - 1),
     log_price=st.floats(0.0, 14.0),
 )
-def test_expected_payoffs_match_enumeration_oracle(sizes, seed, log_price):
-    K = len(sizes)
+def test_expected_payoffs_match_enumeration_oracle(K, M, seed, log_price):
     net = make_net(K, seed=seed % 500)
     rng = np.random.default_rng(seed)
-    acts = [ActionSet.from_table(M, float(pm)) for M, pm in zip(sizes, net.power_max)]
-    pis = [rng.dirichlet(np.ones(M)) for M in sizes]
+    acts = default_action_sets(net, M)
+    pis = [rng.dirichlet(np.ones(M)) for _ in range(K)]
     if rng.random() < 0.3:  # one follower silent for sure
-        i = int(rng.integers(K))
-        pis[i] = np.eye(sizes[i])[0]
+        pis[int(rng.integers(K))] = np.eye(M)[0]
     prices = 10.0**log_price * rng.random(K)
     got = expected_payoffs(net, acts, pis, prices)
     for k in range(1, K + 1):
@@ -560,18 +601,18 @@ def test_expected_payoffs_match_enumeration_oracle(sizes, seed, log_price):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    sizes=st.lists(st.integers(2, 4), min_size=1, max_size=4),
+    K=st.integers(1, 4),
+    M=st.integers(2, 4),
     seed=st.integers(0, 2**32 - 1),
     log_price=st.floats(0.0, 14.0),
     block=st.sampled_from(["one", "last", "default"]),
 )
-def test_expected_payoffs_over_support_in_blocks_match_oracle(sizes, seed, log_price, block):
-    K = len(sizes)
+def test_expected_payoffs_over_support_in_blocks_match_oracle(K, M, seed, log_price, block):
     net = make_net(K, seed=seed % 500)
     rng = np.random.default_rng(seed)
-    acts = [ActionSet.from_table(M, float(pm)) for M, pm in zip(sizes, net.power_max)]
+    acts = default_action_sets(net, M)
     pis = []
-    for M in sizes:  # exact zeros in arbitrary components, at least one action kept
+    for _ in range(K):  # exact zeros in arbitrary components, at least one action kept
         keep = rng.random(M) < 0.5
         keep[rng.integers(M)] = True
         pi = rng.dirichlet(np.ones(M)) * keep
@@ -604,13 +645,12 @@ def test_expected_payoffs_over_support_in_blocks_match_oracle(sizes, seed, log_p
 @pytest.mark.parametrize("seed", range(8))
 def test_expected_payoffs_of_pure_strategies_are_the_profile_payoffs(seed):
     rng = np.random.default_rng(seed)
-    sizes = rng.integers(2, 7, size=int(rng.integers(1, 6)))
-    K = len(sizes)
+    K, M = int(rng.integers(1, 6)), int(rng.integers(2, 7))
     net = make_net(K, seed=seed)
-    acts = [ActionSet.from_table(int(M), float(pm)) for M, pm in zip(sizes, net.power_max)]
-    picks = [int(rng.integers(M)) for M in sizes]
-    pis = [np.eye(M)[j] for M, j in zip(sizes, picks)]
-    profile = np.array([a.powers[j] for a, j in zip(acts, picks)])
+    acts = default_action_sets(net, M)
+    picks = rng.integers(M, size=K)
+    pis = np.eye(M)[picks]
+    profile = acts[np.arange(K), picks]
     prices = 10.0 ** rng.uniform(0.0, 14.0) * rng.random(K)
     np.testing.assert_array_equal(expected_payoffs(net, acts, pis, prices), payoffs(net, profile, prices))
 
@@ -638,7 +678,7 @@ def test_table_defaults_freeze_quickly():
     # With alpha2 = 1/t^2 the strategy step sizes are summable: pi moves a
     # bounded total distance and the window detector fires almost at once.
     net = one_link_net()
-    acts = [ActionSet(powers=np.array([0.0, 0.05]))]
+    acts = np.array([[0.0, 0.05]])
     state = initial_state(acts, rng_seed=0)
     rep = run_learning(net, np.zeros(1), state, tol=1e-3, window=50, max_iters=5000)
     assert rep.converged
@@ -649,7 +689,7 @@ def test_single_follower_learns_the_logit_of_true_payoffs():
     # One follower, two actions: realized payoffs are deterministic, so the
     # estimates converge to the true values and pi to their logit response.
     net = one_link_net()
-    acts = [ActionSet(powers=np.array([0.0, 0.05]))]
+    acts = np.array([[0.0, 0.05]])
     state = initial_state(
         acts, alpha1=PowerLawSchedule(c=0.6), alpha2=PowerLawSchedule(), rng_seed=0
     )
@@ -661,12 +701,12 @@ def test_single_follower_learns_the_logit_of_true_payoffs():
 
 def test_learning_abandons_transmission_at_punitive_price():
     net = one_link_net()
-    acts = [ActionSet(powers=np.array([0.0, 0.05]))]
+    acts = np.array([[0.0, 0.05]])
     state = initial_state(
         acts, alpha1=PowerLawSchedule(c=0.6), alpha2=PowerLawSchedule(), rng_seed=0
     )
     rep = run_learning(net, np.array([1e4]), state, tol=0.0, max_iters=5000)
-    mean_p = float(rep.strategies[0] @ acts[0].powers)
+    mean_p = float(rep.strategies[0] @ acts[0])
     assert mean_p < 0.05 * 0.05  # under 5% of the top action
 
 
@@ -675,7 +715,7 @@ def test_converged_estimates_are_consistent_with_opponent_strategies():
     # of action j against the opponents' mixed strategies (computed by the
     # independent enumeration route).
     net = two_link_net()
-    acts = [ActionSet(powers=np.array([0.0, 0.1, 0.25]))] * 2
+    acts = np.array([[0.0, 0.1, 0.25]] * 2)
     state = initial_state(
         acts, alpha1=PowerLawSchedule(c=0.6), alpha2=PowerLawSchedule(), rng_seed=1
     )
@@ -706,9 +746,8 @@ def test_run_learning_rejects_tiny_window(net3):
 def test_run_learning_stops_at_first_settled_window(seed, tol, window, K, M):
     # 1/t strategy steps keep pi moving, so both outcomes show up in 150 slots.
     net = make_net(K, seed=seed % 500)
-    acts = [ActionSet.from_table(M, float(pm)) for pm in net.power_max]
-    menu = np.vstack([a.powers for a in acts])
-    state = initial_state(acts, alpha1=PowerLawSchedule(c=0.6), alpha2=PowerLawSchedule(), rng_seed=seed)
+    menu = default_action_sets(net, M)
+    state = initial_state(menu, alpha1=PowerLawSchedule(c=0.6), alpha2=PowerLawSchedule(), rng_seed=seed)
     max_iters = 150
     rep = run_learning(net, np.zeros(K), state, tol=tol, window=window, max_iters=max_iters)
     T = rep.iterations
@@ -770,7 +809,7 @@ def _reference_learning(net, prices, state, tol, window, max_iters):
 )
 def test_run_learning_matches_reference_slot_loop(seed, K, M, tau, adapting, log_price, tol, window, max_iters):
     net = make_net(K, seed=seed % 500)
-    acts = [ActionSet.from_table(M, float(pm)) for pm in net.power_max]
+    acts = default_action_sets(net, M)
     rng = np.random.default_rng(seed)
     prices = np.zeros(K) if log_price is None else 10.0**log_price * rng.random(K)
     # stock Table pair (1/t, 1/t^2) or the adapting pair (c = 0.6, 1.0)
@@ -797,7 +836,7 @@ def test_run_learning_rejects_bad_run_length_and_tol(net3, max_iters, tol):
 
 def test_learning_csv_round_trip(tmp_path):
     net = one_link_net()
-    acts = [ActionSet(powers=np.array([0.0, 0.05]))]
+    acts = np.array([[0.0, 0.05]])
     state = initial_state(acts, rng_seed=0)
     rep = run_learning(net, np.zeros(1), state, max_iters=60)
     out = tmp_path / "learn.csv"

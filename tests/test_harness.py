@@ -450,6 +450,14 @@ def test_cli_learn_rejects_nan_price():
     assert "prices must be finite" in res.stderr
 
 
+def test_cli_learn_refuses_a_price_with_algorithm2(tmp_path, capsys):
+    out = tmp_path / "outer.csv"
+    argv = ["learn", "--algorithm2", "--price", "5e12", "--followers", "2", "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_BAD_INPUT
+    assert "--price does not apply to --algorithm2" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # Adapting step sizes: with them Algorithm 2 meets the default SINR target.
 _ADAPTING_LEARNER = {"max_iters": 100, "M": 3, "alpha1": {"c": 0.6}, "alpha2": {"c": 1.0}}
 
@@ -681,7 +689,7 @@ def test_failed_trials_keep_their_rows_and_messages(tmp_path, experiment_id):
     spec = ExperimentSpec(
         experiment_id,
         trials=2,
-        num_actions=1,  # ActionSet.from_table refuses M < 2 inside every trial
+        num_actions=1,  # default_action_sets refuses M < 2 inside every trial
         num_followers=2,
         k_values=(2, 3),
         grid_count=4,

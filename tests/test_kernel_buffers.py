@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from femtogame import discrete
-from femtogame.discrete import ActionSet, expected_payoffs
+from femtogame.discrete import default_action_sets, expected_payoffs
 from femtogame.network import follower_sinr, interference
 from femtogame.payoff import own_payoff, payoffs
 
@@ -45,7 +45,7 @@ def _ref_payoffs(net, p, prices):
 def _ref_expected_payoffs(net, action_sets, strategies, prices, block_rows):
     K = net.num_followers
     support = [np.flatnonzero(pi) for pi in strategies]
-    powers = [a.powers[s] for a, s in zip(action_sets, support)]
+    powers = [a[s] for a, s in zip(action_sets, support)]
     weights = [np.asarray(pi, dtype=float)[s] for pi, s in zip(strategies, support)]
     lead, rows = K, 1
     while lead and rows * support[lead - 1].size <= block_rows:
@@ -120,19 +120,19 @@ def test_own_payoff_on_python_floats_keeps_value_and_type(p, gamma, W, pa, charg
 
 
 @given(
-    sizes=st.lists(st.integers(2, 6), min_size=1, max_size=5),
+    K=st.integers(1, 5),
+    M=st.integers(2, 6),
     seed=st.integers(0, 2**31 - 1),
     price_kind=st.sampled_from(["scalar", "zero", "large"]),
     block=st.sampled_from(["one", "last", "default"]),
 )
 @settings(max_examples=60, deadline=None)
-def test_expected_payoffs_with_one_block_buffer_are_bit_equal(sizes, seed, price_kind, block):
-    K = len(sizes)
+def test_expected_payoffs_with_one_block_buffer_are_bit_equal(K, M, seed, price_kind, block):
     net = make_net(K, seed=seed % 500)
     rng = np.random.default_rng(seed)
-    acts = [ActionSet.from_table(M, float(pm)) for M, pm in zip(sizes, net.power_max)]
+    acts = default_action_sets(net, M)
     pis = []
-    for M in sizes:  # exact zeros in arbitrary components, at least one action kept
+    for _ in range(K):  # exact zeros in arbitrary components, at least one action kept
         keep = rng.random(M) < 0.6
         keep[rng.integers(M)] = True
         pi = rng.dirichlet(np.ones(M)) * keep

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from femtogame.discrete import ActionSet, expected_follower_payoff
+from femtogame.discrete import default_action_sets, expected_follower_payoff
 from femtogame.oracles import (
     OracleConfig,
     enumerate_expected_payoff,
@@ -20,10 +20,6 @@ from conftest import hand_net, make_net
 def test_config_validation():
     with pytest.raises(ValueError):
         OracleConfig(grid_points=10)
-    with pytest.raises(ValueError):
-        OracleConfig(fd_step=0.0)
-    with pytest.raises(ValueError):
-        OracleConfig(fd_step=0.1)
 
 
 def test_fd_gradient_exact_on_affine():
@@ -106,7 +102,7 @@ def test_enumerated_expectation_matches_vectorized_route():
         circuit_power=0.5,
         bandwidth=1.0,
     )
-    acts = [ActionSet(powers=np.array([0.0, 0.1, 0.25]))] * 2
+    acts = np.array([[0.0, 0.1, 0.25]] * 2)
     pis = [np.array([0.2, 0.5, 0.3]), np.array([0.1, 0.1, 0.8])]
     lam = np.array([0.7, 0.2])
     for k in (1, 2):
@@ -123,7 +119,7 @@ def test_enumerated_expectation_skips_zero_probability_branches():
         circuit_power=0.5,
         bandwidth=1.0,
     )
-    acts = [ActionSet(powers=np.array([0.0, 0.1]))] * 2
+    acts = np.array([[0.0, 0.1]] * 2)
     pis = [np.array([0.0, 1.0]), np.array([1.0, 0.0])]
     from femtogame import follower_payoff
 
@@ -135,7 +131,7 @@ def test_enumerated_expectation_skips_zero_probability_branches():
 
 def test_enumeration_cap_applies_to_oracle_too():
     net = make_net(8, seed=0)
-    acts = [ActionSet.from_table(8, float(pm)) for pm in net.power_max]
+    acts = default_action_sets(net, 8)
     pis = [np.full(8, 1 / 8)] * 8
     with pytest.raises(ValueError, match="cap"):
         enumerate_expected_payoff(net, 1, acts, pis, np.zeros(8))

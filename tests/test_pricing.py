@@ -22,7 +22,7 @@ from femtogame import (
     solve_equilibria,
     zero_price_equilibrium,
 )
-from femtogame.discrete import ActionSet, PowerLawSchedule, default_action_sets, expected_follower_payoff
+from femtogame.discrete import PowerLawSchedule, default_action_sets, expected_follower_payoff
 from femtogame.experiments import continuous_sweep_rows, sweep_grid
 from femtogame.payoff import efficiencies, follower_payoff
 
@@ -259,7 +259,7 @@ def test_learner_run_warns_on_broken_step_sizes():
 
 def test_price_step_degenerate_strategy_hand_value():
     net = toy_net()
-    acts = [ActionSet(powers=np.array([0.0, 0.02, 0.05]))]
+    acts = np.array([[0.0, 0.02, 0.05]])
     pi = np.array([[0.0, 0.0, 1.0]])
     prices, flagged = algorithm2_price_step(net, acts, pi)
     want = efficiencies(net, np.array([0.05]))[0] / (net.gain[1, 0] * 0.05)
@@ -282,10 +282,18 @@ def test_price_step_zeroes_expected_payoff():
 
 def test_price_step_flags_all_mass_on_zero():
     net = toy_net()
-    acts = [ActionSet(powers=np.array([0.0, 0.02, 0.05]))]
+    acts = np.array([[0.0, 0.02, 0.05]])
     prices, flagged = algorithm2_price_step(net, acts, np.array([[1.0, 0.0, 0.0]]))
     assert prices[0] == 0.0
     assert flagged[0]
+
+
+@pytest.mark.parametrize(
+    "kwargs", [{"max_outer": -3}, {"sinr_threshold": np.nan}, {"sinr_threshold": 0.0}, {"sinr_threshold": -1.0}]
+)
+def test_algorithm2_refuses_unusable_targets_and_loop_bounds(net3, kwargs):
+    with pytest.raises(ValueError, match="max_outer >= 0 and a positive SINR threshold"):
+        run_algorithm2(net3, default_action_sets(net3, 3), LearnerConfig(max_iters=50), **kwargs)
 
 
 def test_algorithm2_stops_immediately_when_target_already_met(net6):
