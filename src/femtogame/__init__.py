@@ -60,7 +60,6 @@ from .payoff import (
     efficiencies,
     follower_payoff,
     leader_revenue,
-    payoff_gradient,
     payoffs,
     validate_power_profile,
     validate_prices,

@@ -77,9 +77,12 @@ def cmd_sweep(args) -> int:
         rows = continuous_sweep_rows(net, grid)
     else:
         rows = discrete_sweep_rows(net, grid, scenario.num_actions)
-    write_rows(args.out, HEADERS["fig1-sweep"][3:8], rows)  # the sweep columns without lead or status
+    write_rows(args.out, HEADERS["fig1-sweep"][3:8], (r[:5] for r in rows))  # sweep columns: no lead, no status
     if not all(r[4] for r in rows):
-        print(f"wrote {len(rows)} rows to {args.out}; some price points did not converge", file=sys.stderr)
+        cycles = [i for i, r in enumerate(rows) if r[-1] == "cycle"]
+        capped = [i for i, r in enumerate(rows) if not r[4] and i not in cycles]
+        print(f"wrote {len(rows)} rows to {args.out}; some price points did not converge "
+              f"(0-based price rows: cycle {cycles}, round cap {capped})", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     print(f"wrote {len(rows)} rows to {args.out}")
     return EXIT_OK

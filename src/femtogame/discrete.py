@@ -48,6 +48,7 @@ ENUMERATION_CAP = 10_000_000  # reject expected-value sums with K * M^K above th
 # Joint profiles per payoffs() call, timed at K = 7, M = 6 (BENCH_9.json; BENCH_12.json re-timed it with
 # out= buffers). It also fixes expected_payoffs' summation order: another value moves its last bits.
 BLOCK_ROWS = 8192
+MAX_ROUNDS = 200  # discrete_equilibria's round-robin cap: rows still moving after it are "unconverged"
 
 
 def default_action_sets(net: NetworkInstance, M: int = 6) -> np.ndarray:
@@ -231,40 +232,47 @@ def expected_leader_revenue(net: NetworkInstance, action_sets, strategies, price
     return leader_revenue(net, mean_p, validate_prices(net, prices))
 
 
-def discrete_equilibria(
-    net: NetworkInstance, action_sets, prices, max_rounds: int = 200
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def discrete_equilibria(net: NetworkInstance, action_sets, prices) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pure-strategy NE of the finite game for every row of a (B, K) price batch.
 
     Round-robin best response from the all-zero profile (the game's smallest
-    point): follower k = 1..K of every unfinished row moves in turn, and a
-    row is done after a round in which no follower moved. Each best response
-    evaluates the follower's whole (M, K) block of trial profiles, stacked
-    over rows, and takes the first argmax, so ties break toward the smaller
-    power (the silent action pays exactly 0). Returns (action indices (B, K),
-    power profiles (B, K), converged (B,)); a row still moving after
-    ``max_rounds`` rounds (a cycle) has converged = False.
+    point): follower k = 1..K of every unfinished row moves in turn. Its
+    interference does not depend on its own power, so each best response
+    takes one O(K) column of it, G = h_kk / interference_k, scores the
+    follower's M menu powers with ``own_payoff`` and keeps the first argmax,
+    so ties break toward the smaller power (the silent action pays exactly
+    0). Returns (action indices (B, K), power profiles (B, K), status (B,)):
+    a row is ``"ok"`` after a round in which no follower moved, ``"cycle"``
+    once its indices equal those of two rounds back (the round robin then
+    repeats forever), and ``"unconverged"`` if still moving after
+    ``MAX_ROUNDS`` rounds.
     """
     menu = _validate_menu(action_sets, net.num_followers)
     prices = validate_prices(net, prices, ndim=2)
+    charge = prices * net.gain[1:, 0]
+    W, pa = net.bandwidth, net.circuit_power
     idx = np.zeros(prices.shape, dtype=int)
     profiles = np.zeros(prices.shape)
-    converged = np.zeros(len(prices), dtype=bool)
+    back = np.full(prices.shape, -1)  # each row's indices one round back
+    status = np.full(len(prices), "unconverged")
     rows = np.arange(len(prices))  # the unfinished rows
-    for _ in range(max_rounds):
+    for _ in range(MAX_ROUNDS):
         if not rows.size:
             break
-        moved = np.zeros(rows.size, dtype=bool)
+        P, J, c = profiles[rows], idx[rows], charge[rows]  # copies of the unfinished rows for this round
+        start = J.copy()
         for k, a in enumerate(menu):
-            trials = np.repeat(profiles[rows, None, :], a.size, axis=1)
-            trials[:, :, k] = a
-            j = np.argmax(payoffs(net, trials, prices[rows, None, :])[:, :, k], axis=1)
-            moved |= j != idx[rows, k]
-            idx[rows, k] = j
-            profiles[rows, k] = a[j]
-        converged[rows[~moved]] = True
-        rows = rows[moved]
-    return idx, profiles, converged
+            G = net.own_gain[k] / (P @ net.cross_gain[:, k] + net.background[k])
+            J[:, k] = np.argmax(own_payoff(a, G[:, None] * a, W, pa, c[:, k, None]), axis=1)
+            P[:, k] = a[J[:, k]]
+        profiles[rows], idx[rows] = P, J
+        settled = (J == start).all(axis=1)
+        cycled = (J == back[rows]).all(axis=1) & ~settled
+        status[rows[settled]] = "ok"
+        status[rows[cycled]] = "cycle"
+        back[rows] = start
+        rows = rows[~(settled | cycled)]
+    return idx, profiles, status
 
 
 @dataclass

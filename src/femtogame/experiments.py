@@ -237,16 +237,17 @@ def continuous_sweep_rows(net: NetworkInstance, grid: np.ndarray):
 
 
 def discrete_sweep_rows(net: NetworkInstance, grid: np.ndarray, num_actions: int):
-    """Pure-strategy discrete-NE metrics per uniform price: (lambda, revenue, mean eff, MU SINR, converged).
+    """Pure-strategy discrete-NE metrics per uniform price: (lambda, revenue, mean eff, MU SINR, converged, status).
 
     One ``discrete_equilibria`` batch over the whole grid, solved exactly, so
-    rows are deterministic.
+    rows are deterministic; status is the solver's ``ok``, ``cycle`` or
+    ``unconverged``.
     """
     prices = np.outer(grid, np.ones(net.num_followers))
-    _, profiles, converged = discrete_equilibria(net, default_action_sets(net, num_actions), prices)
+    _, profiles, status = discrete_equilibria(net, default_action_sets(net, num_actions), prices)
     return [
-        (float(x), *_metrics(net, p, lam), bool(ok))
-        for x, lam, p, ok in zip(grid, prices, profiles, converged)
+        (float(x), *_metrics(net, p, lam), s == "ok", str(s))
+        for x, lam, p, s in zip(grid, prices, profiles, status)
     ]
 
 
@@ -281,16 +282,15 @@ def _alg2_status(alg2) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _sweep_trial(metrics: list, seed: int):
-    """Rows and interior-max entry of a price sweep (fig1, fig4)."""
-    entry = {"seed": seed, "interior_max": _interior_max(np.array([m[1] for m in metrics]))}
-    return [(*m, "ok") for m in metrics], entry
+def _sweep_trial(rows: list, seed: int):
+    """Rows and interior-max entry of a price sweep (fig1, fig4); each row ends in (converged, status)."""
+    return rows, {"seed": seed, "interior_max": _interior_max(np.array([m[1] for m in rows]))}
 
 
 def _fig1_trial(spec: ExperimentSpec, net: NetworkInstance, seed: int):
     grid = sweep_grid(net, spec.grid_count)
     metrics = continuous_sweep_rows(net, grid)
-    tails, entry = _sweep_trial(metrics, seed)
+    tails, entry = _sweep_trial([(*m, "ok" if m[4] else "unconverged") for m in metrics], seed)
     eff0 = mean_efficiency(net, zero_price_equilibrium(net).profile)
     entry["plateau_decades"] = _plateau_decades(grid, np.array([m[2] for m in metrics]), eff0)
     return tails, entry
@@ -322,10 +322,10 @@ def _fig5_trial(spec: ExperimentSpec, net: NetworkInstance, seed: int):
     best = sweep[int(np.argmax([m[1] for m in sweep]))]
     alg2 = run_algorithm2(net, actions, learner=replace(spec.learner, rng_seed=seed), max_outer=20)
     prices = np.array([asymptote_price(net, zero_price_equilibrium(net).profile), alg2.prices])
-    _, profiles, converged = discrete_equilibria(net, actions, prices)
-    schemes = {"se-search": _scheme(*best[1:])}
-    for name, lam, p, ok in zip(("asymptote", "algorithm2"), prices, profiles, converged):
-        schemes[name] = _scheme(*_metrics(net, p, lam), bool(ok))
+    _, profiles, status = discrete_equilibria(net, actions, prices)
+    schemes = {"se-search": _scheme(*best[1:5])}
+    for name, lam, p, s in zip(("asymptote", "algorithm2"), prices, profiles, status):
+        schemes[name] = _scheme(*_metrics(net, p, lam), s == "ok")
     alg2_cells = (alg2.outer_iterations, _alg2_status(alg2))
     tails = [
         (*_scheme_tail(name, m), *(alg2_cells if name == "algorithm2" else ("", "ok")))

@@ -30,7 +30,6 @@ __all__ = [
     "efficiencies",
     "follower_payoff",
     "leader_revenue",
-    "payoff_gradient",
     "cross_second_derivative",
 ]
 
@@ -129,17 +128,6 @@ def leader_revenue(net: NetworkInstance, p: np.ndarray, prices: np.ndarray) -> f
     p = np.asarray(p, dtype=float)
     lam = np.asarray(prices, dtype=float)
     return float(np.sum(lam * net.gain[1:, 0] * p))
-
-
-def payoff_gradient(net: NetworkInstance, k: int, p: np.ndarray, prices: np.ndarray) -> float:
-    """d u_k / d p_k in closed form (``own_gradient``).
-
-    G_k = h_kk / (N_k + h_0k*p_0 + sum_{j!=k} h_jk*p_j). Continuous at
-    p_k = 0, where it reduces to W*G_k/p_a - lambda_k*h_k0.
-    """
-    G = net.gain[k, k] / interference(net, p)[k - 1]
-    charge = prices[k - 1] * net.gain[k, 0]
-    return own_gradient(p[k - 1], G, net.bandwidth, net.circuit_power, charge)
 
 
 def cross_second_derivative(net: NetworkInstance, k: int, j: int, p: np.ndarray) -> float:

@@ -22,7 +22,6 @@ from femtogame import (
     cross_second_derivative,
     follower_payoff,
     leader_revenue,
-    payoff_gradient,
     run_algorithm1,
 )
 from femtogame.discrete import (
@@ -42,13 +41,14 @@ from femtogame.experiments import (
     run_experiment,
     sweep_grid,
 )
-from femtogame.network import sinr_macro
+from femtogame.network import interference, sinr_macro
 from femtogame.oracles import (
     finite_difference_cross,
     finite_difference_gradient,
     grid_best_response,
     enumerate_expected_payoff,
 )
+from femtogame.payoff import own_gradient
 from femtogame.pricing import (
     PriceSearchConfig,
     asymptote_price,
@@ -97,7 +97,8 @@ def criterion_01_derivative_oracles():
             return follower_payoff(net, k, q, lam)
 
         fd = finite_difference_gradient(u, p[k - 1], step=1e-6)
-        an = payoff_gradient(net, k, p, lam)
+        G = net.gain[k, k] / interference(net, p)[k - 1]
+        an = own_gradient(p[k - 1], G, net.bandwidth, net.circuit_power, lam[k - 1] * net.gain[k, 0])
         worst_g = max(worst_g, abs(an - fd) / max(abs(an), abs(fd), 1.0))
 
     rng = np.random.default_rng(43)

@@ -1,5 +1,7 @@
 """Finite power menus, expected values by enumeration, and the learning loop."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -377,8 +379,8 @@ def test_discrete_equilibrium_is_nash():
         net = make_net(4, seed=seed)
         acts = default_action_sets(net, 6)
         lam = asymptote_price(net, zero_price_equilibrium(net).profile)
-        idx, prof, ok = (a[0] for a in discrete_equilibria(net, acts, lam[None]))
-        assert ok
+        idx, prof, status = (a[0] for a in discrete_equilibria(net, acts, lam[None]))
+        assert status == "ok"
         for k in range(1, 5):
             u_now = follower_payoff(net, k, prof, lam)
             for p in acts[k - 1]:
@@ -390,51 +392,62 @@ def test_discrete_equilibrium_is_nash():
 
 def test_discrete_equilibrium_all_silent_at_huge_price(net3):
     acts = default_action_sets(net3, 6)
-    idx, prof, ok = discrete_equilibria(net3, acts, np.full((1, 3), 1e30))
-    assert ok.all()
+    idx, prof, status = discrete_equilibria(net3, acts, np.full((1, 3), 1e30))
+    assert status.tolist() == ["ok"]
     assert np.array_equal(prof, np.zeros((1, 3)))
     assert np.array_equal(idx, np.zeros((1, 3), dtype=int))
 
 
 def reference_best_response(
     net: NetworkInstance, k: int, opponents: np.ndarray, prices, menu_row: np.ndarray
-) -> int:
-    """Index of follower k's payoff-maximizing action against pure opponents.
+) -> tuple[int, float]:
+    """Index of follower k's payoff-maximizing action against pure opponents, and its relative margin.
 
     Evaluates every action as one (M, K) batch of trial profiles. Ties break
     toward the smaller power, so a follower indifferent between transmitting
-    and staying silent stays silent (the silent action pays exactly 0).
-    Rejects NaN or negative prices, so ``reference_equilibrium`` does too.
+    and staying silent stays silent (the silent action pays exactly 0). The
+    margin is the chosen payoff minus the runner-up's, over the largest
+    |payoff| on the menu. Rejects NaN or negative prices, so
+    ``reference_equilibrium`` does too.
     """
     prices = validate_prices(net, prices)
     trials = np.tile(np.asarray(opponents, dtype=float), (len(menu_row), 1))
     trials[:, k - 1] = menu_row
-    return int(np.argmax(payoffs(net, trials, prices)[:, k - 1]))
+    u = payoffs(net, trials, prices)[:, k - 1]
+    j = int(np.argmax(u))
+    scale = np.abs(u).max()
+    return j, (u[j] - np.delete(u, j).max()) / scale if scale else 0.0
 
 
 def reference_equilibrium(
     net: NetworkInstance, action_sets, prices, max_rounds: int = 200
-) -> tuple[np.ndarray, np.ndarray, bool]:
+) -> tuple[np.ndarray, np.ndarray, str, float]:
     """Pure-strategy NE of the finite game by round-robin best response.
 
     Starts from the all-zero profile (the game's smallest point) and iterates
-    until no follower moves. Returns (action indices, power profile,
-    converged); a cycle shows up as converged = False after max_rounds.
+    until no follower moves ("ok"), the indices equal those of two rounds
+    back ("cycle") or max_rounds rounds have run ("unconverged"). Returns
+    (action indices, power profile, status, the smallest relative margin
+    of any decision it took).
     """
     K = net.num_followers
     idx = np.zeros(K, dtype=int)
     profile = np.zeros(K)
+    back = None
+    margin = np.inf
     for _ in range(max_rounds):
-        moved = False
+        start = idx.copy()
         for k in range(1, K + 1):
-            j = reference_best_response(net, k, profile, prices, action_sets[k - 1])
-            if j != idx[k - 1]:
-                idx[k - 1] = j
-                profile[k - 1] = action_sets[k - 1, j]
-                moved = True
-        if not moved:
-            return idx, profile, True
-    return idx, profile, False
+            j, gap = reference_best_response(net, k, profile, prices, action_sets[k - 1])
+            margin = min(margin, gap)
+            idx[k - 1] = j
+            profile[k - 1] = action_sets[k - 1, j]
+        if np.array_equal(idx, start):
+            return idx, profile, "ok", margin
+        if np.array_equal(idx, back):
+            return idx, profile, "cycle", margin
+        back = start
+    return idx, profile, "unconverged", margin
 
 
 def _price_row(net, acts, kind, rng):
@@ -457,6 +470,24 @@ def _price_row(net, acts, kind, rng):
     return algorithm2_price_step(net, acts, strategies)[0]
 
 
+# A decision whose best and runner-up payoffs differ by less than this share of the largest |payoff| on
+# the follower's menu is a near-tie: the solver's O(K) interference column and the reference's (M, K)
+# trial block round differently, so there the two may choose differently.
+NEAR_TIE = 1e-9
+
+
+def _is_pure_ne(net, menu, profile, prices) -> bool:
+    """No follower gains more than NEAR_TIE of its largest |payoff| by a unilateral move on its menu."""
+    for k in range(1, net.num_followers + 1):
+        trials = np.tile(profile, (menu.shape[1], 1))
+        trials[:, k - 1] = menu[k - 1]
+        u = payoffs(net, trials, prices)[:, k - 1]
+        now = payoffs(net, profile, prices)[k - 1]
+        if u.max() - now > NEAR_TIE * np.abs(u).max():
+            return False
+    return True
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -472,12 +503,39 @@ def test_discrete_equilibria_match_the_scalar_round_robin(seed, K, M, kinds, max
     acts = default_action_sets(net, M)
     rng = np.random.default_rng(seed)
     prices = np.array([_price_row(net, acts, kind, rng) for kind in kinds])
-    idx, profiles, converged = discrete_equilibria(net, acts, prices, max_rounds=max_rounds)
+    with mock.patch.object(discrete, "MAX_ROUNDS", max_rounds):
+        idx, profiles, status = discrete_equilibria(net, acts, prices)
     for b, lam in enumerate(prices):
-        ref_idx, ref_profile, ref_converged = reference_equilibrium(net, acts, lam, max_rounds=max_rounds)
-        assert np.array_equal(idx[b], ref_idx)
-        assert np.array_equal(profiles[b], ref_profile)
-        assert converged[b] == ref_converged
+        ref_idx, ref_profile, ref_status, margin = reference_equilibrium(net, acts, lam, max_rounds=max_rounds)
+        if margin > NEAR_TIE:
+            assert np.array_equal(idx[b], ref_idx)
+            assert np.array_equal(profiles[b], ref_profile)
+            assert status[b] == ref_status
+        if status[b] == "ok":
+            assert _is_pure_ne(net, acts, profiles[b], lam)
+
+
+def test_discrete_equilibria_stop_at_the_round_cap(net3):
+    acts = default_action_sets(net3, 6)
+    with mock.patch.object(discrete, "MAX_ROUNDS", 1):
+        idx, _, status = discrete_equilibria(net3, acts, np.zeros((1, 3)))
+    assert idx.any()  # round 1 moved some follower off silence, so it is not yet a fixed point
+    assert status.tolist() == ["unconverged"]
+    assert discrete_equilibria(net3, acts, np.zeros((1, 3)))[2].tolist() == ["ok"]
+
+
+def test_discrete_equilibria_name_a_two_cycle():
+    # Default K = 200 topology 0 at point 12 of its 40-point sweep grid: 2-3 followers take turns
+    # outbidding each other, so the round robin repeats every two rounds and has no fixed point.
+    net = make_net(200, seed=0)
+    acts = default_action_sets(net, 6)
+    lam = np.full(200, sweep_grid(net, 40)[12])
+    idx, profiles, status = discrete_equilibria(net, acts, lam[None])
+    assert status.tolist() == ["cycle"]
+    ref_idx, ref_profile, ref_status, margin = reference_equilibrium(net, acts, lam)
+    assert margin > NEAR_TIE
+    assert (ref_status, ref_idx.tolist(), ref_profile.tolist()) == ("cycle", idx[0].tolist(), profiles[0].tolist())
+    assert not _is_pure_ne(net, acts, profiles[0], lam)
 
 
 # ------------------------------------------------------------------- learning

@@ -492,6 +492,39 @@ def test_cli_experiment_exits_0_when_algorithm2_meets_target(tmp_path, capsys):
     assert _fig67_exit(tmp_path, capsys, scenario) == (cli.EXIT_OK, True, "ok")
 
 
+def _sweep_cells(path, *columns) -> list[tuple[str, ...]]:
+    """The named cells of every data row of a sweep CSV."""
+    header, *rows = (line.split(",") for line in Path(path).read_text().splitlines())
+    return [tuple(row[header.index(c)] for c in columns) for row in rows]
+
+
+def test_discrete_sweeps_name_a_cycling_price_row(tmp_path, capsys):
+    # Default K = 200 topology 0: the round robin 2-cycles at point 12 of the 40-point grid.
+    code, summary, out = _experiment(
+        tmp_path, capsys, None, "--id", "fig4-discrete-sweep", "--followers", "200", "--seed", "0"
+    )
+    assert code == cli.EXIT_NO_CONVERGENCE
+    expected = [("1", "ok")] * 12 + [("0", "cycle")] + [("1", "ok")] * 27
+    assert _sweep_cells(out, "converged", "status") == expected
+    assert summary["rows_not_ok"] == 1
+    sweep = tmp_path / "sweep.csv"
+    argv = ["sweep", "--game", "discrete", "--followers", "200", "--seed", "0", "--out", str(sweep)]
+    assert cli.main(argv) == cli.EXIT_NO_CONVERGENCE
+    assert "cycle [12], round cap []" in capsys.readouterr().err
+    assert _sweep_cells(sweep, "converged") == [(c,) for c, _ in expected]
+    assert {len(line.split(",")) for line in sweep.read_text().splitlines()} == {5}
+
+
+def test_continuous_sweep_experiment_marks_unconverged_rows(tmp_path, monkeypatch):
+    monkeypatch.setattr(experiments, "solve_equilibria", partial(solve_equilibria, max_rounds=1))
+    out = tmp_path / "f1.csv"
+    summary = run_experiment(ExperimentSpec("fig1-sweep", grid_count=8, output_path=out))
+    cells = _sweep_cells(out, "converged", "status")
+    assert ("0", "unconverged") in cells
+    assert set(cells) <= {("1", "ok"), ("0", "unconverged")}
+    assert summary["rows_not_ok"] == cells.count(("0", "unconverged"))
+
+
 def test_default_config_hashes_are_stable():
     pinned = {
         "fig1-sweep": "2f81fbd8bd6c",

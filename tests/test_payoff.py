@@ -14,7 +14,6 @@ from femtogame import (
     follower_sinr,
     interference,
     leader_revenue,
-    payoff_gradient,
     payoffs,
     validate_power_profile,
     validate_prices,
@@ -106,11 +105,12 @@ def test_leader_revenue_linear_in_prices(a, b):
 def test_gradient_at_zero_closed_form(hand2):
     p = np.array([0.0, 0.3])
     G = hand2.gain[1, 1] / interference(hand2, p)[0]
-    expected = hand2.bandwidth * G / hand2.circuit_power
-    assert payoff_gradient(hand2, 1, p, np.zeros(2)) == pytest.approx(expected, rel=1e-12)
+    W, pa = hand2.bandwidth, hand2.circuit_power
+    expected = W * G / pa
+    assert own_gradient(p[0], G, W, pa, 0.0 * hand2.gain[1, 0]) == pytest.approx(expected, rel=1e-12)
     # A price above W*G/(p_a*h_k0) makes even the first watt unprofitable.
     lam = 1.01 * expected / hand2.gain[1, 0]
-    assert payoff_gradient(hand2, 1, p, np.array([lam, 0.0])) < 0.0
+    assert own_gradient(p[0], G, W, pa, lam * hand2.gain[1, 0]) < 0.0
 
 
 def test_gradient_matches_finite_difference():
@@ -128,7 +128,8 @@ def test_gradient_matches_finite_difference():
             return follower_payoff(net, k, q, lam)
 
         fd = finite_difference_gradient(u, p[k - 1], step=1e-6)
-        an = payoff_gradient(net, k, p, lam)
+        G = net.gain[k, k] / interference(net, p)[k - 1]
+        an = own_gradient(p[k - 1], G, net.bandwidth, net.circuit_power, lam[k - 1] * net.gain[k, 0])
         rel = abs(an - fd) / max(abs(an), abs(fd), 1.0)
         worst = max(worst, rel)
     assert worst < 1e-5
