@@ -282,23 +282,23 @@ def _alg2_status(alg2) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _sweep_trial(rows: list, seed: int):
-    """Rows and interior-max entry of a price sweep (fig1, fig4); each row ends in (converged, status)."""
-    return rows, {"seed": seed, "interior_max": _interior_max(np.array([m[1] for m in rows]))}
+def _sweep_entry(rows: list, seed: int) -> dict:
+    """Interior-max summary entry of a price sweep (fig1, fig4) from its (lambda, revenue, ...) rows."""
+    return {"seed": seed, "interior_max": _interior_max(np.array([m[1] for m in rows]))}
 
 
 def _fig1_trial(spec: ExperimentSpec, net: NetworkInstance, seed: int):
     grid = sweep_grid(net, spec.grid_count)
     metrics = continuous_sweep_rows(net, grid)
-    tails, entry = _sweep_trial([(*m, "ok" if m[4] else "unconverged") for m in metrics], seed)
+    entry = _sweep_entry(metrics, seed)
     eff0 = mean_efficiency(net, zero_price_equilibrium(net).profile)
     entry["plateau_decades"] = _plateau_decades(grid, np.array([m[2] for m in metrics]), eff0)
-    return tails, entry
+    return [(*m, "ok" if m[4] else "unconverged") for m in metrics], entry
 
 
 def _fig4_trial(spec: ExperimentSpec, net: NetworkInstance, seed: int):
-    grid = sweep_grid(net, spec.grid_count)
-    return _sweep_trial(discrete_sweep_rows(net, grid, spec.num_actions), seed)
+    rows = discrete_sweep_rows(net, sweep_grid(net, spec.grid_count), spec.num_actions)
+    return rows, _sweep_entry(rows, seed)
 
 
 def _fig23_trial(spec: ExperimentSpec, net: NetworkInstance, seed: int):

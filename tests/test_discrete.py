@@ -398,24 +398,30 @@ def test_discrete_equilibrium_all_silent_at_huge_price(net3):
     assert np.array_equal(idx, np.zeros((1, 3), dtype=int))
 
 
+def _menu_payoffs(net: NetworkInstance, k: int, opponents: np.ndarray, prices, menu_row: np.ndarray):
+    """Follower k's payoff at each menu power against pure opponents, evaluated as one (M, K) batch of
+    trial profiles, and the size of its terms: the largest efficiency plus charge lambda_k h_k0 p over the
+    menu, which bounds every |payoff| and sets the scale of its rounding."""
+    trials = np.tile(np.asarray(opponents, dtype=float), (len(menu_row), 1))
+    trials[:, k - 1] = menu_row
+    u = payoffs(net, trials, prices)[:, k - 1]
+    return u, (payoffs(net, trials, 0.0)[:, k - 1] + prices[k - 1] * net.gain[k, 0] * menu_row).max()
+
+
 def reference_best_response(
     net: NetworkInstance, k: int, opponents: np.ndarray, prices, menu_row: np.ndarray
 ) -> tuple[int, float]:
     """Index of follower k's payoff-maximizing action against pure opponents, and its relative margin.
 
-    Evaluates every action as one (M, K) batch of trial profiles. Ties break
-    toward the smaller power, so a follower indifferent between transmitting
-    and staying silent stays silent (the silent action pays exactly 0). The
-    margin is the chosen payoff minus the runner-up's, over the largest
-    |payoff| on the menu. Rejects NaN or negative prices, so
-    ``reference_equilibrium`` does too.
+    Ties break toward the smaller power, so a follower indifferent between
+    transmitting and staying silent stays silent (the silent action pays
+    exactly 0). The margin is the chosen payoff minus the runner-up's, over
+    the size of the payoff's terms (``_menu_payoffs``). Rejects NaN or
+    negative prices, so ``reference_equilibrium`` does too.
     """
     prices = validate_prices(net, prices)
-    trials = np.tile(np.asarray(opponents, dtype=float), (len(menu_row), 1))
-    trials[:, k - 1] = menu_row
-    u = payoffs(net, trials, prices)[:, k - 1]
+    u, scale = _menu_payoffs(net, k, opponents, prices, menu_row)
     j = int(np.argmax(u))
-    scale = np.abs(u).max()
     return j, (u[j] - np.delete(u, j).max()) / scale if scale else 0.0
 
 
@@ -470,20 +476,20 @@ def _price_row(net, acts, kind, rng):
     return algorithm2_price_step(net, acts, strategies)[0]
 
 
-# A decision whose best and runner-up payoffs differ by less than this share of the largest |payoff| on
-# the follower's menu is a near-tie: the solver's O(K) interference column and the reference's (M, K)
-# trial block round differently, so there the two may choose differently.
+# A decision whose best and runner-up payoffs differ by less than this share of the size of the payoff's
+# terms on the follower's menu is a near-tie: the solver's O(K) interference column and the reference's
+# (M, K) trial block round differently, so there the two may choose differently. At a break-even price
+# the terms cancel to a rounding residue, so |payoff| itself would be no scale: with M = 2 the only
+# positive power of default K = 1 topology 2 pays 7.5e-9 by one rounding and 0 by the other, out of
+# terms of 3.6e7.
 NEAR_TIE = 1e-9
 
 
 def _is_pure_ne(net, menu, profile, prices) -> bool:
-    """No follower gains more than NEAR_TIE of its largest |payoff| by a unilateral move on its menu."""
+    """No follower gains more than NEAR_TIE of its payoff's terms by a unilateral move on its menu."""
     for k in range(1, net.num_followers + 1):
-        trials = np.tile(profile, (menu.shape[1], 1))
-        trials[:, k - 1] = menu[k - 1]
-        u = payoffs(net, trials, prices)[:, k - 1]
-        now = payoffs(net, profile, prices)[k - 1]
-        if u.max() - now > NEAR_TIE * np.abs(u).max():
+        u, scale = _menu_payoffs(net, k, profile, prices, menu[k - 1])
+        if u.max() - payoffs(net, profile, prices)[k - 1] > NEAR_TIE * scale:
             return False
     return True
 
