@@ -10,7 +10,6 @@ harness with a CLI front end.
 
 from .continuous import (
     BisectionError,
-    BrSchedule,
     EquilibriumBatch,
     EquilibriumReport,
     best_response,

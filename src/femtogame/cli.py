@@ -88,6 +88,16 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _emit_json(payload: dict, out: str | None, what: str) -> None:
+    """Write ``payload`` as indented JSON to ``out``, or print it when no --out was given."""
+    text = json.dumps(payload, indent=2)
+    if out:
+        Path(out).write_text(text + "\n", encoding="utf-8")
+        print(f"wrote {what} to {out}")
+    else:
+        print(text)
+
+
 def cmd_search(args) -> int:
     scenario = _load(args)
     net = _network(args, scenario)
@@ -103,11 +113,7 @@ def cmd_search(args) -> int:
         "boundary_max": result.boundary_max,
         "equilibrium_powers_w": [float(x) for x in result.equilibrium],
     }
-    if args.out:
-        Path(args.out).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-        print(f"wrote search result to {args.out}")
-    else:
-        print(json.dumps(payload, indent=2))
+    _emit_json(payload, args.out, "search result")
     if result.boundary_max:
         print("note: best price is a grid endpoint and was not refined; try more --points", file=sys.stderr)
     return EXIT_OK
@@ -125,11 +131,7 @@ def cmd_asymptote(args) -> int:
         "asymptote_prices_per_watt": [float(x) for x in lam],
         "zero_price_powers_w": [float(x) for x in zp.profile],
     }
-    if args.out:
-        Path(args.out).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-        print(f"wrote asymptote prices to {args.out}")
-    else:
-        print(json.dumps(payload, indent=2))
+    _emit_json(payload, args.out, "asymptote prices")
     return EXIT_OK
 
 

@@ -10,7 +10,6 @@ Both reach the same fixed point (Yates 1995, standard interference functions).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +19,6 @@ from .payoff import own_gradient, own_gradient_and_slope, own_payoff, validate_p
 
 __all__ = [
     "BisectionError",
-    "BrSchedule",
     "EquilibriumReport",
     "EquilibriumBatch",
     "best_response",
@@ -30,32 +28,12 @@ __all__ = [
     "check_supermodularity",
 ]
 
-_SCHEDULE_MODES = ("round-robin", "random-permutation", "independent-clocks")
+MAX_STEPS = 200  # bisection or rtsafe steps a best response may take before BisectionError
 DAMPING = 0.5  # beta of the damped update p <- (1 - beta) p + beta BR(p)
 
 
 class BisectionError(RuntimeError):
     """A best-response root search failed to shrink below tolerance."""
-
-
-@dataclass(frozen=True)
-class BrSchedule:
-    """Update-order policy for the asynchronous best-response rounds.
-
-    mode:
-      round-robin        deterministic 1..K each round (default);
-      random-permutation fresh uniform permutation each round;
-      independent-clocks K single updates drawn uniformly with replacement
-                         per round (a round may skip some followers, but
-                         every follower updates infinitely often a.s.).
-    """
-
-    mode: str = "round-robin"
-    rng_seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.mode not in _SCHEDULE_MODES:
-            raise ValueError(f"unknown schedule mode {self.mode!r}")
 
 
 @dataclass
@@ -66,7 +44,6 @@ class EquilibriumReport:
     iterations: int
     converged: bool
     trace: list  # profile after each round; entry 0 is the initial profile
-    max_residual: float
 
 
 @dataclass
@@ -85,7 +62,6 @@ def best_response(
     opponents: np.ndarray,
     prices: np.ndarray,
     tol: float = 1e-9,
-    max_iter: int = 200,
 ) -> float:
     """Unique maximizer of follower k's payoff over [0, p_max[k]].
 
@@ -112,7 +88,7 @@ def best_response(
     if own_gradient(p_max, G, W, pa, lam_h) >= 0.0:
         return p_max
     lo, hi = 0.0, p_max
-    for _ in range(max_iter):
+    for _ in range(MAX_STEPS):
         mid = 0.5 * (lo + hi)
         if own_gradient(mid, G, W, pa, lam_h) > 0.0:
             lo = mid
@@ -122,7 +98,7 @@ def best_response(
             break
     else:
         raise BisectionError(
-            f"bracket {hi - lo:.3e} W still above tol {tol:.3e} after {max_iter} iterations"
+            f"bracket {hi - lo:.3e} W still above tol {tol:.3e} after {MAX_STEPS} iterations"
         )
     root = 0.5 * (lo + hi)
 
@@ -132,25 +108,16 @@ def best_response(
     return 0.0
 
 
-def _round_order(sched: BrSchedule, K: int, rng: np.random.Generator | None) -> np.ndarray:
-    if sched.mode == "round-robin":
-        return np.arange(1, K + 1)
-    if sched.mode == "random-permutation":
-        return rng.permutation(K) + 1
-    return rng.integers(1, K + 1, size=K)
-
-
 def run_algorithm1(
     net: NetworkInstance,
     prices: np.ndarray,
     init: np.ndarray,
-    sched: BrSchedule = BrSchedule(),
     tol: float = 1e-7,
     max_rounds: int = 10_000,
 ) -> EquilibriumReport:
     """Asynchronous best-response iteration to a power-allocation fixed point.
 
-    Runs rounds of single-follower best responses in the schedule's order
+    Runs rounds of single-follower best responses, followers 1..K in turn,
     until the profile changes by less than ``tol`` (infinity norm) over a
     full round, or ``max_rounds`` is hit (reported via ``converged=False``,
     not an exception). The trace records the initial profile as round 0 and
@@ -159,35 +126,21 @@ def run_algorithm1(
     K = net.num_followers
     prices = validate_prices(net, prices)
     p = validate_power_profile(net, init).copy()
-    rng = None
-    if sched.mode != "round-robin":
-        rng = np.random.default_rng(sched.rng_seed)
-
     trace = [p.copy()]
     converged = False
-    residual = math.inf
     rounds = 0
     for rounds in range(1, max_rounds + 1):
         previous = p.copy()
-        for k in _round_order(sched, K, rng):
-            p[k - 1] = best_response(net, int(k), p, prices)
-        residual = float(np.max(np.abs(p - previous)))
+        for k in range(1, K + 1):
+            p[k - 1] = best_response(net, k, p, prices)
         trace.append(p.copy())
-        if residual < tol:
+        if np.max(np.abs(p - previous)) < tol:
             converged = True
             break
-    return EquilibriumReport(
-        final_profile=p,
-        iterations=rounds,
-        converged=converged,
-        trace=trace,
-        max_residual=residual,
-    )
+    return EquilibriumReport(final_profile=p, iterations=rounds, converged=converged, trace=trace)
 
 
-def _best_responses(
-    net: NetworkInstance, G, charge, start, tol: float = 1e-9, max_iter: int = 200
-) -> np.ndarray:
+def _best_responses(net: NetworkInstance, G, charge, start, tol: float = 1e-9) -> np.ndarray:
     """``best_response`` for every entry of (B, K) arrays G = h_kk/interference, charge = lambda_k h_k0.
 
     Same boundary rules; interior roots by rtsafe (Numerical Recipes 9.4)
@@ -206,7 +159,7 @@ def _best_responses(
     step_old = hi - lo
     flat = out.ravel()
     with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(max_iter):
+        for _ in range(MAX_STEPS):
             if idx.size == 0:
                 return out
             g, slope = own_gradient_and_slope(x, G, W, pa, c)
@@ -226,7 +179,7 @@ def _best_responses(
                 live = ~done
                 idx, G, c, lo, hi, x, step_old = (a[live] for a in (idx, G, c, lo, hi, x, step_old))
     if idx.size:
-        raise BisectionError(f"{idx.size} best responses still above tol {tol:.3e} W after {max_iter} steps")
+        raise BisectionError(f"{idx.size} best responses still above tol {tol:.3e} W after {MAX_STEPS} steps")
     return out
 
 

@@ -21,6 +21,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from ._csv import write_rows
+from .defaults import NUM_ACTIONS
 from .network import NetworkInstance, follower_sinr
 from .payoff import leader_revenue, own_payoff, payoffs, validate_prices
 
@@ -51,7 +52,7 @@ BLOCK_ROWS = 8192
 MAX_ROUNDS = 200  # discrete_equilibria's round-robin cap: rows still moving after it are "unconverged"
 
 
-def default_action_sets(net: NetworkInstance, M: int = 6) -> np.ndarray:
+def default_action_sets(net: NetworkInstance, M: int = NUM_ACTIONS) -> np.ndarray:
     """The Table power menu p^j = (j/M) * p_max,k for j = 0..M-1: a read-only (K, M) array, one row per follower."""
     if M < 2:
         raise ValueError("M must be >= 2")
@@ -229,7 +230,7 @@ def expected_follower_payoff(
 def expected_leader_revenue(net: NetworkInstance, action_sets, strategies, prices) -> float:
     """Expected MBS revenue: sum_k lambda_k * h_k0 * sum_j pi^j_k * p^j_k."""
     mean_p = _mean_powers(*_validate_strategies(action_sets, strategies, net.num_followers))
-    return leader_revenue(net, mean_p, validate_prices(net, prices))
+    return float(leader_revenue(net, mean_p, validate_prices(net, prices)))
 
 
 def discrete_equilibria(net: NetworkInstance, action_sets, prices) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -31,7 +31,7 @@ import numpy as np
 
 from ._csv import write_rows
 from .continuous import solve_equilibria
-from .defaults import default_constants, default_topology
+from .defaults import NUM_ACTIONS, default_constants, default_topology
 from .discrete import default_action_sets, discrete_equilibria
 from .network import NetworkInstance, TopologyConfig, generate_topology, sinr_macro
 from .payoff import efficiencies, leader_revenue
@@ -126,7 +126,7 @@ class ExperimentSpec:
     topology: TopologyConfig | None = None
     constants: dict | None = None
     learner: LearnerConfig = LearnerConfig()
-    num_actions: int = 6
+    num_actions: int = NUM_ACTIONS
     num_followers: int = 6
     k_values: tuple = (2, 4, 6)
     grid_count: int = 40
@@ -138,6 +138,12 @@ class ExperimentSpec:
             raise ValueError(f"unknown experiment id {self.experiment_id!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.seed_base < 0:
+            raise ValueError("seed_base must be >= 0")
+        if self.num_actions < 2:
+            raise ValueError("num_actions (the learner block's M) must be >= 2")
+        if self.learn_max_iters < 1:
+            raise ValueError("learn_max_iters must be >= 1")
         if self.num_followers < 1:
             raise ValueError("num_followers must be >= 1")
         if not self.k_values or min(self.k_values) < 1:
@@ -196,19 +202,29 @@ def sweep_grid(net: NetworkInstance, count: int) -> np.ndarray:
     return price_grid(net, zp.profile, 1.0, count)
 
 
-def mean_efficiency(net: NetworkInstance, profile: np.ndarray) -> float:
-    """Average follower efficiency at a pure power profile."""
-    return float(np.mean(efficiencies(net, profile)))
+def mean_efficiency(net: NetworkInstance, profile: np.ndarray):
+    """Average follower efficiency, one value per pure power profile of ``profile`` shaped (..., K).
+
+    Each row goes through ``efficiencies`` as a (1, K) profile of its own, so
+    a row of a batch keeps the bits of the 1-D call on that row.
+    """
+    p = np.asarray(profile, dtype=float)
+    return efficiencies(net, p[..., None, :])[..., 0, :].mean(axis=-1)
 
 
-def _metrics(net: NetworkInstance, p: np.ndarray, prices) -> tuple[float, float, float]:
-    """(leader revenue, mean efficiency, MU SINR) at a pure power profile."""
-    return leader_revenue(net, p, prices), mean_efficiency(net, p), sinr_macro(net, p)
+def _metrics(net: NetworkInstance, P: np.ndarray, prices: np.ndarray) -> tuple[list, list, list]:
+    """(leader revenue, mean efficiency, MU SINR) lists of floats, one entry per row of (B, K) pure profiles."""
+    return leader_revenue(net, P, prices).tolist(), mean_efficiency(net, P).tolist(), sinr_macro(net, P).tolist()
 
 
 def _scheme(revenue: float, eff: float, mu: float, converged: bool) -> dict:
     """A scheme's summary entry from its metrics, in the order of a sweep row's cells."""
     return {"efficiency": eff, "revenue": revenue, "mu_sinr": mu, "converged": converged}
+
+
+def _schemes(net: NetworkInstance, names, P: np.ndarray, prices: np.ndarray, converged) -> dict:
+    """Summary entries of named schemes, row b of the pure profiles P solving price row b."""
+    return {name: _scheme(*m) for name, *m in zip(names, *_metrics(net, P, prices), converged)}
 
 
 def _scheme_tail(name: str, m: dict) -> tuple:
@@ -230,10 +246,7 @@ def continuous_sweep_rows(net: NetworkInstance, grid: np.ndarray):
     """
     prices = np.outer(grid, np.ones(net.num_followers))
     batch = solve_equilibria(net, prices, zero_price_equilibrium(net).profile)
-    return [
-        (float(x), *_metrics(net, p, lam), bool(ok))
-        for x, lam, p, ok in zip(grid, prices, batch.profiles, batch.converged)
-    ]
+    return list(zip(grid.tolist(), *_metrics(net, batch.profiles, prices), batch.converged.tolist()))
 
 
 def discrete_sweep_rows(net: NetworkInstance, grid: np.ndarray, num_actions: int):
@@ -245,10 +258,7 @@ def discrete_sweep_rows(net: NetworkInstance, grid: np.ndarray, num_actions: int
     """
     prices = np.outer(grid, np.ones(net.num_followers))
     _, profiles, status = discrete_equilibria(net, default_action_sets(net, num_actions), prices)
-    return [
-        (float(x), *_metrics(net, p, lam), s == "ok", str(s))
-        for x, lam, p, s in zip(grid, prices, profiles, status)
-    ]
+    return list(zip(grid.tolist(), *_metrics(net, profiles, prices), (status == "ok").tolist(), status.tolist()))
 
 
 def _plateau_decades(grid: np.ndarray, effs: np.ndarray, reference: float) -> float:
@@ -303,14 +313,16 @@ def _fig4_trial(spec: ExperimentSpec, net: NetworkInstance, seed: int):
 
 def _fig23_trial(spec: ExperimentSpec, net: NetworkInstance, seed: int):
     zp = zero_price_equilibrium(net)
-    prices = {"zero-price": np.zeros(net.num_followers), "asymptote": asymptote_price(net, zp.profile)}
-    batch = solve_equilibria(net, np.array(list(prices.values())), zp.profile)
-    schemes = {
-        name: _scheme(*_metrics(net, p, lam), bool(ok))
-        for (name, lam), p, ok in zip(prices.items(), batch.profiles, batch.converged)
-    }
     search = se_price_search(net, PriceSearchConfig(grid_count=spec.search_grid_count))
-    schemes["se-search"] = _scheme(*_metrics(net, search.equilibrium, search.prices), search.all_converged)
+    prices = np.array([np.zeros(net.num_followers), asymptote_price(net, zp.profile), search.prices])
+    batch = solve_equilibria(net, prices[:2], zp.profile)
+    schemes = _schemes(
+        net,
+        ("zero-price", "asymptote", "se-search"),
+        np.vstack([batch.profiles, search.equilibrium]),
+        prices,
+        [*batch.converged.tolist(), search.all_converged],
+    )
     status = {"se-search": "boundary" if search.boundary_max else "ok"}
     tails = [(*_scheme_tail(name, m), status.get(name, "ok")) for name, m in schemes.items()]
     return tails, {"k": net.num_followers, "seed": seed, **schemes}
@@ -320,12 +332,13 @@ def _fig5_trial(spec: ExperimentSpec, net: NetworkInstance, seed: int):
     actions = default_action_sets(net, spec.num_actions)
     sweep = discrete_sweep_rows(net, sweep_grid(net, spec.search_grid_count), spec.num_actions)
     best = sweep[int(np.argmax([m[1] for m in sweep]))]
-    alg2 = run_algorithm2(net, actions, learner=replace(spec.learner, rng_seed=seed), max_outer=20)
+    alg2 = run_algorithm2(net, actions, learner=replace(spec.learner, rng_seed=seed))
     prices = np.array([asymptote_price(net, zero_price_equilibrium(net).profile), alg2.prices])
     _, profiles, status = discrete_equilibria(net, actions, prices)
-    schemes = {"se-search": _scheme(*best[1:5])}
-    for name, lam, p, s in zip(("asymptote", "algorithm2"), prices, profiles, status):
-        schemes[name] = _scheme(*_metrics(net, p, lam), s == "ok")
+    schemes = {
+        "se-search": _scheme(*best[1:5]),
+        **_schemes(net, ("asymptote", "algorithm2"), profiles, prices, (status == "ok").tolist()),
+    }
     alg2_cells = (alg2.outer_iterations, _alg2_status(alg2))
     tails = [
         (*_scheme_tail(name, m), *(alg2_cells if name == "algorithm2" else ("", "ok")))
@@ -344,7 +357,7 @@ def _fig5_trial(spec: ExperimentSpec, net: NetworkInstance, seed: int):
 def _fig67_trial(spec: ExperimentSpec, net: NetworkInstance, seed: int):
     actions = default_action_sets(net, spec.num_actions)
     learner = replace(spec.learner, rng_seed=seed)
-    alg2 = run_algorithm2(net, actions, learner=learner, max_outer=20)
+    alg2 = run_algorithm2(net, actions, learner=learner)
     phases = {
         "zero-price": (np.zeros(net.num_followers), "ok"),
         "algorithm2-price": (alg2.prices, _alg2_status(alg2)),

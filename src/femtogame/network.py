@@ -255,12 +255,14 @@ def generate_topology(
     )
 
 
-def sinr_macro(net: NetworkInstance, p: np.ndarray) -> float:
-    """SINR of the macro link at the MBS under follower powers p.
+def sinr_macro(net: NetworkInstance, p: np.ndarray):
+    """SINR h_00*p_0 / (N_0 + sum_k h_k0*p_k) of the macro link at the MBS for profiles p shaped (..., K).
 
-    Returns h_00*p_0 / (N_0 + sum_k h_k0*p_k).
+    One value per profile. The sum is one (1, K) @ (K, 1) product per row, so
+    every row of a batch rounds like ``np.dot`` on that row alone.
     """
-    cross = float(np.dot(net.gain[1:, 0], np.asarray(p, dtype=float)))
+    p = np.asarray(p, dtype=float)
+    cross = (p[..., None, :] @ net.gain[1:, 0, None])[..., 0, 0]
     return net.gain[0, 0] * net.mu_power / (net.noise[0] + cross)
 
 

@@ -8,6 +8,7 @@ the gain-matrix convention (index 0 = macro link).
 The follower model is written once: ``payoffs`` and ``efficiencies``
 evaluate every follower of profiles shaped (..., K) through
 ``network.interference``, and the scalar functions are views of one entry.
+``leader_revenue`` takes (..., K) profiles too, one value per profile.
 ``own_payoff``, ``own_gradient`` and ``own_gradient_and_slope`` hold the
 payoff and its first two own-power derivatives as expressions in one
 follower's power, shared by the scalar best-response bisection and the
@@ -123,11 +124,12 @@ def follower_payoff(net: NetworkInstance, k: int, p: np.ndarray, prices: np.ndar
     return float(payoffs(net, p, prices)[k - 1])
 
 
-def leader_revenue(net: NetworkInstance, p: np.ndarray, prices: np.ndarray) -> float:
-    """Total payment collected by the MBS: sum_k lambda_k * h_k0 * p_k."""
-    p = np.asarray(p, dtype=float)
-    lam = np.asarray(prices, dtype=float)
-    return float(np.sum(lam * net.gain[1:, 0] * p))
+def leader_revenue(net: NetworkInstance, p: np.ndarray, prices: np.ndarray):
+    """Total payment sum_k lambda_k * h_k0 * p_k collected by the MBS, one value per profile of p shaped (..., K).
+
+    Prices broadcast to p; each row sums like the 1-D call on that row alone.
+    """
+    return (np.asarray(prices, dtype=float) * net.gain[1:, 0] * np.asarray(p, dtype=float)).sum(axis=-1)
 
 
 def cross_second_derivative(net: NetworkInstance, k: int, j: int, p: np.ndarray) -> float:

@@ -185,7 +185,7 @@ def se_price_search(
     while True:
         prices = values[:, None] * direction
         batch = solve_equilibria(net, prices, start)
-        revenues = (prices * net.gain[1:, 0] * batch.profiles).sum(axis=1)  # leader_revenue per row
+        revenues = leader_revenue(net, batch.profiles, prices)
         all_converged = all_converged and bool(batch.converged.all())
         i = int(np.argmax(revenues))
         if revenues[i] > best_revenue:

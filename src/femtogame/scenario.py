@@ -37,40 +37,29 @@ class ScenarioError(ValueError):
     """Malformed or inconsistent scenario file."""
 
 
-def parse_power(value) -> float:
-    """A power field: plain number = watts, '<x> dBm' string converted."""
+def _parse_number(value, kind: str, unit: str, convert) -> float:
+    """A plain number, or a numeric string; one ending in ``unit`` (any case) is passed through ``convert``."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return float(value)
-    if isinstance(value, str):
-        text = value.strip()
-        if text.lower().endswith("dbm"):
-            try:
-                return dbm_to_watts(float(text[:-3].strip()))
-            except ValueError as exc:
-                raise ScenarioError(f"bad dBm value {value!r}") from exc
-        try:
-            return float(text)
-        except ValueError as exc:
-            raise ScenarioError(f"bad power value {value!r}") from exc
-    raise ScenarioError(f"bad power value {value!r}")
+    if not isinstance(value, str):
+        raise ScenarioError(f"bad {kind} value {value!r}")
+    text = value.strip()
+    suffixed = text.lower().endswith(unit.lower())
+    try:
+        number = float(text[: -len(unit)] if suffixed else text)
+    except ValueError as exc:
+        raise ScenarioError(f"bad {unit if suffixed else kind} value {value!r}") from exc
+    return convert(number) if suffixed else number
+
+
+def parse_power(value) -> float:
+    """A power field: plain number = watts, '<x> dBm' string converted."""
+    return _parse_number(value, "power", "dBm", dbm_to_watts)
 
 
 def parse_ratio(value) -> float:
     """A dimensionless field: plain number = linear, '<x> dB' converted."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    if isinstance(value, str):
-        text = value.strip()
-        if text.lower().endswith("db"):
-            try:
-                return 10.0 ** (float(text[:-2].strip()) / 10.0)
-            except ValueError as exc:
-                raise ScenarioError(f"bad dB value {value!r}") from exc
-        try:
-            return float(text)
-        except ValueError as exc:
-            raise ScenarioError(f"bad ratio value {value!r}") from exc
-    raise ScenarioError(f"bad ratio value {value!r}")
+    return _parse_number(value, "ratio", "dB", lambda db: 10.0 ** (db / 10.0))
 
 
 @dataclass

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from femtogame import (
-    BrSchedule,
     best_response,
     check_supermodularity,
     check_uniqueness_condition,

@@ -6,7 +6,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from femtogame import (
-    BrSchedule,
     best_response,
     check_supermodularity,
     check_uniqueness_condition,
@@ -171,17 +170,6 @@ def test_algorithm1_monotone_from_zero(net6):
     assert (np.diff(powers, axis=0) >= -1e-12).all()
 
 
-def test_algorithm1_schedules_agree(net6):
-    prices = np.full(6, 1e12)
-    base = run_algorithm1(net6, prices, init=np.zeros(6)).final_profile
-    for mode in ("random-permutation", "independent-clocks"):
-        alt = run_algorithm1(
-            net6, prices, init=np.zeros(6), sched=BrSchedule(mode=mode, rng_seed=5),
-            max_rounds=50_000,
-        ).final_profile
-        assert np.max(np.abs(alt - base)) < 1e-5
-
-
 def test_algorithm1_converges_from_any_start(net6):
     prices = np.full(6, 1e12)
     base = run_algorithm1(net6, prices, init=np.zeros(6)).final_profile
@@ -209,11 +197,6 @@ def test_algorithm1_leaves_init_untouched(net3):
     init = np.zeros(3)
     run_algorithm1(net3, np.zeros(3), init=init)
     assert np.array_equal(init, np.zeros(3))
-
-
-def test_bad_schedule_mode_rejected():
-    with pytest.raises(ValueError):
-        BrSchedule(mode="alphabetical")
 
 
 def test_uniqueness_condition_vanishing_circuit_power():

@@ -23,7 +23,7 @@ from femtogame import (
 )
 from femtogame._csv import format_cell, write_rows
 from femtogame.defaults import default_constants
-from femtogame.discrete import PowerLawSchedule
+from femtogame.discrete import PowerLawSchedule, default_action_sets
 from femtogame.experiments import (
     EXPERIMENT_IDS,
     HEADERS,
@@ -195,6 +195,9 @@ def test_experiment_spec_rejects_unknown_id():
         {"k_values": (2, 0)},
         {"grid_count": 1},
         {"search_grid_count": 1},
+        {"num_actions": 1},
+        {"seed_base": -1},
+        {"learn_max_iters": 0},
     ],
 )
 def test_experiment_spec_rejects_out_of_range_sizes(sizes):
@@ -599,6 +602,20 @@ def test_cli_experiment_rejects_out_of_range_sizes(tmp_path, capsys, flags):
 
 
 @pytest.mark.parametrize(
+    "scenario, flags",
+    [
+        ({"learner": {"M": 1}}, ("--id", "fig4-discrete-sweep")),
+        (None, ("--id", "fig1-sweep", "--seed", "-1")),
+    ],
+)
+def test_cli_experiment_refuses_a_one_action_menu_and_a_negative_seed(tmp_path, capsys, scenario, flags):
+    code, summary, out = _experiment(tmp_path, capsys, scenario, *flags)
+    assert code == cli.EXIT_BAD_INPUT
+    assert summary is None
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "argv, scenario",
     [
         (("generate", "--followers", "0"), None),
@@ -717,12 +734,13 @@ def test_learner_block_keeps_defaults_of_absent_fields(tmp_path):
 @pytest.mark.parametrize(
     "experiment_id", ["fig4-discrete-sweep", "fig5-discrete-compare", "fig6-7-convergence"]
 )
-def test_failed_trials_keep_their_rows_and_messages(tmp_path, experiment_id):
+def test_failed_trials_keep_their_rows_and_messages(tmp_path, monkeypatch, experiment_id):
+    # Every trial asks for a one-action menu, which default_action_sets refuses.
+    monkeypatch.setattr(experiments, "default_action_sets", lambda net, M: default_action_sets(net, 1))
     out = tmp_path / "failed.csv"
     spec = ExperimentSpec(
         experiment_id,
         trials=2,
-        num_actions=1,  # default_action_sets refuses M < 2 inside every trial
         num_followers=2,
         k_values=(2, 3),
         grid_count=4,

@@ -15,11 +15,15 @@ from femtogame import (
     interference,
     leader_revenue,
     payoffs,
+    sinr_macro,
+    solve_equilibria,
     validate_power_profile,
     validate_prices,
 )
+from femtogame.experiments import mean_efficiency, sweep_grid
 from femtogame.oracles import finite_difference_cross, finite_difference_gradient
 from femtogame.payoff import own_gradient, own_gradient_and_slope
+from femtogame.pricing import zero_price_equilibrium
 
 from conftest import hand_net, make_net
 
@@ -203,9 +207,41 @@ def test_validators_reject_out_of_bounds(net6):
         validate_prices(net6, np.full(6, -1.0))
 
 
+def _assert_metrics_keep_row_bits(net, P, prices):
+    """Each batched metric equals, bit for bit, its 1-D call per row and the pre-batch 1-D formula."""
+    h = net.gain[1:, 0]
+    for name, metric, formula in (
+        ("revenue", lambda p, lam: leader_revenue(net, p, lam), lambda p, lam: float(np.sum(lam * h * p))),
+        (
+            "mu_sinr",
+            lambda p, lam: sinr_macro(net, p),
+            lambda p, lam: net.gain[0, 0] * net.mu_power / (net.noise[0] + float(np.dot(h, p))),
+        ),
+        (
+            "mean_efficiency",
+            lambda p, lam: mean_efficiency(net, p),
+            lambda p, lam: float(np.mean(efficiencies(net, p))),
+        ),
+    ):
+        batch = metric(P, prices)
+        assert batch.shape == (len(P),), name
+        rows = [metric(p, lam) for p, lam in zip(P, prices)]
+        assert np.array_equal(batch, rows), name
+        assert np.array_equal(batch, [formula(p, lam) for p, lam in zip(P, prices)]), name
+
+
+@pytest.mark.parametrize("K", [20, 50, 200])
+def test_metrics_keep_row_bits_on_sweep_profiles(K):
+    net = make_net(K, seed=0)
+    prices = np.outer(sweep_grid(net, 40), np.ones(K))
+    P = solve_equilibria(net, prices, zero_price_equilibrium(net).profile).profiles
+    assert (P == 0.0).any() and (P > 0.0).any()
+    _assert_metrics_keep_row_bits(net, P, prices)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
-    K=st.integers(1, 6),
+    K=st.integers(1, 8),
     B=st.integers(1, 5),
     seed=st.integers(0, 2**32 - 1),
     log_price=st.floats(0.0, 15.0),
@@ -242,3 +278,4 @@ def test_kernel_batch_matches_rows_and_literal_formula(K, B, seed, log_price):
             assert u[b, k - 1] == pytest.approx(psi - charge, rel=0.0, abs=1e-12 * (psi + charge))
             if p[k - 1] == 0.0:
                 assert u[b, k - 1] == 0.0
+    _assert_metrics_keep_row_bits(net, P, 10.0**log_price * rng.random((B, K)))
