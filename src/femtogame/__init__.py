@@ -52,6 +52,7 @@ from .network import (
     generate_topology,
     interference,
     sinr_macro,
+    validate_power_profile,
     watts_to_dbm,
 )
 from .payoff import (
@@ -60,7 +61,6 @@ from .payoff import (
     follower_payoff,
     leader_revenue,
     payoffs,
-    validate_power_profile,
     validate_prices,
 )
 from .pricing import (

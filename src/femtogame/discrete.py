@@ -5,16 +5,16 @@ follower, keep a mixed strategy pi_k on their row, and learn from realized
 payoffs only: a fast timescale updates the per-action payoff estimates U_k
 (only the sampled action moves), a slow timescale nudges pi_k toward the
 Logit response of the current estimates.
-Expected payoffs/revenue under product-form strategies are computed by
-explicit enumeration over the joint profiles of the strategies' support
-(actions of probability exactly 0 are skipped), in blocks of at most
-``BLOCK_ROWS`` profiles; the full K * M^K is still capped, so they are
+Expected payoffs under product-form strategies sum each follower's own
+action out by hand: its interference does not depend on its own power, so
+one interference column over the others' joint support (actions of
+probability exactly 0 skipped) serves all of its positive powers, and the
+silent action pays exactly 0. The full K * M^K is still capped, so they are
 reserved for small games.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -23,7 +23,7 @@ import numpy as np
 from ._csv import write_rows
 from .defaults import NUM_ACTIONS
 from .network import NetworkInstance, follower_sinr
-from .payoff import leader_revenue, own_payoff, payoffs, validate_prices
+from .payoff import leader_revenue, own_payoff, validate_prices
 
 __all__ = [
     "PowerLawSchedule",
@@ -46,9 +46,7 @@ __all__ = [
 ]
 
 ENUMERATION_CAP = 10_000_000  # reject expected-value sums with K * M^K above this
-# Joint profiles per payoffs() call, timed at K = 7, M = 6 (BENCH_9.json; BENCH_12.json re-timed it with
-# out= buffers). It also fixes expected_payoffs' summation order: another value moves its last bits.
-BLOCK_ROWS = 8192
+BLOCK_CELLS = 16384  # expected_payoffs' memory bound, floats per block array: 128 KiB reuses heap (BENCH_18.json)
 MAX_ROUNDS = 200  # discrete_equilibria's round-robin cap: rows still moving after it are "unconverged"
 
 
@@ -180,49 +178,50 @@ def expected_powers(action_sets, strategies) -> np.ndarray:
 def expected_payoffs(net: NetworkInstance, action_sets, strategies, prices) -> np.ndarray:
     """Expected net payoff of every follower under product-form mixed strategies.
 
-    Sums (psi_k(p) - lambda_k*h_k0*p_k) * prod_i pi_i(p_i) over the joint
-    profiles p of the support, for all k at once: actions of probability
-    exactly 0 are dropped first (their terms are 0). The trailing followers'
-    support grid forms one block of at most ``BLOCK_ROWS`` profiles, and the
-    loop runs over the supported actions of the leading followers, one
-    ``payoffs`` call per block, each written into the same output buffer
-    allocated once per call. Rejects strategies or prices that do not fit
-    the network and its (K, M) menu, and K * M^K (the full grid, support or
-    not) above ``ENUMERATION_CAP``.
+    Each follower's own action is summed out by hand: E[log1p(h_kk p / I_k)] over the others' support (actions of
+    probability exactly 0 dropped) for each of its positive powers p, then ``own_payoff``'s steps after the log and
+    the weights pi_k(p); pure strategies give the bits of ``payoffs``. Rejects strategies or prices that do not fit
+    the network and its (K, M) menu, and K * M^K above ``ENUMERATION_CAP``.
+    """
+    return _expected_payoffs(net, action_sets, strategies, validate_prices(net, prices) * net.gain[1:, 0])[0]
+
+
+def _expected_payoffs(net: NetworkInstance, action_sets, strategies, charge: np.ndarray):
+    """(``expected_payoffs``, ``expected_powers``) from one check of the strategies, with charges lambda_k * h_k0.
+
+    Follower k's rows are the others' joint support with k held at 0 W: the trailing others span one column-major
+    (rows, K) grid, the leading ones are looped over, and neither the grid nor the (p.size, rows) SINR holds more
+    than ``BLOCK_CELLS`` values (or one row).
     """
     menu, pi = _validate_strategies(action_sets, strategies, net.num_followers)
-    prices = validate_prices(net, prices)
     K, M = menu.shape
     if (size := K * M**K) > ENUMERATION_CAP:
         raise ValueError(f"joint enumeration size K*M^K = {size} exceeds cap {ENUMERATION_CAP}")
     support = [np.flatnonzero(row) for row in pi]
     powers = [menu[k, s] for k, s in enumerate(support)]
     weights = [pi[k, s] for k, s in enumerate(support)]
-    lead, rows = K, 1  # followers lead..K-1 form the block, the ones before it are looped over
-    while lead and rows * support[lead - 1].size <= BLOCK_ROWS:
-        lead -= 1
-        rows *= support[lead].size
-    profiles = np.empty((rows, K))
-    prob = np.ones(rows)
-    grid = np.indices([s.size for s in support[lead:]]).reshape(K - lead, rows)
-    for i, idx in enumerate(grid, start=lead):
-        profiles[:, i] = powers[i][idx]
-        prob *= weights[i][idx]
-    block = np.empty((rows, K))
     total = np.zeros(K)
-    for p, w in zip(itertools.product(*powers[:lead]), itertools.product(*weights[:lead])):
-        profiles[:, :lead] = p
-        total += (math.prod(w) * prob) @ payoffs(net, profiles, prices, out=block)
-    return total
+    for k, (a, w) in enumerate(zip(powers, weights)):
+        if not (on := a > 0.0).any():  # the silent action pays exactly 0
+            continue
+        p, others = a[on], [j for j in range(K) if j != k]
+        sizes = [powers[j].size for j in others]
+        lead = sum(math.prod(sizes[i:]) * max(K, p.size) > BLOCK_CELLS for i in range(len(sizes)))
+        grid, prob, value = np.zeros((math.prod(sizes[lead:]), K), order="F"), np.ones(1), 0.0
+        for j in others[lead:]:  # each power repeats over the profiles of the columns after it
+            grid[:, j].reshape(-1, powers[j].size, len(grid) // prob.size // powers[j].size)[...] = powers[j][:, None]
+            prob = np.multiply.outer(prob, weights[j]).reshape(-1)
+        for head in np.ndindex(*sizes[:lead]):
+            grid[:, others[:lead]] = [powers[j][i] for j, i in zip(others, head)]
+            interference_k = (grid @ net.cross_gain)[:, k] + net.background[k]  # ``interference``, column k only
+            gamma = net.own_gain[k] * p[:, None] / interference_k
+            share = math.prod(weights[j][i] for j, i in zip(others, head))  # the leading others' probability
+            value = value + np.log1p(gamma, out=gamma) @ (share * prob)
+        total[k] = w[on] @ (value * net.bandwidth / (p + net.circuit_power) - charge[k] * p)  # own_payoff's order
+    return total, _mean_powers(menu, pi)
 
 
-def expected_follower_payoff(
-    net: NetworkInstance,
-    k: int,
-    action_sets,
-    strategies,
-    prices,
-) -> float:
+def expected_follower_payoff(net: NetworkInstance, k: int, action_sets, strategies, prices) -> float:
     """Expected net payoff of follower k; one entry of ``expected_payoffs``."""
     return float(expected_payoffs(net, action_sets, strategies, prices)[k - 1])
 

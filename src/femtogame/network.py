@@ -24,6 +24,7 @@ __all__ = [
     "dbm_to_watts",
     "watts_to_dbm",
     "generate_topology",
+    "validate_power_profile",
     "sinr_macro",
     "interference",
     "follower_sinr",
@@ -255,13 +256,23 @@ def generate_topology(
     )
 
 
-def sinr_macro(net: NetworkInstance, p: np.ndarray):
-    """SINR h_00*p_0 / (N_0 + sum_k h_k0*p_k) of the macro link at the MBS for profiles p shaped (..., K).
-
-    One value per profile. The sum is one (1, K) @ (K, 1) product per row, so
-    every row of a batch rounds like ``np.dot`` on that row alone.
-    """
+def validate_power_profile(net: NetworkInstance, p: np.ndarray, ndim=1) -> np.ndarray:
+    """Check 0 <= p_k <= p_max: a (K,) profile, (B, K) with ``ndim=2``, either with ``ndim=(1, 2)``; returns floats."""
     p = np.asarray(p, dtype=float)
+    if p.ndim not in np.atleast_1d(ndim) or p.shape[-1] != net.num_followers:
+        raise ValueError(f"power profile must have length {net.num_followers}")
+    if np.any(p < 0.0) or np.any(p > net.power_max) or not np.all(np.isfinite(p)):
+        raise ValueError("power profile out of [0, p_max] bounds")
+    return p
+
+
+def sinr_macro(net: NetworkInstance, p: np.ndarray):
+    """SINR h_00*p_0 / (N_0 + sum_k h_k0*p_k) of the macro link at the MBS for profiles p, (K,) or (B, K).
+
+    One value per profile, p validated. The sum is one (1, K) @ (K, 1) product
+    per row, so every row of a batch rounds like ``np.dot`` on that row alone.
+    """
+    p = validate_power_profile(net, p, ndim=(1, 2))
     cross = (p[..., None, :] @ net.gain[1:, 0, None])[..., 0, 0]
     return net.gain[0, 0] * net.mu_power / (net.noise[0] + cross)
 

@@ -8,7 +8,7 @@ the gain-matrix convention (index 0 = macro link).
 The follower model is written once: ``payoffs`` and ``efficiencies``
 evaluate every follower of profiles shaped (..., K) through
 ``network.interference``, and the scalar functions are views of one entry.
-``leader_revenue`` takes (..., K) profiles too, one value per profile.
+``leader_revenue`` takes (K,) or (B, K) profiles, one value per profile.
 ``own_payoff``, ``own_gradient`` and ``own_gradient_and_slope`` hold the
 payoff and its first two own-power derivatives as expressions in one
 follower's power, shared by the scalar best-response bisection and the
@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .network import NetworkInstance, follower_sinr, interference
+from .network import NetworkInstance, follower_sinr, interference, validate_power_profile
 
 __all__ = [
-    "validate_power_profile",
     "validate_prices",
     "own_payoff",
     "own_gradient",
@@ -35,20 +34,10 @@ __all__ = [
 ]
 
 
-def validate_power_profile(net: NetworkInstance, p: np.ndarray, ndim: int = 1) -> np.ndarray:
-    """Check 0 <= p_k <= p_max for one (K,) profile, or (B, K) profiles with ``ndim=2``; returns a float array."""
-    p = np.asarray(p, dtype=float)
-    if p.ndim != ndim or p.shape[-1] != net.num_followers:
-        raise ValueError(f"power profile must have length {net.num_followers}")
-    if np.any(p < 0.0) or np.any(p > net.power_max) or not np.all(np.isfinite(p)):
-        raise ValueError("power profile out of [0, p_max] bounds")
-    return p
-
-
-def validate_prices(net: NetworkInstance, prices: np.ndarray, ndim: int = 1) -> np.ndarray:
-    """Check one (K,) price vector, or a (B, K) batch with ``ndim=2``, is finite and >= 0; returns a float array."""
+def validate_prices(net: NetworkInstance, prices: np.ndarray, ndim=1) -> np.ndarray:
+    """Check (K,) prices, (B, K) with ``ndim=2``, either with ``ndim=(1, 2)``, are finite and >= 0; returns floats."""
     lam = np.asarray(prices, dtype=float)
-    if lam.ndim != ndim or lam.shape[-1] != net.num_followers:
+    if lam.ndim not in np.atleast_1d(ndim) or lam.shape[-1] != net.num_followers:
         raise ValueError(f"price vector must have length {net.num_followers}")
     if np.any(lam < 0.0) or not np.all(np.isfinite(lam)):
         raise ValueError("prices must be finite and nonnegative")
@@ -125,11 +114,12 @@ def follower_payoff(net: NetworkInstance, k: int, p: np.ndarray, prices: np.ndar
 
 
 def leader_revenue(net: NetworkInstance, p: np.ndarray, prices: np.ndarray):
-    """Total payment sum_k lambda_k * h_k0 * p_k collected by the MBS, one value per profile of p shaped (..., K).
+    """Total payment sum_k lambda_k * h_k0 * p_k collected by the MBS, one value per profile of p, (K,) or (B, K).
 
-    Prices broadcast to p; each row sums like the 1-D call on that row alone.
+    Prices, (K,) or (B, K), broadcast to p; each row sums like its own 1-D call. p and prices are validated.
     """
-    return (np.asarray(prices, dtype=float) * net.gain[1:, 0] * np.asarray(p, dtype=float)).sum(axis=-1)
+    p = validate_power_profile(net, p, ndim=(1, 2))
+    return (validate_prices(net, prices, ndim=(1, 2)) * net.gain[1:, 0] * p).sum(axis=-1)
 
 
 def cross_second_derivative(net: NetworkInstance, k: int, j: int, p: np.ndarray) -> float:

@@ -18,7 +18,7 @@ from .continuous import solve_equilibria
 from .discrete import (
     LearningReport,
     PowerLawSchedule,
-    expected_payoffs,
+    _expected_payoffs,
     expected_powers,
     initial_state,
     run_learning,
@@ -227,8 +227,8 @@ def algorithm2_price_step(
 
     Returns (prices, flagged) with ``flagged`` a boolean vector.
     """
-    mean_psi = expected_payoffs(net, action_sets, strategies, np.zeros(net.num_followers))
-    base = net.gain[1:, 0] * expected_powers(action_sets, strategies)
+    mean_psi, mean_p = _expected_payoffs(net, action_sets, strategies, np.zeros(net.num_followers))
+    base = net.gain[1:, 0] * mean_p
     flagged = base <= 0.0
     prices = np.divide(mean_psi, base, out=np.zeros_like(base), where=~flagged)
     return prices, flagged

@@ -1,5 +1,6 @@
 """Finite power menus, expected values by enumeration, and the learning loop."""
 
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -663,47 +664,104 @@ def test_expected_payoffs_match_enumeration_oracle(K, M, seed, log_price):
         assert expected_follower_payoff(net, k, acts, pis, prices) == got[k - 1]
 
 
+def _sparse_strategies(rng, K, M):
+    """K strategies with exact zeros in arbitrary components, at least one action kept each."""
+    pis = []
+    for _ in range(K):
+        keep = rng.random(M) < 0.5
+        keep[rng.integers(M)] = True
+        pi = rng.dirichlet(np.ones(M)) * keep
+        pis.append(pi / pi.sum())
+    return pis
+
+
+def _assert_match_oracle(net, acts, pis, prices, got):
+    K = net.num_followers
+    for k in range(1, K + 1):
+        want = enumerate_expected_payoff(net, k, acts, pis, prices)
+        scale = enumerate_expected_payoff(net, k, acts, pis, np.zeros(K)) + abs(want)
+        assert got[k - 1] == pytest.approx(want, rel=0.0, abs=1e-12 * scale)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     K=st.integers(1, 4),
     M=st.integers(2, 4),
     seed=st.integers(0, 2**32 - 1),
     log_price=st.floats(0.0, 14.0),
-    block=st.sampled_from(["one", "last", "default"]),
 )
-def test_expected_payoffs_over_support_in_blocks_match_oracle(K, M, seed, log_price, block):
+def test_expected_payoffs_over_exact_zero_supports_match_oracle(K, M, seed, log_price):
     net = make_net(K, seed=seed % 500)
     rng = np.random.default_rng(seed)
     acts = default_action_sets(net, M)
-    pis = []
-    for _ in range(K):  # exact zeros in arbitrary components, at least one action kept
-        keep = rng.random(M) < 0.5
-        keep[rng.integers(M)] = True
-        pi = rng.dirichlet(np.ones(M)) * keep
-        pis.append(pi / pi.sum())
-    support = [int(np.count_nonzero(pi)) for pi in pis]
-    # "last": only the last follower's support fits a block, so every
-    # follower before it with two or more supported actions is looped over.
-    block_rows = {"one": 1, "last": support[-1], "default": discrete.BLOCK_ROWS}[block]
+    pis = _sparse_strategies(rng, K, M)
     prices = 10.0**log_price * rng.random(K)
-    rows, outs = [], []
+    _assert_match_oracle(net, acts, pis, prices, expected_payoffs(net, acts, pis, prices))
 
-    def counted(net, profiles, prices, out=None):
-        rows.append(len(profiles))
-        outs.append(out)
-        return payoffs(net, profiles, prices, out=out)
 
+class _GridShapes(np.ndarray):
+    """Cross gains that record the shape of every grid multiplied by them."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            self.shapes.append(inputs[0].shape)
+        return getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    K=st.integers(1, 4),
+    M=st.integers(2, 4),
+    seed=st.integers(0, 2**32 - 1),
+    log_price=st.floats(0.0, 14.0),
+    budget=st.integers(1, 40),
+)
+def test_expected_payoffs_in_a_small_block_budget_match_oracle(K, M, seed, log_price, budget):
+    net = make_net(K, seed=seed % 500)
+    rng = np.random.default_rng(seed)
+    acts = default_action_sets(net, M)
+    pis = _sparse_strategies(rng, K, M)
+    prices = 10.0**log_price * rng.random(K)
+    gains = net.cross_gain.view(_GridShapes)
+    gains.shapes = []
+    recording = replace(net)
+    object.__setattr__(recording, "cross_gain", gains)  # the frozen instance's derived field, swapped for the test
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(discrete, "BLOCK_ROWS", block_rows)
-        mp.setattr(discrete, "payoffs", counted)
-        got = expected_payoffs(net, acts, pis, prices)
-    assert max(rows) <= block_rows
-    assert sum(rows) == np.prod(support)
-    assert outs[0] is not None and all(out is outs[0] for out in outs)  # one buffer for every block
-    for k in range(1, K + 1):
-        want = enumerate_expected_payoff(net, k, acts, pis, prices)
-        scale = enumerate_expected_payoff(net, k, acts, pis, np.zeros(K)) + abs(want)
-        assert got[k - 1] == pytest.approx(want, rel=0.0, abs=1e-12 * scale)
+        mp.setattr(discrete, "BLOCK_CELLS", budget)
+        got = expected_payoffs(recording, acts, pis, prices)
+    support = np.count_nonzero(pis, axis=1)
+    grids = iter(gains.shapes)
+    for k in range(K):  # blocks come follower by follower; a silent one costs none
+        on = int(np.count_nonzero(pis[k][1:]))
+        rows_left = np.prod(support) // support[k] if on else 0
+        while rows_left:  # the grid holds rows x K values, the SINR on x rows
+            rows, columns = next(grids)
+            assert columns == K and rows <= rows_left and rows * max(K, on) <= max(budget, K, on)
+            rows_left -= rows
+    assert next(grids, None) is None
+    _assert_match_oracle(net, acts, pis, prices, got)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    K=st.integers(1, 8),
+    M=st.integers(2, 6),
+    seed=st.integers(0, 2**32 - 1),
+    price_kind=st.sampled_from(["zero", "scalar", "large"]),
+)
+def test_expected_payoffs_of_pure_strategies_are_bit_equal_to_payoffs(K, M, seed, price_kind):
+    assume(K * M**K <= discrete.ENUMERATION_CAP)
+    net = make_net(K, seed=seed % 500)
+    rng = np.random.default_rng(seed)
+    acts = default_action_sets(net, M)
+    prices = {
+        "zero": np.zeros(K),
+        "scalar": np.full(K, rng.uniform(0.0, 1e9)),
+        "large": 10.0 ** rng.uniform(8.0, 14.0) * rng.random(K),
+    }[price_kind]
+    for picks in rng.integers(M, size=(25, K)):  # a rounding difference shows on few profiles, so try many
+        got = expected_payoffs(net, acts, np.eye(M)[picks], prices)
+        assert np.array_equal(got, payoffs(net, acts[np.arange(K), picks], prices)), picks
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -3,21 +3,22 @@
 The ``_ref_*`` functions are the model kernel as it was written before it took
 output buffers: one expression per function, a new array per operation. The
 buffered kernel must match them with ``np.array_equal``, not within a
-tolerance, for every profile shape, price kind, buffer choice and block size.
+tolerance, for every profile shape, price kind and buffer choice. An
+expected-payoff enumeration's working memory stays within a fixed bound.
 """
 
-import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from femtogame import discrete
-from femtogame.discrete import default_action_sets, expected_payoffs
+from femtogame.discrete import default_action_sets
 from femtogame.network import follower_sinr, interference
 from femtogame.payoff import own_payoff, payoffs
+from femtogame.pricing import algorithm2_price_step
 
 from conftest import make_net
 
@@ -40,28 +41,6 @@ def _ref_payoffs(net, p, prices):
     p = np.asarray(p, dtype=float)
     charge = np.asarray(prices, dtype=float) * net.gain[1:, 0]
     return _ref_own_payoff(p, _ref_follower_sinr(net, p), net.bandwidth, net.circuit_power, charge)
-
-
-def _ref_expected_payoffs(net, action_sets, strategies, prices, block_rows):
-    K = net.num_followers
-    support = [np.flatnonzero(pi) for pi in strategies]
-    powers = [a[s] for a, s in zip(action_sets, support)]
-    weights = [np.asarray(pi, dtype=float)[s] for pi, s in zip(strategies, support)]
-    lead, rows = K, 1
-    while lead and rows * support[lead - 1].size <= block_rows:
-        lead -= 1
-        rows *= support[lead].size
-    profiles = np.empty((rows, K))
-    prob = np.ones(rows)
-    grid = np.indices([s.size for s in support[lead:]]).reshape(K - lead, rows)
-    for i, idx in enumerate(grid, start=lead):
-        profiles[:, i] = powers[i][idx]
-        prob *= weights[i][idx]
-    total = np.zeros(K)
-    for p, w in zip(itertools.product(*powers[:lead]), itertools.product(*weights[:lead])):
-        profiles[:, :lead] = p
-        total += (math.prod(w) * prob) @ _ref_payoffs(net, profiles, prices)
-    return total
 
 
 def _prices(kind, rng, K):
@@ -119,28 +98,21 @@ def test_own_payoff_on_python_floats_keeps_value_and_type(p, gamma, W, pa, charg
     assert got == want or (math.isnan(got) and math.isnan(want))
 
 
-@given(
-    K=st.integers(1, 5),
-    M=st.integers(2, 6),
-    seed=st.integers(0, 2**31 - 1),
-    price_kind=st.sampled_from(["scalar", "zero", "large"]),
-    block=st.sampled_from(["one", "last", "default"]),
-)
-@settings(max_examples=60, deadline=None)
-def test_expected_payoffs_with_one_block_buffer_are_bit_equal(K, M, seed, price_kind, block):
-    net = make_net(K, seed=seed % 500)
+@pytest.mark.parametrize("seed", range(3))
+def test_a_k7_price_step_allocates_at_most_1_8_mb(seed):
+    # perfbench's enumeration-k7 mix: one silent follower, two near-pure and four Dirichlet(1) strategies
     rng = np.random.default_rng(seed)
-    acts = default_action_sets(net, M)
-    pis = []
-    for _ in range(K):  # exact zeros in arbitrary components, at least one action kept
-        keep = rng.random(M) < 0.6
-        keep[rng.integers(M)] = True
-        pi = rng.dirichlet(np.ones(M)) * keep
-        pis.append(pi / pi.sum())
-    block_rows = {"one": 1, "last": int(np.count_nonzero(pis[-1])), "default": discrete.BLOCK_ROWS}[block]
-    prices = _prices(price_kind, rng, K)
-    prices = np.full(K, prices) if np.ndim(prices) == 0 else prices
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(discrete, "BLOCK_ROWS", block_rows)
-        got = expected_payoffs(net, acts, pis, prices)
-    assert np.array_equal(got, _ref_expected_payoffs(net, acts, pis, prices, block_rows))
+    net = make_net(7, seed=seed)
+    acts = default_action_sets(net, 6)
+    pis = rng.dirichlet(np.ones(6), size=7)
+    pis[0] = np.eye(6)[0]
+    pis[1:3] = 0.02 * pis[1:3] + 0.98 * np.eye(6)[rng.integers(1, 6, size=2)]
+    algorithm2_price_step(net, acts, pis)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        algorithm2_price_step(net, acts, pis)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.8e6

@@ -144,7 +144,7 @@ def test_sinr_follower_hand_values(hand2):
 def test_sinr_scale_invariance():
     gain = [[1.0, 0.3], [0.6, 2.0]]
     base = hand_net(gain=gain, noise=[0.2, 0.4], mu_power=0.8)
-    scaled = hand_net(gain=gain, noise=[0.2 * 7, 0.4 * 7], mu_power=0.8 * 7)
+    scaled = hand_net(gain=gain, noise=[0.2 * 7, 0.4 * 7], mu_power=0.8 * 7, power_max=[7.0])
     p = np.array([0.33])
     assert follower_sinr(scaled, 7 * p)[0] == pytest.approx(
         follower_sinr(base, p)[0], rel=1e-12

@@ -207,6 +207,61 @@ def test_validators_reject_out_of_bounds(net6):
         validate_prices(net6, np.full(6, -1.0))
 
 
+_METRIC_ARGUMENTS = ["revenue profile", "revenue prices", "macro SINR profile"]
+
+
+def _valid_argument(net, argument, batch):
+    """A valid (K,) or (B, K) value for the argument: prices of 1e6, powers of 0.01 W."""
+    return np.full(batch + (net.num_followers,), 1e6 if argument.endswith("prices") else 0.01)
+
+
+def _call_metric(net, argument, value):
+    """leader_revenue or sinr_macro with ``value`` as the named argument and a valid value for the other."""
+    other = np.full(value.shape[:-1] + (net.num_followers,), 0.01)
+    if argument == "revenue profile":
+        return leader_revenue(net, value, 1e8 * other)
+    if argument == "revenue prices":
+        return leader_revenue(net, other, value)
+    return sinr_macro(net, value)
+
+
+@pytest.mark.parametrize("batch", [(), (3,)])
+@pytest.mark.parametrize("argument", _METRIC_ARGUMENTS)
+def test_metrics_reject_a_negative_value(net6, argument, batch):
+    value = _valid_argument(net6, argument, batch)
+    _call_metric(net6, argument, value)
+    value[..., 2] = -1e-12
+    with pytest.raises(ValueError, match="bounds|nonnegative"):
+        _call_metric(net6, argument, value)
+
+
+@pytest.mark.parametrize("batch", [(), (3,)])
+@pytest.mark.parametrize("argument", _METRIC_ARGUMENTS)
+def test_metrics_reject_nan(net6, argument, batch):
+    value = _valid_argument(net6, argument, batch)
+    value[..., -1] = np.nan
+    with pytest.raises(ValueError, match="bounds|finite"):
+        _call_metric(net6, argument, value)
+
+
+@pytest.mark.parametrize("batch", [(), (3,)])
+@pytest.mark.parametrize("argument", _METRIC_ARGUMENTS)
+def test_metrics_reject_the_wrong_last_axis_length(net6, argument, batch):
+    for length in (1, 5, 7):
+        value = _valid_argument(make_net(length, seed=0), argument, batch)
+        with pytest.raises(ValueError, match="length 6"):
+            _call_metric(net6, argument, value)
+
+
+@pytest.mark.parametrize("batch", [(), (3,)])
+@pytest.mark.parametrize("argument", ["revenue profile", "macro SINR profile"])
+def test_metrics_reject_a_power_above_p_max(net6, argument, batch):
+    value = _valid_argument(net6, argument, batch)
+    value[..., 0] = np.nextafter(net6.power_max[0], np.inf)
+    with pytest.raises(ValueError, match="bounds"):
+        _call_metric(net6, argument, value)
+
+
 def _assert_metrics_keep_row_bits(net, P, prices):
     """Each batched metric equals, bit for bit, its 1-D call per row and the pre-batch 1-D formula."""
     h = net.gain[1:, 0]
