@@ -32,7 +32,6 @@ from .discrete import (
     expected_powers,
     initial_state,
     learning_step,
-    logit_response,
     run_learning,
     validate_schedules,
     validate_simplex,

@@ -8,12 +8,16 @@ files, which the reproducibility tests rely on.
 from __future__ import annotations
 
 import math
+import os
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
 __all__ = ["format_cell", "write_rows"]
+
+CHUNK_ROWS = 512  # rows formatted per write: bounds the text held in memory (BENCH_19.json)
 
 
 def format_cell(value) -> str:
@@ -31,7 +35,16 @@ def format_cell(value) -> str:
 
 
 def write_rows(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(map(format_cell, row)))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    """Stream ``CHUNK_ROWS`` rows at a time to a sibling temporary file that then replaces ``path``, so the file
+    appears whole or not at all: a refused row leaves ``path`` as it was and no temporary file behind."""
+    tmp = Path(f"{path}.{os.getpid()}.tmp")
+    lines = (",".join(map(format_cell, row)) for row in rows)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(",".join(header) + "\n")
+            while chunk := list(islice(lines, CHUNK_ROWS)):
+                fh.write("\n".join(chunk) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

@@ -33,7 +33,6 @@ __all__ = [
     "validate_schedules",
     "validate_simplex",
     "default_action_sets",
-    "logit_response",
     "expected_powers",
     "expected_payoffs",
     "expected_follower_payoff",
@@ -127,21 +126,6 @@ def validate_simplex(pi: np.ndarray, atol: float = 1e-12) -> None:
         raise ValueError("probabilities must be finite and in [0, 1]")
     if abs(float(pi.sum()) - 1.0) > atol:
         raise ValueError(f"probabilities sum to {pi.sum()!r}, not 1")
-
-
-def logit_response(values: np.ndarray, tau: float) -> np.ndarray:
-    """Boltzmann distribution over actions: softmax(values / tau).
-
-    Max-subtraction keeps the exponentials finite for any finite values.
-    """
-    if not tau > 0.0:
-        raise ValueError("tau must be positive")
-    values = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(values)):
-        raise ValueError("values must be finite")
-    shifted = (values - values.max()) / tau
-    e = np.exp(shifted)
-    return e / e.sum()
 
 
 def _validate_menu(action_sets, K: int) -> np.ndarray:
@@ -338,11 +322,53 @@ class LearningReport:
     converged: bool
 
     def trace_rows(self):
-        """Yield (iteration, k, expected power, pi row) per slot and follower, 1-based, as Python floats."""
-        traces = zip(self.expected_power_trace.tolist(), self.pi_trace.tolist())
-        for t, (powers, pis) in enumerate(traces, start=1):
-            for k, (power, pi) in enumerate(zip(powers, pis), start=1):
-                yield t, k, power, pi
+        """Yield (iteration, k, expected power, pi row) per slot and follower, 1-based, as Python floats.
+
+        Converts ``BLOCK_CELLS`` strategy entries at a time; a NaN or inf raises ``ValueError`` before its block.
+        """
+        step = max(1, BLOCK_CELLS // (math.prod(self.pi_trace.shape[1:]) or 1))
+        for start in range(0, len(self.pi_trace), step):
+            powers, pis = self.expected_power_trace[start : start + step], self.pi_trace[start : start + step]
+            if not (np.isfinite(powers).all() and np.isfinite(pis).all()):
+                raise ValueError("non-finite value in learning trace")
+            for t, (slot_powers, slot_pis) in enumerate(zip(powers.tolist(), pis.tolist()), start=start + 1):
+                for k, (power, pi) in enumerate(zip(slot_powers, slot_pis), start=1):
+                    yield t, k, power, pi
+
+
+def _learn(net: NetworkInstance, prices, state: LearningState, tol: float, window: int, max_iters: int, trace):
+    """``run_learning``'s slots; (iterations, converged). Slot i's pi goes to trace[(i - 1) % len(trace)], so
+    ``trace`` holds at least ``max_iters`` slots or exactly the ``window`` that the convergence check reads."""
+    charge = validate_prices(net, prices) * net.gain[1:, 0]
+    W, pa = net.bandwidth, net.circuit_power
+    state.U, state.pi = U, pi = np.ascontiguousarray(state.U), np.ascontiguousarray(state.pi)
+    K, M = pi.shape
+    U_flat = U.reshape(-1)  # a view, so writes through it land in U
+    menu = np.asarray(state.powers, dtype=float).reshape(-1)
+    row_start = np.arange(0, K * M, M)
+    rng, alpha1, alpha2, tau = state.rng, state.alpha1, state.alpha2, state.tau
+    slots = len(trace)
+    for iterations in range(1, max_iters + 1):
+        t = state.t + iterations
+        a1, a2 = alpha1(t), alpha2(t)
+        cell = row_start + _sample_actions(pi, rng.random(K))
+        p = menu[cell]  # the pure joint action
+        U_flat[cell] += a1 * (own_payoff(p, follower_sinr(net, p), W, pa, charge) - U_flat[cell])
+        e = np.exp((U - U.max(axis=1, keepdims=True)) / tau)
+        beta = e / e.sum(axis=1, keepdims=True)
+        pi *= 1.0 - a2
+        pi += a2 * beta
+        trace[(iterations - 1) % slots] = pi
+        first = (iterations - window) % slots  # the window's first slot
+        converged = bool(
+            iterations >= window
+            and abs(pi - trace[first]).max() < tol
+            and np.ptp(trace[first : first + window] if slots > window else trace, axis=0).max() < tol
+        )
+        if converged:
+            break
+    state.t += iterations
+    return iterations, converged
 
 
 def run_learning(
@@ -358,63 +384,40 @@ def run_learning(
     Each slot t: (a) every follower samples an action from its pi_k; (b)
     realized payoffs come from the pure joint profile; (c) U moves toward
     the observation with step alpha1(t), only at the sampled action; (d) pi
-    moves toward logit_response(U_k) with step alpha2(t) in all components
-    (an exact convex combination, so the simplex is preserved); (e) state.t
-    advances. ``state`` is mutated in place. All slots run in this one
-    loop; the charges, flat views and schedules are set up once per run.
+    moves toward the Logit response softmax(U_k / tau) with step alpha2(t)
+    in all components (an exact convex combination, so the simplex is
+    preserved); (e) state.t advances. ``state`` is mutated in place.
 
     Convergence detector: over the last ``window`` iterations of the
     strategy trace, the largest per-component range of any pi_k falls
     below ``tol``. The range is computed only once the window's first and
     last strategies differ by less than ``tol``: an exact pre-check, as the
     rounded range is never below the rounded gap of two of its entries.
-    The trace buffer is allocated for ``max_iters`` slots (its pages become
-    resident only when written) and trimmed on return.
+    The trace buffer holds ``max_iters`` slots (resident once written) and
+    shrinks in place on return; the expected powers are filled
+    ``BLOCK_CELLS`` products at a time: a run peaks near 1.3x its trace.
     """
     if window < 2 or max_iters < 1 or not tol >= 0.0:
         raise ValueError(f"need window >= 2, max_iters >= 1 and tol >= 0; got {window}, {max_iters}, {tol}")
-    charge = validate_prices(net, prices) * net.gain[1:, 0]
-    W, pa = net.bandwidth, net.circuit_power
-    state.U, state.pi = U, pi = np.ascontiguousarray(state.U), np.ascontiguousarray(state.pi)
-    K, M = pi.shape
-    U_flat = U.reshape(-1)  # a view, so writes through it land in U
-    menu = np.asarray(state.powers, dtype=float).reshape(-1)
-    row_start = np.arange(0, K * M, M)
-    rng, alpha1, alpha2, tau = state.rng, state.alpha1, state.alpha2, state.tau
-    trace = np.empty((max_iters, K, M))
-    converged = False
-    for iterations in range(1, max_iters + 1):
-        t = state.t + iterations
-        a1, a2 = alpha1(t), alpha2(t)
-        cell = row_start + _sample_actions(pi, rng.random(K))
-        p = menu[cell]  # the pure joint action
-        U_flat[cell] += a1 * (own_payoff(p, follower_sinr(net, p), W, pa, charge) - U_flat[cell])
-        e = np.exp((U - U.max(axis=1, keepdims=True)) / tau)
-        beta = e / e.sum(axis=1, keepdims=True)
-        pi *= 1.0 - a2
-        pi += a2 * beta
-        trace[iterations - 1] = pi
-        if (
-            iterations >= window
-            and abs(pi - trace[iterations - window]).max() < tol
-            and np.ptp(trace[iterations - window : iterations], axis=0).max() < tol
-        ):
-            converged = True
-            break
-    state.t += iterations
-    pi_trace = trace[:iterations].copy()
+    trace = np.empty((max_iters, *np.shape(state.pi)))
+    iterations, converged = _learn(net, prices, state, tol, window, max_iters, trace)
+    trace.resize((iterations, *trace.shape[1:]), refcheck=False)  # no view of the buffer outlives _learn
+    power, step = np.empty(trace.shape[:2]), max(1, BLOCK_CELLS // trace[0].size)
+    for start in range(0, iterations, step):
+        power[start : start + step] = (trace[start : start + step] * state.powers).sum(axis=2)
     return LearningReport(
-        strategies=pi.copy(),
-        U=U.copy(),
-        expected_power_trace=(pi_trace * state.powers).sum(axis=2),
-        pi_trace=pi_trace,
+        strategies=state.pi.copy(),
+        U=state.U.copy(),
+        expected_power_trace=power,
+        pi_trace=trace,
         iterations=iterations,
         converged=converged,
     )
 
 
 def write_learning_csv(report: LearningReport, path) -> None:
-    """Export a learning trace CSV: iteration,k,expected_power,pi_0..pi_{M-1}."""
+    """Export a learning trace CSV: iteration,k,expected_power,pi_0..pi_{M-1}; refuses a non-finite trace."""
     M = report.pi_trace.shape[2]
     header = ["iteration", "k", "expected_power"] + [f"pi_{j}" for j in range(M)]
-    write_rows(path, header, ((t, k, power, *pi) for t, k, power, pi in report.trace_rows()))
+    line = "%d,%d" + ",%r" * (M + 1)  # one cell per row, formatted as ``format_cell`` formats ints and finite floats
+    write_rows(path, header, ((line % (t, k, power, *pi),) for t, k, power, pi in report.trace_rows()))

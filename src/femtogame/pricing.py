@@ -17,8 +17,10 @@ import numpy as np
 from .continuous import solve_equilibria
 from .discrete import (
     LearningReport,
+    LearningState,
     PowerLawSchedule,
     _expected_payoffs,
+    _learn,
     expected_powers,
     initial_state,
     run_learning,
@@ -258,13 +260,15 @@ class LearnerConfig:
 
     def run(self, net: NetworkInstance, action_sets, prices) -> LearningReport:
         """Learn from a fresh state (uniform strategies, this config's seed) at ``prices``."""
+        state = self._fresh_state(action_sets)
+        return run_learning(net, prices, state, tol=self.tol, window=self.window, max_iters=self.max_iters)
+
+    def _fresh_state(self, action_sets) -> LearningState:
+        """Uniform start at this config's seed, with ``run``'s two-timescale warning pointed at our caller's caller."""
         unmet = ", ".join(validate_schedules(self.alpha1, self.alpha2).unmet)
         if unmet:
-            warnings.warn(f"step sizes fail the two-timescale conditions {unmet}", RuntimeWarning, stacklevel=2)
-        state = initial_state(
-            action_sets, tau=self.tau, alpha1=self.alpha1, alpha2=self.alpha2, rng_seed=self.rng_seed
-        )
-        return run_learning(net, prices, state, tol=self.tol, window=self.window, max_iters=self.max_iters)
+            warnings.warn(f"step sizes fail the two-timescale conditions {unmet}", RuntimeWarning, stacklevel=3)
+        return initial_state(action_sets, tau=self.tau, alpha1=self.alpha1, alpha2=self.alpha2, rng_seed=self.rng_seed)
 
 
 @dataclass
@@ -303,20 +307,21 @@ def run_algorithm2(
     trace = []
     outer = 0
     while True:
-        seeded = replace(learner, rng_seed=learner.rng_seed + outer)
-        strategies = seeded.run(net, action_sets, prices).strategies  # keeps no trace alive
-        mean_p = expected_powers(action_sets, strategies)
+        state = replace(learner, rng_seed=learner.rng_seed + outer)._fresh_state(action_sets)
+        ring = np.empty((learner.window, *state.pi.shape))  # only the strategies are read: keep the last window
+        _learn(net, prices, state, learner.tol, learner.window, learner.max_iters, ring)
+        mean_p = expected_powers(action_sets, state.pi)
         mu_sinr = sinr_macro(net, mean_p)
         revenue = leader_revenue(net, mean_p, prices)
         trace.append((outer, prices.copy(), mean_p, mu_sinr, revenue))
         converged = bool(mu_sinr >= threshold)
         if converged or outer >= max_outer:
             break
-        prices, flagged = algorithm2_price_step(net, action_sets, strategies)
+        prices, flagged = algorithm2_price_step(net, action_sets, state.pi)
         outer += 1
     return Algorithm2Result(
         prices=prices,
-        strategies=strategies,
+        strategies=state.pi,
         trace=trace,
         outer_iterations=outer,
         converged=converged,

@@ -1,5 +1,6 @@
 """Shared fixtures: small handcrafted networks and seeded default topologies."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +14,16 @@ def make_net(num_followers: int, seed: int, **overrides) -> NetworkInstance:
     constants = default_constants()
     constants.update(overrides)
     return generate_topology(replace(default_topology(), rng_seed=seed), num_followers, **constants)
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that tracemalloc traces while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def hand_net(

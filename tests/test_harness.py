@@ -14,6 +14,7 @@ import pytest
 
 from femtogame import (
     TopologyConfig,
+    _csv,
     cli,
     default_topology,
     experiments,
@@ -177,6 +178,20 @@ def test_write_rows_produces_frozen_bytes(tmp_path):
     assert path.read_bytes() == b"a,b\n1,0.5\n1,2.0\n"
 
 
+def test_write_rows_refusing_a_row_mid_stream_keeps_the_file_it_would_replace(tmp_path, monkeypatch):
+    monkeypatch.setattr(_csv, "CHUNK_ROWS", 3)  # four chunks reach the temporary file before the NaN row
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"earlier,run\n1,2\n")
+    rows = [(i, 0.5 * i) for i in range(12)] + [(12, float("nan")), (13, 1.0)]
+    with pytest.raises(ValueError, match="non-finite value in CSV row: nan"):
+        write_rows(path, ("a", "b"), rows)
+    assert path.read_bytes() == b"earlier,run\n1,2\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+    write_rows(path, ("a", "b"), rows[:12])
+    assert path.read_bytes() == ("a,b\n" + "".join(f"{i},{0.5 * i!r}\n" for i in range(12))).encode()
+    assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+
+
 # ---------------------------------------------------------------- experiments
 
 
@@ -307,6 +322,32 @@ def test_se_compare_marks_boundary_search_rows(tmp_path):
     assert [s for name, s in statuses if name == "se-search"] == ["boundary"] * 3
     assert {s for name, s in statuses if name != "se-search"} == {"ok"}
     assert summary["rows_not_ok"] == 3
+
+
+@pytest.mark.parametrize("field", ["pi_trace", "expected_power_trace"])
+def test_convergence_experiment_records_a_non_finite_trace_as_a_failed_trial(tmp_path, monkeypatch, field):
+    run = LearnerConfig.run
+
+    def poisoned(self, net, action_sets, prices):
+        report = run(self, net, action_sets, prices)
+        getattr(report, field)[-1, 0] = np.nan
+        return report
+
+    monkeypatch.setattr(LearnerConfig, "run", poisoned)
+    out = tmp_path / "f67.csv"
+    spec = ExperimentSpec(
+        "fig6-7-convergence",
+        trials=2,
+        num_followers=2,
+        num_actions=3,
+        learn_max_iters=60,
+        output_path=out,
+    )
+    summary = run_experiment(spec)
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [row[-1] for row in rows] == ["failed:ValueError"] * 2
+    assert [f["error"] for f in summary["failures"]] == ["ValueError: non-finite value in learning trace"] * 2
+    assert summary["per_seed"] == []
 
 
 def test_convergence_experiment_marks_unconverged_algorithm2_phase(tmp_path):

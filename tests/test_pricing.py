@@ -1,6 +1,7 @@
 """Leader-side machinery: asymptote prices, revenue search, heuristic updates."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,11 +23,12 @@ from femtogame import (
     solve_equilibria,
     zero_price_equilibrium,
 )
-from femtogame.discrete import PowerLawSchedule, default_action_sets, expected_follower_payoff
+from femtogame.discrete import PowerLawSchedule, default_action_sets, expected_follower_payoff, expected_powers
+from femtogame.network import sinr_macro
 from femtogame.experiments import continuous_sweep_rows, sweep_grid
 from femtogame.payoff import efficiencies, follower_payoff
 
-from conftest import hand_net, make_net
+from conftest import hand_net, make_net, traced_peak
 
 
 def toy_net():
@@ -341,3 +343,58 @@ def test_algorithm2_is_deterministic(net3):
     b = run_algorithm2(net3, acts, LearnerConfig(max_iters=300), sinr_threshold=1e6, max_outer=3)
     assert np.array_equal(a.prices, b.prices)
     assert np.array_equal(a.strategies, b.strategies)
+
+
+def _reference_algorithm2(net, action_sets, learner, max_outer=20):
+    """The outer loop with one full ``LearnerConfig.run`` per outer iteration, kept as the bit reference."""
+    prices = np.zeros(net.num_followers)
+    flagged = np.zeros(net.num_followers, dtype=bool)
+    trace = []
+    outer = 0
+    while True:
+        strategies = replace(learner, rng_seed=learner.rng_seed + outer).run(net, action_sets, prices).strategies
+        mean_p = expected_powers(action_sets, strategies)
+        mu_sinr = sinr_macro(net, mean_p)
+        trace.append((outer, prices.copy(), mean_p, mu_sinr, leader_revenue(net, mean_p, prices)))
+        converged = bool(mu_sinr >= net.mu_sinr_threshold)
+        if converged or outer >= max_outer:
+            break
+        prices, flagged = algorithm2_price_step(net, action_sets, strategies)
+        outer += 1
+    return prices, strategies, trace, outer, converged, flagged
+
+
+_ADAPTING = LearnerConfig(alpha1=PowerLawSchedule(c=0.6), alpha2=PowerLawSchedule(c=1.0))
+
+
+@pytest.mark.filterwarnings("ignore:step sizes fail the two-timescale conditions")
+@pytest.mark.parametrize(
+    "learner", [LearnerConfig(), replace(_ADAPTING, max_iters=2000)], ids=["stock", "adapting-2000"]
+)
+@pytest.mark.parametrize("K", [2, 4, 6])
+def test_algorithm2_is_bit_equal_to_one_full_learning_run_per_outer_iteration(K, learner):
+    # The learning runs keep only a window of strategies; their convergence decisions, and so every bit, must not move.
+    for topology in range(8):
+        net = make_net(K, seed=topology)
+        acts = default_action_sets(net, 6)
+        seeded = replace(learner, rng_seed=topology)
+        got = run_algorithm2(net, acts, learner=seeded)
+        prices, strategies, trace, outer, converged, flagged = _reference_algorithm2(net, acts, seeded)
+        assert (got.outer_iterations, got.converged) == (outer, converged)
+        for mine, ref in ((got.prices, prices), (got.strategies, strategies), (got.flagged, flagged)):
+            assert np.array_equal(mine, ref)
+        assert len(got.trace) == len(trace)
+        assert all(np.array_equal(a, b) for mine, ref in zip(got.trace, trace) for a, b in zip(mine, ref))
+
+
+def test_algorithm2_holds_a_window_of_strategies_not_whole_traces():
+    # K = 6, topology 4, the adapting learner: four learning runs of up to 10 000 slots. A 2.9 MB trace per run,
+    # its copy and a full-size product peaked at 8.1 MB; a 50-slot ring keeps the peak near 0.24 MB.
+    net = make_net(6, seed=4)
+    acts = default_action_sets(net, 6)
+    learner = replace(_ADAPTING, rng_seed=4)
+    run_algorithm2(net, acts, learner=learner, max_outer=0)  # first-call allocations stay out of the count
+    results = []
+    peak = traced_peak(lambda: results.append(run_algorithm2(net, acts, learner=learner, max_outer=3)))
+    assert results[0].outer_iterations == 3
+    assert peak <= 1_000_000
