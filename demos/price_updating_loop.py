@@ -9,25 +9,26 @@ then reprice each link so its expected net payoff is zero. Repeat until
 the macro link clears the bar or the iteration budget runs out.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from femtogame import default_constants, generate_topology
-from femtogame.discrete import PowerLawSchedule, default_action_sets
+from femtogame.discrete import LearnerConfig, PowerLawSchedule, default_action_sets
 from femtogame.network import TopologyConfig
-from femtogame.pricing import LearnerConfig, run_algorithm2
-
-net = generate_topology(TopologyConfig(rng_seed=3), 2, **default_constants())
-actions = default_action_sets(net, 6)
+from femtogame.pricing import run_algorithm2
 
 # Pick a target above what the unpriced game delivers, so the loop has
 # actual work to do; give the learner step sizes that keep adapting.
+net = replace(generate_topology(TopologyConfig(rng_seed=3), 2, **default_constants()), mu_sinr_threshold=25.0)
+actions = default_action_sets(net, 6)
+
 result = run_algorithm2(
     net,
     actions,
     learner=LearnerConfig(
         alpha1=PowerLawSchedule(c=0.6), alpha2=PowerLawSchedule(), max_iters=1500
     ),
-    sinr_threshold=25.0,
     max_outer=12,
 )
 

@@ -20,10 +20,10 @@ from .continuous import (
 )
 from .defaults import default_constants, default_topology
 from .discrete import (
+    LearnerConfig,
     LearningReport,
     LearningState,
     PowerLawSchedule,
-    ScheduleReport,
     default_action_sets,
     discrete_equilibria,
     expected_follower_payoff,
@@ -64,7 +64,6 @@ from .payoff import (
 )
 from .pricing import (
     Algorithm2Result,
-    LearnerConfig,
     PriceSearchConfig,
     PriceSearchResult,
     ZeroPriceResult,

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 import os
+import shutil
+from contextlib import suppress
 from itertools import islice
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -36,7 +38,8 @@ def format_cell(value) -> str:
 
 def write_rows(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """Stream ``CHUNK_ROWS`` rows at a time to a sibling temporary file that then replaces ``path``, so the file
-    appears whole or not at all: a refused row leaves ``path`` as it was and no temporary file behind."""
+    appears whole or not at all: a refused row leaves ``path`` as it was and no temporary file behind. A rewrite
+    keeps the permission bits of the file it replaces."""
     tmp = Path(f"{path}.{os.getpid()}.tmp")
     lines = (",".join(map(format_cell, row)) for row in rows)
     try:
@@ -44,6 +47,8 @@ def write_rows(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]
             fh.write(",".join(header) + "\n")
             while chunk := list(islice(lines, CHUNK_ROWS)):
                 fh.write("\n".join(chunk) + "\n")
+        with suppress(FileNotFoundError):
+            shutil.copymode(path, tmp)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

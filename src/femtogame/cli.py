@@ -263,6 +263,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.out and not Path(args.out).parent.is_dir():  # refuse before the work, not when writing its result
+            raise FileNotFoundError(f"cannot write {args.out}: no directory {Path(args.out).parent}")
         return _COMMANDS[args.command](args)
     except (ScenarioError, ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

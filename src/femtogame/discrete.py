@@ -16,7 +16,8 @@ reserved for small games.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+import warnings
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .payoff import leader_revenue, own_payoff, validate_prices
 
 __all__ = [
     "PowerLawSchedule",
-    "ScheduleReport",
+    "LearnerConfig",
     "LearningState",
     "LearningReport",
     "validate_schedules",
@@ -78,45 +79,24 @@ class PowerLawSchedule:
         return self.a / (t + self.b) ** self.c
 
 
-@dataclass(frozen=True)
-class ScheduleReport:
-    """Structural check of the two-timescale step-size conditions.
+def validate_schedules(alpha1: PowerLawSchedule, alpha2: PowerLawSchedule) -> list[str]:
+    """Names of the two-timescale step-size conditions the pair fails; empty when all hold.
 
     For a/(t+b)^c power laws: the step sums diverge iff c <= 1, the squared
-    sums converge iff c > 1/2, and alpha2/alpha1 -> 0 iff c2 > c1.
+    sums converge iff c > 1/2, and alpha2/alpha1 -> 0 iff c2 > c1. Note the
+    Table defaults (1/t, 1/t^2) FAIL the divergence condition for alpha2
+    (sum 1/t^2 is finite); with them the strategies freeze after an initial
+    transient. This is reported instead of rejected, since the defaults
+    reproduce the published simulations; ``LearnerConfig`` warns about it.
     """
-
-    alpha1_sum_diverges: bool
-    alpha1_square_summable: bool
-    alpha2_sum_diverges: bool
-    alpha2_square_summable: bool
-    ratio_vanishes: bool
-
-    @property
-    def unmet(self) -> list[str]:
-        return [name for name, ok in asdict(self).items() if not ok]
-
-    @property
-    def satisfied(self) -> bool:
-        return not self.unmet
-
-
-def validate_schedules(alpha1: PowerLawSchedule, alpha2: PowerLawSchedule) -> ScheduleReport:
-    """Check the step-size pair against the two-timescale conditions.
-
-    Note the Table defaults (1/t, 1/t^2) FAIL the divergence condition for
-    alpha2 (sum 1/t^2 is finite); with them the strategies freeze after an
-    initial transient. The report records this instead of rejecting, since
-    the defaults reproduce the published simulations; ``LearnerConfig.run``
-    warns about it.
-    """
-    return ScheduleReport(
-        alpha1_sum_diverges=alpha1.c <= 1.0,
-        alpha1_square_summable=alpha1.c > 0.5,
-        alpha2_sum_diverges=alpha2.c <= 1.0,
-        alpha2_square_summable=alpha2.c > 0.5,
-        ratio_vanishes=alpha2.c > alpha1.c,
-    )
+    conditions = {
+        "alpha1_sum_diverges": alpha1.c <= 1.0,
+        "alpha1_square_summable": alpha1.c > 0.5,
+        "alpha2_sum_diverges": alpha2.c <= 1.0,
+        "alpha2_square_summable": alpha2.c > 0.5,
+        "ratio_vanishes": alpha2.c > alpha1.c,
+    }
+    return [name for name, ok in conditions.items() if not ok]
 
 
 def validate_simplex(pi: np.ndarray, atol: float = 1e-12) -> None:
@@ -413,6 +393,48 @@ def run_learning(
         iterations=iterations,
         converged=converged,
     )
+
+
+@dataclass(frozen=True)
+class LearnerConfig:
+    """Configuration of one discrete learning run; ``run`` carries it out.
+
+    The defaults are the Table values: temperature 1, 1/t payoff-estimate
+    steps and 1/t^2 strategy steps. Those break the two-timescale
+    conditions (``validate_schedules``), so every run warns about them.
+    Values no run can use are refused on construction.
+    """
+
+    tau: float = 1.0
+    alpha1: PowerLawSchedule = PowerLawSchedule()
+    alpha2: PowerLawSchedule = PowerLawSchedule(c=2.0)
+    rng_seed: int = 0
+    tol: float = 1e-3
+    window: int = 50
+    max_iters: int = 10_000
+
+    def __post_init__(self) -> None:
+        if not (0.0 < self.tau < np.inf and 0.0 <= self.tol < np.inf and self.window >= 2 and self.max_iters >= 1):
+            raise ValueError(f"need window >= 2, max_iters >= 1 and tol >= 0, tau > 0 and both finite; got {self}")
+
+    def run(self, net: NetworkInstance, action_sets, prices) -> LearningReport:
+        """Learn from a fresh state (uniform strategies, this config's seed) at ``prices``."""
+        state = self._fresh_state(action_sets, stacklevel=3)
+        return run_learning(net, prices, state, tol=self.tol, window=self.window, max_iters=self.max_iters)
+
+    def _final_strategies(self, net: NetworkInstance, action_sets, prices) -> np.ndarray:
+        """``run(...).strategies`` without the trace: the slots go into a ring of the ``window`` strategies that
+        the convergence check reads, so every decision and bit is ``run``'s. Warns the caller's caller."""
+        state = self._fresh_state(action_sets, stacklevel=4)
+        _learn(net, prices, state, self.tol, self.window, self.max_iters, np.empty((self.window, *state.pi.shape)))
+        return state.pi
+
+    def _fresh_state(self, action_sets, stacklevel: int) -> LearningState:
+        """Uniform start at this config's seed; the two-timescale warning goes ``stacklevel`` frames up."""
+        unmet = ", ".join(validate_schedules(self.alpha1, self.alpha2))
+        if unmet:
+            warnings.warn(f"step sizes fail the two-timescale conditions {unmet}", RuntimeWarning, stacklevel)
+        return initial_state(action_sets, tau=self.tau, alpha1=self.alpha1, alpha2=self.alpha2, rng_seed=self.rng_seed)
 
 
 def write_learning_csv(report: LearningReport, path) -> None:

@@ -32,11 +32,10 @@ import numpy as np
 from ._csv import write_rows
 from .continuous import solve_equilibria
 from .defaults import NUM_ACTIONS, default_constants, default_topology
-from .discrete import default_action_sets, discrete_equilibria
+from .discrete import LearnerConfig, default_action_sets, discrete_equilibria
 from .network import NetworkInstance, TopologyConfig, generate_topology, sinr_macro
 from .payoff import efficiencies, leader_revenue
 from .pricing import (
-    LearnerConfig,
     PriceSearchConfig,
     asymptote_price,
     price_grid,
@@ -232,10 +231,10 @@ def _scheme_tail(name: str, m: dict) -> tuple:
     return name, m["efficiency"], m["revenue"], m["mu_sinr"]
 
 
-def _failed_row(spec: ExperimentSpec, lead: tuple, exc: Exception) -> tuple:
-    """A failed trial's row: its identifying cells, blanks, then the status."""
+def _failed_tail(spec: ExperimentSpec, lead: tuple, exc: Exception) -> tuple:
+    """A failed trial's row after its identifying cells ``lead``: blanks, then the status."""
     blanks = ("",) * (len(HEADERS[spec.experiment_id]) - len(lead) - 1)
-    return (*lead, *blanks, f"failed:{type(exc).__name__}")
+    return (*blanks, f"failed:{type(exc).__name__}")
 
 
 def continuous_sweep_rows(net: NetworkInstance, grid: np.ndarray):
@@ -409,33 +408,40 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     Every seed of every follower count K (``k_values`` for the studies in
     ``PER_K_STUDIES``, ``num_followers`` for the rest) draws its own
     topology and runs the study's trial function. A trial that raises
-    leaves one ``failed:<Name>`` row and an entry in ``failures``.
+    leaves one ``failed:<Name>`` row and an entry in ``failures``. Each
+    trial's rows are written before the next trial runs, so memory does not
+    grow with ``trials``.
     """
     topo, constants, digest = _spec_config(spec)
     trial, summarize = _STUDIES[spec.experiment_id]
     per_k = spec.experiment_id in PER_K_STUDIES
-    rows, entries, failures = [], [], []
-    for K in spec.k_values if per_k else (spec.num_followers,):
-        for seed in range(spec.seed_base, spec.seed_base + spec.trials):
-            where = {"k": K, "seed": seed} if per_k else {"seed": seed}
-            lead = (spec.experiment_id, *where.values(), digest)
-            try:
-                net = generate_topology(replace(topo, rng_seed=seed), K, **constants)
-                tails, entry = trial(spec, net, seed)
-            except Exception as exc:  # noqa: BLE001 - partial failures are data
-                rows.append(_failed_row(spec, lead, exc))
-                failures.append({**where, "error": f"{type(exc).__name__}: {exc}"})
-                continue
-            rows.extend(lead + tail for tail in tails)
-            entries.append(entry)
+    entries, failures, counts = [], [], {"rows": 0, "rows_not_ok": 0}
+
+    def rows():
+        for K in spec.k_values if per_k else (spec.num_followers,):
+            for seed in range(spec.seed_base, spec.seed_base + spec.trials):
+                where = {"k": K, "seed": seed} if per_k else {"seed": seed}
+                lead = (spec.experiment_id, *where.values(), digest)
+                try:
+                    net = generate_topology(replace(topo, rng_seed=seed), K, **constants)
+                    tails, entry = trial(spec, net, seed)
+                    entries.append(entry)
+                except Exception as exc:  # noqa: BLE001 - partial failures are data
+                    tails = [_failed_tail(spec, lead, exc)]
+                    failures.append({**where, "error": f"{type(exc).__name__}: {exc}"})
+                for tail in tails:
+                    counts["rows"] += 1
+                    counts["rows_not_ok"] += tail[-1] != "ok"
+                    yield lead + tail
+                del tails  # written: the next trial runs without them
+
+    write_rows(spec.output_path, HEADERS[spec.experiment_id], rows())
     summary = {"per_trial" if per_k else "per_seed": entries}
     if summarize is not None:
         summary.update(summarize(spec, entries))
-    write_rows(spec.output_path, HEADERS[spec.experiment_id], rows)
     summary["experiment_id"] = spec.experiment_id
     summary["config_hash"] = digest
     summary["output_path"] = str(spec.output_path)
-    summary["rows"] = len(rows)
-    summary["rows_not_ok"] = sum(row[-1] != "ok" for row in rows)
+    summary.update(counts)
     summary["failures"] = failures
     return summary

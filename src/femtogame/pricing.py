@@ -9,31 +9,19 @@ discrete game).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .continuous import solve_equilibria
-from .discrete import (
-    LearningReport,
-    LearningState,
-    PowerLawSchedule,
-    _expected_payoffs,
-    _learn,
-    expected_powers,
-    initial_state,
-    run_learning,
-    validate_schedules,
-)
-from .network import NetworkInstance, follower_sinr, interference, sinr_macro
+from .discrete import LearnerConfig, _expected_payoffs, expected_powers
+from .network import NetworkInstance, interference, sinr_macro
 from .payoff import leader_revenue
 
 __all__ = [
     "PriceSearchConfig",
     "PriceSearchResult",
     "ZeroPriceResult",
-    "LearnerConfig",
     "Algorithm2Result",
     "zero_price_equilibrium",
     "asymptote_price",
@@ -71,10 +59,9 @@ class PriceSearchConfig:
 
 @dataclass
 class ZeroPriceResult:
-    """Follower equilibrium at lambda = 0 plus its SINR levels."""
+    """Follower equilibrium at lambda = 0."""
 
     profile: np.ndarray
-    sinr: np.ndarray
     converged: bool
     rounds: int  # synchronous best-response rounds of ``solve_equilibria``
 
@@ -87,9 +74,7 @@ class PriceSearchResult:
     revenue: float
     equilibrium: np.ndarray  # follower profile at the returned prices
     boundary_max: bool  # first grid's argmax sat on an endpoint (no refinement)
-    grid_values: np.ndarray  # first grid: uniform prices or per-link multipliers
     grid_revenues: np.ndarray  # leader revenue at each first-grid value
-    multiplier: float | None  # per-link mode: the returned multiplier
     all_converged: bool
 
 
@@ -97,20 +82,19 @@ _last_zero_price = (None, None, None)  # (net, tol, result) of the latest zero_p
 
 
 def zero_price_equilibrium(net: NetworkInstance, tol: float = 1e-7) -> ZeroPriceResult:
-    """Follower equilibrium at lambda = 0 from p = 0: the unpriced allocation p* and gamma*.
+    """Follower equilibrium at lambda = 0 from p = 0: the unpriced allocation p*.
 
     One slot keeps the latest result, keyed on ``tol`` and on the network object by ``is`` (a frozen
-    ``NetworkInstance`` cannot go stale); every call returns fresh copies of ``profile`` and ``sinr``.
+    ``NetworkInstance`` cannot go stale); every call returns a fresh copy of ``profile``.
     """
     global _last_zero_price
     last_net, last_tol, zp = _last_zero_price
     if last_net is not net or last_tol != tol:
         zero = np.zeros((1, net.num_followers))
         batch = solve_equilibria(net, zero, zero, tol=tol)
-        p = batch.profiles[0]
-        zp = ZeroPriceResult(p, follower_sinr(net, p), bool(batch.converged[0]), int(batch.rounds[0]))
+        zp = ZeroPriceResult(batch.profiles[0], bool(batch.converged[0]), int(batch.rounds[0]))
         _last_zero_price = (net, tol, zp)
-    return replace(zp, profile=zp.profile.copy(), sinr=zp.sinr.copy())
+    return replace(zp, profile=zp.profile.copy())
 
 
 def asymptote_price(net: NetworkInstance, p_star: np.ndarray) -> np.ndarray:
@@ -207,9 +191,7 @@ def se_price_search(
         revenue=best_revenue,
         equilibrium=best_profile,
         boundary_max=boundary,
-        grid_values=grid,
         grid_revenues=grid_revenues,
-        multiplier=best_x if cfg.mode == "per-link" else None,
         all_converged=all_converged,
     )
 
@@ -236,41 +218,6 @@ def algorithm2_price_step(
     return prices, flagged
 
 
-@dataclass(frozen=True)
-class LearnerConfig:
-    """Configuration of one discrete learning run; ``run`` carries it out.
-
-    The defaults are the Table values: temperature 1, 1/t payoff-estimate
-    steps and 1/t^2 strategy steps. Those break the two-timescale
-    conditions (``validate_schedules``), so ``run`` warns about them.
-    Values no run can use are refused on construction.
-    """
-
-    tau: float = 1.0
-    alpha1: PowerLawSchedule = PowerLawSchedule()
-    alpha2: PowerLawSchedule = PowerLawSchedule(c=2.0)
-    rng_seed: int = 0
-    tol: float = 1e-3
-    window: int = 50
-    max_iters: int = 10_000
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.tau < np.inf and 0.0 <= self.tol < np.inf and self.window >= 2 and self.max_iters >= 1):
-            raise ValueError(f"need window >= 2, max_iters >= 1 and tol >= 0, tau > 0 and both finite; got {self}")
-
-    def run(self, net: NetworkInstance, action_sets, prices) -> LearningReport:
-        """Learn from a fresh state (uniform strategies, this config's seed) at ``prices``."""
-        state = self._fresh_state(action_sets)
-        return run_learning(net, prices, state, tol=self.tol, window=self.window, max_iters=self.max_iters)
-
-    def _fresh_state(self, action_sets) -> LearningState:
-        """Uniform start at this config's seed, with ``run``'s two-timescale warning pointed at our caller's caller."""
-        unmet = ", ".join(validate_schedules(self.alpha1, self.alpha2).unmet)
-        if unmet:
-            warnings.warn(f"step sizes fail the two-timescale conditions {unmet}", RuntimeWarning, stacklevel=3)
-        return initial_state(action_sets, tau=self.tau, alpha1=self.alpha1, alpha2=self.alpha2, rng_seed=self.rng_seed)
-
-
 @dataclass
 class Algorithm2Result:
     """Outcome of the heuristic price-updating outer loop."""
@@ -287,41 +234,37 @@ def run_algorithm2(
     net: NetworkInstance,
     action_sets,
     learner: LearnerConfig = LearnerConfig(),
-    sinr_threshold: float | None = None,
     max_outer: int = 20,
 ) -> Algorithm2Result:
-    """Heuristic price updating until the macro link's SINR target is met.
+    """Heuristic price updating until the macro link's SINR target ``net.mu_sinr_threshold`` is met.
 
     Starts at lambda = 0, runs the followers' learning to convergence,
     computes the expected macro SINR from the reported strategies' expected
     powers, and while the target is unmet applies ``algorithm2_price_step``
     and re-learns. Hitting ``max_outer`` returns a flagged partial result.
-    Refuses ``max_outer < 0`` and a threshold that is NaN or not positive.
+    Refuses ``max_outer < 0``.
     """
-    threshold = net.mu_sinr_threshold if sinr_threshold is None else sinr_threshold
-    if max_outer < 0 or not threshold > 0.0:
-        raise ValueError(f"need max_outer >= 0 and a positive SINR threshold; got {max_outer}, {threshold}")
+    if max_outer < 0:
+        raise ValueError(f"need max_outer >= 0; got {max_outer}")
     K = net.num_followers
     prices = np.zeros(K)
     flagged = np.zeros(K, dtype=bool)
     trace = []
     outer = 0
     while True:
-        state = replace(learner, rng_seed=learner.rng_seed + outer)._fresh_state(action_sets)
-        ring = np.empty((learner.window, *state.pi.shape))  # only the strategies are read: keep the last window
-        _learn(net, prices, state, learner.tol, learner.window, learner.max_iters, ring)
-        mean_p = expected_powers(action_sets, state.pi)
+        strategies = replace(learner, rng_seed=learner.rng_seed + outer)._final_strategies(net, action_sets, prices)
+        mean_p = expected_powers(action_sets, strategies)
         mu_sinr = sinr_macro(net, mean_p)
         revenue = leader_revenue(net, mean_p, prices)
         trace.append((outer, prices.copy(), mean_p, mu_sinr, revenue))
-        converged = bool(mu_sinr >= threshold)
+        converged = bool(mu_sinr >= net.mu_sinr_threshold)
         if converged or outer >= max_outer:
             break
-        prices, flagged = algorithm2_price_step(net, action_sets, state.pi)
+        prices, flagged = algorithm2_price_step(net, action_sets, strategies)
         outer += 1
     return Algorithm2Result(
         prices=prices,
-        strategies=state.pi,
+        strategies=strategies,
         trace=trace,
         outer_iterations=outer,
         converged=converged,

@@ -18,9 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import defaults
-from .discrete import PowerLawSchedule
+from .discrete import LearnerConfig, PowerLawSchedule
 from .network import NetworkInstance, TopologyConfig, dbm_to_watts, generate_topology
-from .pricing import LearnerConfig
 
 __all__ = [
     "ScenarioError",

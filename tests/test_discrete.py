@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from femtogame import _csv, discrete, follower_payoff
 from femtogame.discrete import (
     _sample_actions,
+    LearnerConfig,
     LearningReport,
     PowerLawSchedule,
     default_action_sets,
@@ -32,7 +33,7 @@ from femtogame.experiments import sweep_grid
 from femtogame.network import NetworkInstance
 from femtogame.oracles import enumerate_expected_payoff
 from femtogame.payoff import payoffs, validate_prices
-from femtogame.pricing import LearnerConfig, algorithm2_price_step, asymptote_price, zero_price_equilibrium
+from femtogame.pricing import algorithm2_price_step, asymptote_price, zero_price_equilibrium
 
 from conftest import hand_net, make_net, traced_peak
 
@@ -155,17 +156,30 @@ def test_nan_temperature_is_refused(net3):
 
 
 def test_table_default_schedules_fail_divergence():
-    rep = validate_schedules(PowerLawSchedule(), PowerLawSchedule(c=2.0))
-    assert rep.alpha1_sum_diverges and rep.alpha1_square_summable
-    assert not rep.alpha2_sum_diverges  # sum 1/t^2 converges: strategies freeze
-    assert not rep.satisfied
-    assert rep.unmet == ["alpha2_sum_diverges"]
+    # sum 1/t^2 converges: strategies freeze; alpha1's 1/t meets both of its conditions
+    assert validate_schedules(PowerLawSchedule(), PowerLawSchedule(c=2.0)) == ["alpha2_sum_diverges"]
 
 
 def test_valid_two_timescale_pair():
-    rep = validate_schedules(PowerLawSchedule(c=0.6), PowerLawSchedule(c=1.0))
-    assert rep.satisfied
-    assert rep.unmet == []
+    assert validate_schedules(PowerLawSchedule(c=0.6), PowerLawSchedule(c=1.0)) == []
+
+
+@pytest.mark.parametrize(
+    "c1, c2, unmet",
+    [
+        (0.5, 0.5, ["alpha1_square_summable", "alpha2_square_summable", "ratio_vanishes"]),
+        (0.3, 0.4, ["alpha1_square_summable", "alpha2_square_summable"]),
+        (0.9, 0.7, ["ratio_vanishes"]),
+        (1.0, 1.0, ["ratio_vanishes"]),
+        (1.5, 3.0, ["alpha1_sum_diverges", "alpha2_sum_diverges"]),
+        (0.75, 0.8, []),
+    ],
+)
+def test_schedule_conditions_follow_the_power_law_exponents(c1, c2, unmet):
+    # For a/(t+b)^c: the sum diverges iff c <= 1, the sum of squares converges iff c > 1/2, and alpha2/alpha1 -> 0
+    # iff c2 > c1; a and b move none of them.
+    assert validate_schedules(PowerLawSchedule(c=c1), PowerLawSchedule(c=c2)) == unmet
+    assert validate_schedules(PowerLawSchedule(a=3.0, b=2.0, c=c1), PowerLawSchedule(a=0.5, b=7.0, c=c2)) == unmet
 
 
 # ---------------------------------------------------------------------- logit

@@ -24,7 +24,7 @@ from femtogame import (
 )
 from femtogame._csv import format_cell, write_rows
 from femtogame.defaults import default_constants
-from femtogame.discrete import PowerLawSchedule, default_action_sets
+from femtogame.discrete import LearnerConfig, PowerLawSchedule, default_action_sets
 from femtogame.experiments import (
     EXPERIMENT_IDS,
     HEADERS,
@@ -32,7 +32,6 @@ from femtogame.experiments import (
     config_hash,
     run_experiment,
 )
-from femtogame.pricing import LearnerConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 from femtogame.scenario import (
@@ -43,6 +42,8 @@ from femtogame.scenario import (
     parse_ratio,
     save_network,
 )
+
+from conftest import traced_peak
 
 
 # --------------------------------------------------------------- config hash
@@ -190,6 +191,15 @@ def test_write_rows_refusing_a_row_mid_stream_keeps_the_file_it_would_replace(tm
     write_rows(path, ("a", "b"), rows[:12])
     assert path.read_bytes() == ("a,b\n" + "".join(f"{i},{0.5 * i!r}\n" for i in range(12))).encode()
     assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+
+
+def test_write_rows_keeps_the_permissions_of_the_file_it_rewrites(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"earlier,run\n")
+    path.chmod(0o640)
+    write_rows(path, ("a", "b"), [(1, 0.5)])
+    assert path.read_bytes() == b"a,b\n1,0.5\n"
+    assert path.stat().st_mode & 0o7777 == 0o640
 
 
 # ---------------------------------------------------------------- experiments
@@ -350,6 +360,26 @@ def test_convergence_experiment_records_a_non_finite_trace_as_a_failed_trial(tmp
     assert summary["per_seed"] == []
 
 
+def test_convergence_experiment_memory_does_not_grow_with_trials(tmp_path):
+    # Each trial's rows (up to 2 phases * 300 slots * 6 followers) go to the file before the next trial runs; holding
+    # every trial's rows until one final write made the peak grow with the trial count.
+    def peak(trials):
+        spec = ExperimentSpec(
+            "fig6-7-convergence",
+            trials=trials,
+            learn_max_iters=300,
+            learner=LearnerConfig(alpha1=PowerLawSchedule(c=0.6), alpha2=PowerLawSchedule(c=1.0), max_iters=300),
+            output_path=tmp_path / f"f67-{trials}.csv",
+        )
+        summaries = []
+        used = traced_peak(lambda: summaries.append(run_experiment(spec)))
+        assert summaries[0]["rows"] == len((tmp_path / f"f67-{trials}.csv").read_text().splitlines()) - 1
+        return used
+
+    peak(1)  # first-call allocations stay out of the count
+    assert peak(4) <= 1.25 * peak(1)  # 2.7x when every trial's rows waited for one final write
+
+
 def test_convergence_experiment_marks_unconverged_algorithm2_phase(tmp_path):
     out = tmp_path / "f67.csv"
     spec = ExperimentSpec(
@@ -451,6 +481,29 @@ def test_cli_learn_writes_trace(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0].startswith("iteration,k,expected_power")
     assert len(lines) > 50
+
+
+@pytest.mark.parametrize(
+    "argv, solver",
+    [
+        (["learn", "--followers", "2"], (LearnerConfig, "run")),
+        (["sweep", "--followers", "2"], (cli, "continuous_sweep_rows")),
+        (["search", "--followers", "2"], (cli, "se_price_search")),
+        (["asymptote", "--followers", "2"], (cli, "zero_price_equilibrium")),
+        (["experiment", "--id", "fig1-sweep"], (cli, "run_experiment")),
+    ],
+    ids=["learn", "sweep", "search", "asymptote", "experiment"],
+)
+def test_cli_refuses_an_output_in_a_missing_directory_before_computing(tmp_path, capsys, monkeypatch, argv, solver):
+    def never(*args, **kwargs):
+        raise AssertionError("computed before checking --out")
+
+    monkeypatch.setattr(*solver, never)
+    out = tmp_path / "nodir" / "x.csv"
+    assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert str(out) in err and ".tmp" not in err
+    assert not out.parent.exists()
 
 
 def test_cli_rejects_bad_scenario(tmp_path):

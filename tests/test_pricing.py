@@ -1,7 +1,9 @@
 """Leader-side machinery: asymptote prices, revenue search, heuristic updates."""
 
+import ast
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -73,7 +75,7 @@ def test_zero_price_equilibrium_solves_once_per_network_and_tol(monkeypatch):
     first = zero_price_equilibrium(net)
     again = zero_price_equilibrium(net)
     assert len(calls) == 1
-    assert np.array_equal(again.profile, first.profile) and np.array_equal(again.sinr, first.sinr)
+    assert np.array_equal(again.profile, first.profile)
     assert (again.converged, again.rounds) == (first.converged, first.rounds)
     zero_price_equilibrium(net, tol=1e-9)  # another tol is another key
     assert len(calls) == 2
@@ -88,12 +90,10 @@ def test_zero_price_equilibrium_solves_once_per_network_and_tol(monkeypatch):
 def test_zero_price_equilibrium_returns_copies_of_its_arrays():
     net = make_net(4, seed=2)
     first = zero_price_equilibrium(net)
-    expected_profile, expected_sinr = first.profile.copy(), first.sinr.copy()
+    expected_profile = first.profile.copy()
     first.profile[:] = -1.0
-    first.sinr[:] = np.nan
     again = zero_price_equilibrium(net)
     assert np.array_equal(again.profile, expected_profile)
-    assert np.array_equal(again.sinr, expected_sinr)
     assert again.profile is not first.profile
 
 
@@ -199,8 +199,9 @@ def test_search_equilibrium_beats_a_ten_percent_power_cut():
 
 
 def test_search_grid_is_the_sweep_grid(net3):
+    # Both solve the first grid from the zero-price profile, so the search's grid revenues are the sweep's.
     res = se_price_search(net3, PriceSearchConfig(grid_count=25))
-    assert np.array_equal(res.grid_values, sweep_grid(net3, 25))
+    assert np.array_equal(res.grid_revenues, [row[1] for row in continuous_sweep_rows(net3, sweep_grid(net3, 25))])
 
 
 @settings(max_examples=40, deadline=None)
@@ -219,7 +220,7 @@ def test_search_returns_a_nash_point_at_least_as_good_as_its_grid(K, seed, mode)
     for k in range(1, K + 1):
         assert abs(best_response(net, k, res.equilibrium, res.prices) - res.equilibrium[k - 1]) <= 1e-7
     again = se_price_search(net, cfg)
-    for field in ("prices", "equilibrium", "grid_values", "grid_revenues"):
+    for field in ("prices", "equilibrium", "grid_revenues"):
         assert np.array_equal(getattr(res, field), getattr(again, field))
     assert res.revenue == again.revenue
 
@@ -228,8 +229,8 @@ def test_search_per_link_mode_scales_asymptote_prices(net3):
     res = se_price_search(net3, PriceSearchConfig(mode="per-link", grid_count=25))
     zp = zero_price_equilibrium(net3)
     lam_a = asymptote_price(net3, zp.profile)
-    assert res.multiplier is not None
-    assert np.allclose(res.prices, res.multiplier * lam_a, rtol=1e-12)
+    multiplier = res.prices / lam_a
+    assert np.allclose(multiplier, multiplier[0], rtol=1e-12)
 
 
 def test_revenue_zero_at_zero_price_and_past_all_cutoffs(net3):
@@ -251,12 +252,16 @@ def test_price_search_config_validation():
 def test_learner_run_warns_on_broken_step_sizes():
     net = make_net(2, seed=0)
     acts = default_action_sets(net, 3)
-    with pytest.warns(RuntimeWarning, match="alpha2_sum_diverges"):
+    with pytest.warns(RuntimeWarning, match="alpha2_sum_diverges") as record:
         LearnerConfig(max_iters=5).run(net, acts, np.zeros(2))
+    with pytest.warns(RuntimeWarning, match="alpha2_sum_diverges") as record_alg2:
+        run_algorithm2(net, acts, LearnerConfig(max_iters=5), max_outer=0)
+    assert [w.filename for w in (*record, *record_alg2)] == [__file__, __file__]  # the caller's line, not ours
     adapting = LearnerConfig(alpha1=PowerLawSchedule(c=0.6), alpha2=PowerLawSchedule(c=1.0), max_iters=5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         adapting.run(net, acts, np.zeros(2))
+        run_algorithm2(net, acts, adapting, max_outer=0)
 
 
 def test_price_step_degenerate_strategy_hand_value():
@@ -291,16 +296,21 @@ def test_price_step_flags_all_mass_on_zero():
 
 
 @pytest.mark.parametrize(
-    "kwargs", [{"max_outer": -3}, {"sinr_threshold": np.nan}, {"sinr_threshold": 0.0}, {"sinr_threshold": -1.0}]
+    "kwargs",
+    [{"max_outer": -3}, {"mu_sinr_threshold": np.nan}, {"mu_sinr_threshold": 0.0}, {"mu_sinr_threshold": -1.0}],
 )
 def test_algorithm2_refuses_unusable_targets_and_loop_bounds(net3, kwargs):
-    with pytest.raises(ValueError, match="max_outer >= 0 and a positive SINR threshold"):
-        run_algorithm2(net3, default_action_sets(net3, 3), LearnerConfig(max_iters=50), **kwargs)
+    # The target is the network's own, which refuses a NaN or non-positive threshold before any run.
+    match = "max_outer >= 0" if "max_outer" in kwargs else "mu_sinr_threshold must be positive"
+    with pytest.raises(ValueError, match=match):
+        net = replace(net3, mu_sinr_threshold=kwargs.get("mu_sinr_threshold", net3.mu_sinr_threshold))
+        max_outer = kwargs.get("max_outer", 20)
+        run_algorithm2(net, default_action_sets(net, 3), LearnerConfig(max_iters=50), max_outer=max_outer)
 
 
 def test_algorithm2_stops_immediately_when_target_already_met(net6):
     acts = default_action_sets(net6, 4)
-    res = run_algorithm2(net6, acts, LearnerConfig(max_iters=400), sinr_threshold=1e-12)
+    res = run_algorithm2(replace(net6, mu_sinr_threshold=1e-12), acts, LearnerConfig(max_iters=400))
     assert res.converged
     assert res.outer_iterations == 0
     assert np.array_equal(res.prices, np.zeros(6))
@@ -327,7 +337,7 @@ def test_algorithm2_price_step_rejects_strategies_that_do_not_fit(net6, shape):
 def test_algorithm2_price_step_raises_macro_sinr():
     net = make_net(2, seed=3)
     acts = default_action_sets(net, 4)
-    res = run_algorithm2(net, acts, LearnerConfig(max_iters=600), sinr_threshold=20.0, max_outer=8)
+    res = run_algorithm2(replace(net, mu_sinr_threshold=20.0), acts, LearnerConfig(max_iters=600), max_outer=8)
     mu = [float(row[3]) for row in res.trace]
     rev = [float(row[4]) for row in res.trace]
     assert mu[1] > mu[0]  # first pricing round pushes interference down
@@ -339,8 +349,9 @@ def test_algorithm2_price_step_raises_macro_sinr():
 
 def test_algorithm2_is_deterministic(net3):
     acts = default_action_sets(net3, 4)
-    a = run_algorithm2(net3, acts, LearnerConfig(max_iters=300), sinr_threshold=1e6, max_outer=3)
-    b = run_algorithm2(net3, acts, LearnerConfig(max_iters=300), sinr_threshold=1e6, max_outer=3)
+    net = replace(net3, mu_sinr_threshold=1e6)
+    a = run_algorithm2(net, acts, LearnerConfig(max_iters=300), max_outer=3)
+    b = run_algorithm2(net, acts, LearnerConfig(max_iters=300), max_outer=3)
     assert np.array_equal(a.prices, b.prices)
     assert np.array_equal(a.strategies, b.strategies)
 
@@ -398,3 +409,16 @@ def test_algorithm2_holds_a_window_of_strategies_not_whole_traces():
     peak = traced_peak(lambda: results.append(run_algorithm2(net, acts, learner=learner, max_outer=3)))
     assert results[0].outer_iterations == 3
     assert peak <= 1_000_000
+
+
+def test_pricing_imports_no_private_learning_name():
+    # The learner's slot loop and ring are discrete.py's to change; pricing.py reaches them only through LearnerConfig.
+    source = Path(__file__).resolve().parents[1] / "src" / "femtogame" / "pricing.py"
+    private = [
+        alias.name
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "discrete"
+        for alias in node.names
+        if alias.name.startswith("_") and alias.name != "_expected_payoffs"
+    ]
+    assert private == []
