@@ -4,7 +4,8 @@ Followers draw powers from a finite menu, one (K, M) array with a row per
 follower, keep a mixed strategy pi_k on their row, and learn from realized
 payoffs only: a fast timescale updates the per-action payoff estimates U_k
 (only the sampled action moves), a slow timescale nudges pi_k toward the
-Logit response of the current estimates.
+Logit response of the current estimates. The slot loop draws uniforms in
+chunks and memoizes payoffs, with every draw and bit of a per-slot loop.
 Expected payoffs under product-form strategies sum each follower's own
 action out by hand: its interference does not depend on its own power, so
 one interference column over the others' joint support (actions of
@@ -18,6 +19,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
@@ -277,11 +279,13 @@ def initial_state(
     )
 
 
-def _sample_actions(pi: np.ndarray, draws: np.ndarray) -> np.ndarray:
-    """Inverse-CDF sampling, one action per row of pi: the number of the
-    first M-1 CDF entries below the row's draw. This is ``searchsorted`` per
-    row, capped at M-1 for a row whose full CDF rounds below its draw."""
-    return (pi[:, :-1].cumsum(axis=1) < draws[:, None]).sum(axis=1)
+def _sample_actions(pi: np.ndarray, draws: np.ndarray, cdf: np.ndarray | None = None) -> np.ndarray:
+    """Inverse-CDF sampling, one action per row of pi: the first column at or above the row's draw of a CDF whose
+    last column is the sentinel 2.0 (``cdf``, a (K, M) buffer). As a CDF never decreases, this is ``searchsorted``
+    per row, capped at M-1 for a row whose full CDF rounds below its draw."""
+    cdf = np.full(pi.shape, 2.0) if cdf is None else cdf
+    np.add.accumulate(pi[:, :-1], axis=1, out=cdf[:, :-1])  # ``cumsum``'s sums
+    return (cdf >= draws[:, None]).argmax(axis=1)
 
 
 def learning_step(state: LearningState, net: NetworkInstance, prices) -> LearningState:
@@ -302,51 +306,78 @@ class LearningReport:
     converged: bool
 
     def trace_rows(self):
-        """Yield (iteration, k, expected power, pi row) per slot and follower, 1-based, as Python floats.
+        """Yield (iteration, k, expected power, pi row) per slot and follower, 1-based, as Python floats."""
+        for start, powers, pis in self._blocks():
+            for t, (slot_powers, slot_pis) in enumerate(zip(powers.tolist(), pis.tolist()), start=start + 1):
+                for k, (power, pi) in enumerate(zip(slot_powers, slot_pis), start=1):
+                    yield t, k, power, pi
 
-        Converts ``BLOCK_CELLS`` strategy entries at a time; a NaN or inf raises ``ValueError`` before its block.
-        """
+    def _blocks(self):
+        """(first slot, powers, strategies) per ``BLOCK_CELLS`` strategy entries; NaN or inf raises first."""
         step = max(1, BLOCK_CELLS // (math.prod(self.pi_trace.shape[1:]) or 1))
         for start in range(0, len(self.pi_trace), step):
             powers, pis = self.expected_power_trace[start : start + step], self.pi_trace[start : start + step]
             if not (np.isfinite(powers).all() and np.isfinite(pis).all()):
                 raise ValueError("non-finite value in learning trace")
-            for t, (slot_powers, slot_pis) in enumerate(zip(powers.tolist(), pis.tolist()), start=start + 1):
-                for k, (power, pi) in enumerate(zip(slot_powers, slot_pis), start=1):
-                    yield t, k, power, pi
+            yield start, powers, pis
 
 
 def _learn(net: NetworkInstance, prices, state: LearningState, tol: float, window: int, max_iters: int, trace):
     """``run_learning``'s slots; (iterations, converged). Slot i's pi goes to trace[(i - 1) % len(trace)], so
-    ``trace`` holds at least ``max_iters`` slots or exactly the ``window`` that the convergence check reads."""
+    ``trace`` holds at least ``max_iters`` slots or exactly the ``window`` that the convergence check reads.
+    Uniforms come ``BLOCK_CELLS // K`` slots at a time; a run that stops inside a chunk rewinds the generator and
+    draws only the rows used. Payoffs are memoized per call (prices and menu are fixed) by joint action."""
     charge = validate_prices(net, prices) * net.gain[1:, 0]
-    W, pa = net.bandwidth, net.circuit_power
-    state.U, state.pi = U, pi = np.ascontiguousarray(state.U), np.ascontiguousarray(state.pi)
+    menu = _validate_menu(state.powers, net.num_followers)
+    state.U, state.pi = U, pi = np.ascontiguousarray(state.U, dtype=float), np.ascontiguousarray(state.pi, dtype=float)
+    for name, ok, need in (  # a state no slot can use is refused before the first, naming its field
+        ("tau", 0.0 < state.tau < math.inf, "finite and > 0"),
+        ("t", state.t >= 0, ">= 0"),
+        ("rng", isinstance(state.rng, np.random.Generator), "a numpy.random.Generator"),
+        ("U", U.shape == menu.shape and np.isfinite(U).all(), f"finite and shaped {menu.shape}"),
+        ("pi", pi.shape == menu.shape and (pi >= 0).all() and abs(pi.sum(axis=1) - 1).max() <= 1e-9, "row-stochastic"),
+    ):
+        if not ok:
+            raise ValueError(f"LearningState.{name} must be {need}; got {getattr(state, name)!r}")
     K, M = pi.shape
+    menu_flat = menu.reshape(-1)
     U_flat = U.reshape(-1)  # a view, so writes through it land in U
-    menu = np.asarray(state.powers, dtype=float).reshape(-1)
     row_start = np.arange(0, K * M, M)
     rng, alpha1, alpha2, tau = state.rng, state.alpha1, state.alpha2, state.tau
-    slots = len(trace)
+    W, pa = net.bandwidth, net.circuit_power
+    cdf, memo, slots, start, rows, converged = np.full((K, M), 2.0), {}, len(trace), 0, 0, False
+    draws = np.empty((max(1, min(BLOCK_CELLS // K, max_iters)), K))
     for iterations in range(1, max_iters + 1):
+        if iterations > start + rows:
+            start, rows = start + rows, min(len(draws), max_iters - start - rows)
+            saved = rng.bit_generator.state
+            rng.random(out=draws[:rows])
         t = state.t + iterations
         a1, a2 = alpha1(t), alpha2(t)
-        cell = row_start + _sample_actions(pi, rng.random(K))
-        p = menu[cell]  # the pure joint action
-        U_flat[cell] += a1 * (own_payoff(p, follower_sinr(net, p), W, pa, charge) - U_flat[cell])
-        e = np.exp((U - U.max(axis=1, keepdims=True)) / tau)
-        beta = e / e.sum(axis=1, keepdims=True)
+        cell = row_start + _sample_actions(pi, draws[iterations - 1 - start], cdf)
+        if (payoff := memo.get(key := cell.tobytes())) is None:
+            p = menu_flat[cell]  # the pure joint action
+            payoff = own_payoff(p, follower_sinr(net, p), W, pa, charge)
+            if len(memo) < BLOCK_CELLS // (2 * K):  # keys and payoffs hold at most BLOCK_CELLS numbers
+                memo[key] = payoff  # never written in place
+        U_flat[cell] += a1 * (payoff - U_flat[cell])
+        e = np.exp((U - np.maximum.reduce(U, axis=1, keepdims=True)) / tau)
+        e /= np.add.reduce(e, axis=1, keepdims=True)
+        e *= a2
         pi *= 1.0 - a2
-        pi += a2 * beta
+        pi += e
         trace[(iterations - 1) % slots] = pi
         first = (iterations - window) % slots  # the window's first slot
-        converged = bool(
+        if (
             iterations >= window
-            and abs(pi - trace[first]).max() < tol
+            and np.maximum.reduce(np.abs(pi - trace[first]), axis=None) < tol
             and np.ptp(trace[first : first + window] if slots > window else trace, axis=0).max() < tol
-        )
-        if converged:
+        ):
+            converged = True
             break
+    if iterations < start + rows:  # leave the generator where per-slot draws of K would
+        rng.bit_generator.state = saved
+        rng.random((iterations - start, K))
     state.t += iterations
     return iterations, converged
 
@@ -376,6 +407,8 @@ def run_learning(
     The trace buffer holds ``max_iters`` slots (resident once written) and
     shrinks in place on return; the expected powers are filled
     ``BLOCK_CELLS`` products at a time: a run peaks near 1.3x its trace.
+    The generator ends where per-slot ``rng.random(K)`` draws leave it. A
+    ``state`` no slot can use is refused first, naming its field.
     """
     if window < 2 or max_iters < 1 or not tol >= 0.0:
         raise ValueError(f"need window >= 2, max_iters >= 1 and tol >= 0; got {window}, {max_iters}, {tol}")
@@ -438,8 +471,17 @@ class LearnerConfig:
 
 
 def write_learning_csv(report: LearningReport, path) -> None:
-    """Export a learning trace CSV: iteration,k,expected_power,pi_0..pi_{M-1}; refuses a non-finite trace."""
-    M = report.pi_trace.shape[2]
+    """Export a learning trace CSV: iteration,k,expected_power,pi_0..pi_{M-1}; refuses a non-finite trace.
+    Each block of slots takes one ``map(repr, ...)`` per array: ``format_cell``'s cells for finite floats."""
+    K, M = report.pi_trace.shape[1:]
     header = ["iteration", "k", "expected_power"] + [f"pi_{j}" for j in range(M)]
-    line = "%d,%d" + ",%r" * (M + 1)  # one cell per row, formatted as ``format_cell`` formats ints and finite floats
-    write_rows(path, header, ((line % (t, k, power, *pi),) for t, k, power, pi in report.trace_rows()))
+    rows = (
+        (f"{t},{k},{power},{pi}",)
+        for start, powers, pis in report._blocks()
+        for (t, k), power, pi in zip(
+            product(range(start + 1, start + len(pis) + 1), range(1, K + 1)),
+            map(repr, powers.reshape(-1).tolist()),
+            map(",".join, zip(*[map(repr, pis.reshape(-1).tolist())] * M)),  # M strategy cells a row
+        )
+    )
+    write_rows(path, header, rows)

@@ -972,6 +972,80 @@ def test_run_learning_matches_reference_slot_loop(seed, K, M, tau, adapting, log
     assert fused.rng.random() == ref.rng.random()  # the generator is left where the slots left it
 
 
+@pytest.mark.parametrize("block", [None, 121, 1])  # stock: K = 40 crosses a 409-slot chunk; 121 and 1: small chunks
+@pytest.mark.parametrize("tol", [1e-3, 0.0])  # 1e-3 settles inside a chunk, 0 runs to the cap
+@pytest.mark.parametrize("K", [6, 40])
+def test_run_learning_matches_reference_across_draw_chunks_and_memo_caps(monkeypatch, K, tol, block):
+    # 121 gives K = 6 chunks of 20 slots and a memo of 10 payoffs, K = 40 chunks of 3 slots and a memo of 1;
+    # 1 gives one-slot chunks and no memo at all.
+    if block is not None:
+        monkeypatch.setattr(discrete, "BLOCK_CELLS", block)
+    net = make_net(K, seed=K)
+    acts = default_action_sets(net, 6)
+    ref, fused = (initial_state(acts, rng_seed=K) for _ in range(2))
+    pi_trace, converged = _reference_learning(net, np.zeros(K), ref, tol, 50, 700)
+    rep = run_learning(net, np.zeros(K), fused, tol=tol, window=50, max_iters=700)
+    assert (rep.converged, rep.iterations < 700) == (tol > 0.0, tol > 0.0)
+    assert np.array_equal(rep.pi_trace, pi_trace)
+    assert np.array_equal(rep.U, ref.U) and np.array_equal(rep.strategies, ref.pi)
+    assert (rep.iterations, rep.converged, fused.t) == (len(pi_trace), converged, ref.t)
+    assert fused.rng.random() == ref.rng.random()  # rewound to where per-slot draws leave the generator
+
+
+@pytest.mark.parametrize("adapting", [False, True])
+def test_learning_steps_equal_one_run_of_as_many_slots(net3, adapting):
+    steps = (PowerLawSchedule(c=0.6), PowerLawSchedule()) if adapting else (PowerLawSchedule(), PowerLawSchedule(c=2.0))
+    acts = default_action_sets(net3, 4)
+    prices = np.full(3, 1e10)
+    stepped, run = (initial_state(acts, alpha1=steps[0], alpha2=steps[1], rng_seed=5) for _ in range(2))
+    for _ in range(60):
+        learning_step(stepped, net3, prices)
+    rep = run_learning(net3, prices, run, tol=0.0, max_iters=60)
+    assert np.array_equal(stepped.pi, rep.strategies) and np.array_equal(stepped.U, rep.U)
+    assert stepped.t == run.t == 60
+    assert stepped.rng.random() == run.rng.random()
+
+
+def test_mixing_run_memory_stays_near_its_window():
+    # K = 200, 3000 slots, 1/t strategy steps: joint actions never repeat, so the memo fills to its cap. The
+    # per-slot loop peaked at 0.55 MB (a 0.48 MB window ring); the draw chunk and the capped memo may add 0.3 MB.
+    # At BLOCK_CELLS // K payoffs the run peaked at 0.95 MB, with no cap at 1.75 MB.
+    net = make_net(200, seed=0)
+    learner = LearnerConfig(alpha1=PowerLawSchedule(c=0.6), alpha2=PowerLawSchedule(), tol=0.0, max_iters=3000)
+    peak = traced_peak(lambda: learner._final_strategies(net, default_action_sets(net, 6), np.zeros(200)))
+    assert peak <= 0.55e6 + 0.3e6
+
+
+_SPOILED_STATES = {
+    "tau-zero": ("tau", lambda s: setattr(s, "tau", 0.0)),
+    "tau-nan": ("tau", lambda s: setattr(s, "tau", float("nan"))),
+    "tau-negative": ("tau", lambda s: setattr(s, "tau", -1.0)),
+    "tau-inf": ("tau", lambda s: setattr(s, "tau", float("inf"))),
+    "t-negative": ("t", lambda s: setattr(s, "t", -3)),
+    "rng-none": ("rng", lambda s: setattr(s, "rng", None)),
+    "rng-legacy": ("rng", lambda s: setattr(s, "rng", np.random.RandomState(0))),
+    "U-nan": ("U", lambda s: s.U.__setitem__((1, 2), float("nan"))),
+    "U-shape": ("U", lambda s: setattr(s, "U", np.zeros((3, 3)))),
+    "pi-shape": ("pi", lambda s: setattr(s, "pi", np.full((3, 3), 1.0 / 3.0))),
+    "pi-off-simplex": ("pi", lambda s: setattr(s, "pi", np.full((3, 4), 0.3))),
+    "pi-nan": ("pi", lambda s: s.pi.__setitem__((0, 0), float("nan"))),
+}
+
+
+@pytest.mark.parametrize("field, spoil", _SPOILED_STATES.values(), ids=_SPOILED_STATES.keys())
+def test_run_learning_refuses_an_unusable_state_before_the_first_slot(net3, field, spoil):
+    state = initial_state(default_action_sets(net3, 4), rng_seed=3)
+    spoil(state)
+    before = (state.t, np.array(state.U, copy=True), np.array(state.pi, copy=True))
+    with pytest.raises(ValueError, match=rf"LearningState\.{field}\b"):
+        run_learning(net3, np.zeros(3), state, max_iters=20)
+    with pytest.raises(ValueError, match=rf"LearningState\.{field}\b"):
+        learning_step(state, net3, np.zeros(3))
+    assert state.t == before[0]
+    np.testing.assert_array_equal(state.U, before[1])
+    np.testing.assert_array_equal(state.pi, before[2])
+
+
 @pytest.mark.parametrize("max_iters, tol", [(0, 1e-3), (-5, 1e-3), (10, float("nan")), (10, -1.0)])
 def test_run_learning_rejects_bad_run_length_and_tol(net3, max_iters, tol):
     acts = default_action_sets(net3, 3)
