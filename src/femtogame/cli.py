@@ -207,9 +207,9 @@ def build_parser() -> argparse.ArgumentParser:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out_default=None, out_required=False):
+    def common(p, out_default=None, out_required=False, seed_help="topology RNG seed (overrides the scenario's)"):
         p.add_argument("--config", help="scenario JSON path")
-        p.add_argument("--seed", type=int, default=None, help="topology RNG seed override")
+        p.add_argument("--seed", type=int, default=None, help=seed_help)
         p.add_argument("--followers", type=int, default=None, help="number of follower links")
         if out_required:
             p.add_argument("--out", required=True, help="output file path")
@@ -233,12 +233,13 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("learn", help="stochastic learning run -> CSV")
-    common(p)
+    common(p, seed_help="topology RNG seed and learner RNG seed (overrides both of the scenario's)")
     p.add_argument("--price", type=float, help="uniform interference price (default 0)")
     p.add_argument("--algorithm2", action="store_true", help="run the heuristic outer price loop")
 
     p = sub.add_parser("experiment", help="run a named study")
-    common(p, out_required=True)
+    common(p, out_required=True, seed_help="first trial seed: trial i draws its topology, and in fig5 and fig6-7 "
+           "its learner's RNG, from seed + i (default: the topology block's rng_seed, else 0)")
     p.add_argument("--id", required=True, choices=EXPERIMENT_IDS)
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--points", type=int, default=None,
@@ -263,10 +264,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.out and not Path(args.out).parent.is_dir():  # refuse before the work, not when writing its result
-            raise FileNotFoundError(f"cannot write {args.out}: no directory {Path(args.out).parent}")
+        if args.out:  # refuse before the work, not when writing its result
+            if Path(args.out).is_dir():
+                raise IsADirectoryError(f"cannot write {args.out}: it is a directory")
+            if not Path(args.out).parent.is_dir():
+                raise FileNotFoundError(f"cannot write {args.out}: no directory {Path(args.out).parent}")
         return _COMMANDS[args.command](args)
-    except (ScenarioError, ValueError, FileNotFoundError) as exc:
+    except (ScenarioError, ValueError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

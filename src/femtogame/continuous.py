@@ -2,10 +2,13 @@
 
 The best response maximizes the quasiconcave follower payoff over
 [0, p_max] at the root of its gradient, which changes sign at most once
-(+ to -). ``run_algorithm1`` (the paper's Algorithm 1) iterates scalar
-bisection best responses one follower at a time; ``solve_equilibria``
-updates every follower of a batch of price vectors at once by Newton steps.
-Both reach the same fixed point (Yates 1995, standard interference functions).
+(+ to -). One root finder, ``_best_responses`` (rtsafe: Newton steps
+safeguarded by bisection), holds the boundary rules and finds that root for
+any batch. ``best_response`` calls it on one follower; ``run_algorithm1``
+(the paper's Algorithm 1) iterates ``best_response`` one follower at a time;
+``solve_equilibria`` updates every follower of a batch of price vectors at
+once. Both reach the same fixed point (Yates 1995, standard interference
+functions).
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ __all__ = [
     "check_supermodularity",
 ]
 
-MAX_STEPS = 200  # bisection or rtsafe steps a best response may take before BisectionError
+MAX_STEPS = 200  # rtsafe steps a best response may take before BisectionError
 DAMPING = 0.5  # beta of the damped update p <- (1 - beta) p + beta BR(p)
 
 
@@ -65,47 +68,20 @@ def best_response(
 ) -> float:
     """Unique maximizer of follower k's payoff over [0, p_max[k]].
 
-    ``opponents`` is a full length-K profile; entry k-1 is ignored. The
-    gradient sign at the interval ends decides boundary solutions; otherwise
-    the gradient root is bisected to within ``tol`` watts, and bisection
-    continues until some power with a positive gradient is found, so a root
-    smaller than ``tol`` still yields a positive power. A final payoff
-    comparison against p_k = 0 guards the boundary (ties go to the smaller
-    power).
+    ``opponents`` is a full length-K profile; entry k-1 is ignored. This is
+    ``_best_responses`` on one (1, K) row in which only follower k is live,
+    started from 0 W: the gradient sign at the interval ends decides boundary
+    solutions, an interior root is found to within ``tol`` watts (a root
+    smaller than ``tol`` still yields a positive power), and the root is kept
+    only if its payoff beats p_k = 0 (ties go to the smaller power).
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    G = net.gain[k, k] / interference(net, opponents)[k - 1]
-    lam_h = prices[k - 1] * net.gain[k, 0]
-    W = net.bandwidth
-    pa = net.circuit_power
-    p_max = float(net.power_max[k - 1])
-
-    # Non-positive gradient at 0 means transmitting never pays (single + to -
-    # sign change).
-    if own_gradient(0.0, G, W, pa, lam_h) <= 0.0:
-        return 0.0
-    if own_gradient(p_max, G, W, pa, lam_h) >= 0.0:
-        return p_max
-    lo, hi = 0.0, p_max
-    for _ in range(MAX_STEPS):
-        mid = 0.5 * (lo + hi)
-        if own_gradient(mid, G, W, pa, lam_h) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= tol and lo > 0.0:
-            break
-    else:
-        raise BisectionError(
-            f"bracket {hi - lo:.3e} W still above tol {tol:.3e} after {MAX_STEPS} iterations"
-        )
-    root = 0.5 * (lo + hi)
-
-    # Payoff at 0 is exactly 0; keep the root only if it strictly beats it.
-    if own_payoff(root, G * root, W, pa, lam_h) > 0.0:
-        return root
-    return 0.0
+    G = np.zeros((1, net.num_followers))
+    charge = np.zeros_like(G)  # G = charge = 0 leaves every other follower silent
+    G[0, k - 1] = net.gain[k, k] / interference(net, opponents)[k - 1]
+    charge[0, k - 1] = prices[k - 1] * net.gain[k, 0]
+    return float(_best_responses(net, G, charge, np.zeros_like(G), tol)[0, k - 1])
 
 
 def run_algorithm1(

@@ -305,21 +305,22 @@ class LearningReport:
     iterations: int
     converged: bool
 
-    def trace_rows(self):
-        """Yield (iteration, k, expected power, pi row) per slot and follower, 1-based, as Python floats."""
-        for start, powers, pis in self._blocks():
-            for t, (slot_powers, slot_pis) in enumerate(zip(powers.tolist(), pis.tolist()), start=start + 1):
-                for k, (power, pi) in enumerate(zip(slot_powers, slot_pis), start=1):
-                    yield t, k, power, pi
-
-    def _blocks(self):
-        """(first slot, powers, strategies) per ``BLOCK_CELLS`` strategy entries; NaN or inf raises first."""
-        step = max(1, BLOCK_CELLS // (math.prod(self.pi_trace.shape[1:]) or 1))
+    def _trace_lines(self, pi_sep: str = ","):
+        """Yield "t,k,expected power,pi" per slot and follower, 1-based, pi's entries joined by ``pi_sep``. Each block
+        of ``BLOCK_CELLS`` strategy entries is refused (``ValueError``) if it holds NaN or inf, then formatted with
+        one ``map(repr, ...)`` per array, the text ``format_cell`` gives finite floats."""
+        K, M = self.pi_trace.shape[1:]
+        step = max(1, BLOCK_CELLS // (K * M or 1))
         for start in range(0, len(self.pi_trace), step):
             powers, pis = self.expected_power_trace[start : start + step], self.pi_trace[start : start + step]
             if not (np.isfinite(powers).all() and np.isfinite(pis).all()):
                 raise ValueError("non-finite value in learning trace")
-            yield start, powers, pis
+            for (t, k), power, pi in zip(
+                product(range(start + 1, start + len(pis) + 1), range(1, K + 1)),
+                map(repr, powers.reshape(-1).tolist()),
+                map(pi_sep.join, zip(*[map(repr, pis.reshape(-1).tolist())] * M)),  # M strategy cells a row
+            ):
+                yield f"{t},{k},{power},{pi}"
 
 
 def _learn(net: NetworkInstance, prices, state: LearningState, tol: float, window: int, max_iters: int, trace):
@@ -471,17 +472,7 @@ class LearnerConfig:
 
 
 def write_learning_csv(report: LearningReport, path) -> None:
-    """Export a learning trace CSV: iteration,k,expected_power,pi_0..pi_{M-1}; refuses a non-finite trace.
-    Each block of slots takes one ``map(repr, ...)`` per array: ``format_cell``'s cells for finite floats."""
-    K, M = report.pi_trace.shape[1:]
+    """Export a learning trace CSV: iteration,k,expected_power,pi_0..pi_{M-1}; refuses a non-finite trace."""
+    M = report.pi_trace.shape[2]
     header = ["iteration", "k", "expected_power"] + [f"pi_{j}" for j in range(M)]
-    rows = (
-        (f"{t},{k},{power},{pi}",)
-        for start, powers, pis in report._blocks()
-        for (t, k), power, pi in zip(
-            product(range(start + 1, start + len(pis) + 1), range(1, K + 1)),
-            map(repr, powers.reshape(-1).tolist()),
-            map(",".join, zip(*[map(repr, pis.reshape(-1).tolist())] * M)),  # M strategy cells a row
-        )
-    )
-    write_rows(path, header, rows)
+    write_rows(path, header, ((line,) for line in report._trace_lines()))

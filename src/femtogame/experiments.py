@@ -367,9 +367,7 @@ def _fig67_trial(spec: ExperimentSpec, net: NetworkInstance, seed: int):
     for phase, (prices, status) in phases.items():
         report = phase_learner.run(net, actions, prices)
         entry[phase] = {"converged": report.converged, "iterations": report.iterations}
-        tails += [
-            (phase, t, k, power, ";".join(map(repr, pi)), status) for t, k, power, pi in report.trace_rows()
-        ]
+        tails += [(f"{phase},{line}", status) for line in report._trace_lines(";")]  # phase ... pi as one cell
     return tails, entry
 
 

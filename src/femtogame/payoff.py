@@ -11,8 +11,8 @@ evaluate every follower of profiles shaped (..., K) through
 ``leader_revenue`` takes (K,) or (B, K) profiles, one value per profile.
 ``own_payoff``, ``own_gradient`` and ``own_gradient_and_slope`` hold the
 payoff and its first two own-power derivatives as expressions in one
-follower's power, shared by the scalar best-response bisection and the
-batched Newton solver.
+follower's power, for the one best-response root finder
+(``continuous._best_responses``).
 """
 
 from __future__ import annotations

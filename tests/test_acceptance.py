@@ -151,7 +151,7 @@ def criterion_02_supermodularity_gate():
 
 
 def criterion_03_best_response_grid_agreement():
-    """Bisection best response vs the million-point grid argmax.
+    """best_response vs the million-point grid argmax.
 
     100 instances; agreement within max(1e-6 W, grid step); zero failures.
     """

@@ -1,5 +1,7 @@
 """Best response, fixed-point iteration, and the game-structure conditions."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -13,12 +15,13 @@ from femtogame import (
     run_algorithm1,
     solve_equilibria,
 )
+from femtogame import continuous
 from femtogame.continuous import DAMPING
 from femtogame.experiments import continuous_sweep_rows, sweep_grid
 from femtogame.network import interference
 from femtogame.oracles import grid_best_response
 from femtogame.payoff import own_gradient, own_payoff, validate_power_profile, validate_prices
-from femtogame.pricing import cutoff_price, zero_price_equilibrium
+from femtogame.pricing import asymptote_price, cutoff_price, zero_price_equilibrium
 
 from conftest import hand_net, make_net
 
@@ -126,7 +129,7 @@ def _scaled_follower(g, pa, p_max):
     pa=_decade(-3.0, 0.0),
     p_max=_decade(-3.0, 1.0),
 )
-# A gradient root near 1e-11 W, two orders under the 1e-9 W bisection tolerance.
+# A gradient root near 1e-11 W, two orders under the 1e-9 W root tolerance.
 @example(g=1e5, mu=0.999, pa=1e-3, p_max=1.0)
 def test_best_response_stays_inside_power_bracket(g, mu, pa, p_max):
     # mu within 0.1 % of 1 is left out: there the rounding of
@@ -144,6 +147,79 @@ def test_best_response_stays_inside_power_bracket(g, mu, pa, p_max):
             # Both root searches stop within tol = 1e-9 W of the gradient root.
             assert br > 0.0
             assert lo - 1e-9 <= br <= hi + 1e-9
+
+
+# The scalar bisection best response as it stood before best_response became a
+# one-entry call of the batched rtsafe root finder.
+def _reference_best_response(net, k, opponents, prices, tol=1e-9):
+    G = net.gain[k, k] / interference(net, opponents)[k - 1]
+    lam_h = prices[k - 1] * net.gain[k, 0]
+    W = net.bandwidth
+    pa = net.circuit_power
+    p_max = float(net.power_max[k - 1])
+    if own_gradient(0.0, G, W, pa, lam_h) <= 0.0:
+        return 0.0
+    if own_gradient(p_max, G, W, pa, lam_h) >= 0.0:
+        return p_max
+    lo, hi = 0.0, p_max
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if own_gradient(mid, G, W, pa, lam_h) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= tol and lo > 0.0:
+            break
+    else:
+        raise AssertionError("reference bisection did not finish")
+    root = 0.5 * (lo + hi)
+    if own_payoff(root, G * root, W, pa, lam_h) > 0.0:
+        return root
+    return 0.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    case=st.sampled_from(["silent", "interior", "p_max", "below tol"]),
+    g=_decade(-4.0, 5.0),
+    mu=st.floats(min_value=1e-6, max_value=0.999),
+    pa=_decade(-3.0, 0.0),
+    share=st.floats(min_value=0.01, max_value=0.99),
+)
+@example(case="below tol", g=1e5, mu=0.999, pa=1e-3, share=0.5)
+@example(case="interior", g=0.3823739640895448, mu=0.10206025398059647, pa=1.0, share=0.5)
+def test_best_response_matches_the_bisection_reference(case, g, mu, pa, share):
+    # Each case shapes the draw with _power_bracket's bounds: past the cutoff
+    # (mu > 1) the follower is silent; p_max below the bracket's lower end
+    # leaves the gradient positive there; p_max above its upper end leaves
+    # the root inside; and a strong link barely under its cutoff (the numbers
+    # of the bracket test's example and their neighbours) has a root below
+    # the 1e-9 W tolerance.
+    if case == "silent":
+        mu = 1.0 / mu
+    elif case == "below tol":
+        g, mu, pa = 2e4 + share * 8e4, 0.999 - share * 0.009, 1e-3
+    lo, hi = _power_bracket(g, mu, pa, math.inf)
+    p_max = share * lo if case == "p_max" else (1.0 if case == "silent" else 2.0 * hi)
+    net, opp = _scaled_follower(g, pa, p_max)
+    prices = np.array([mu * cutoff_price(net, opp)[0], 0.0])
+    reference = _reference_best_response(net, 1, opp, prices)
+    assert {
+        "silent": reference == 0.0,
+        "interior": 0.0 < reference < p_max,
+        "p_max": reference == p_max,
+        "below tol": 0.0 < reference < 1e-9,
+    }[case]
+    br = best_response(net, 1, opp, prices)
+    assert (br == 0.0) == (reference == 0.0) and (br == p_max) == (reference == p_max)
+    # Each solver keeps its own 1e-9 W bound on the root, bisected to a few
+    # ulps here: bisection returns the midpoint of a bracket <= tol wide, and
+    # rtsafe stops on a step <= tol, which after a bisection step leaves the
+    # midpoint of a bracket up to 2 tol wide. So the two may differ by up to
+    # 1.5e-9 W (1.14e-9 W at g = 0.382, mu = 0.102, p_a = 1 W).
+    root = _reference_best_response(net, 1, opp, prices, tol=4.0 * np.spacing(p_max))
+    assert abs(reference - root) <= 0.5e-9
+    assert abs(br - root) <= 1e-9
 
 
 def test_best_response_rejects_bad_tol(hand2):
@@ -175,6 +251,25 @@ def test_algorithm1_converges_from_any_start(net6):
     base = run_algorithm1(net6, prices, init=np.zeros(6)).final_profile
     top = run_algorithm1(net6, prices, init=np.asarray(net6.power_max)).final_profile
     assert np.max(np.abs(top - base)) < 1e-5
+
+
+@pytest.mark.parametrize("K", [6, 50])
+def test_algorithm1_matches_the_bisection_reference_on_a_panel(K, monkeypatch):
+    # Topologies 0-4 at 0, 0.1, 1 and 10 times the asymptote prices, from
+    # zero and from the zero-price profile; the reference is Algorithm 1
+    # with the bisection best response.
+    for seed in range(5):
+        net = make_net(K, seed=seed)
+        zp = zero_price_equilibrium(net).profile
+        lam_a = asymptote_price(net, zp)
+        for scale in (0.0, 0.1, 1.0, 10.0):
+            for init in (np.zeros(K), zp):
+                got = run_algorithm1(net, scale * lam_a, init=init)
+                with monkeypatch.context() as patch:
+                    patch.setattr(continuous, "best_response", _reference_best_response)
+                    reference = run_algorithm1(net, scale * lam_a, init=init)
+                assert np.max(np.abs(got.final_profile - reference.final_profile)) <= 1e-9
+                assert (got.iterations, got.converged) == (reference.iterations, reference.converged)
 
 
 @pytest.mark.parametrize(

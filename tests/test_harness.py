@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from femtogame import (
     _csv,
     cli,
     default_topology,
+    discrete,
     experiments,
     generate_topology,
     pricing,
@@ -360,6 +362,51 @@ def test_convergence_experiment_records_a_non_finite_trace_as_a_failed_trial(tmp
     assert summary["per_seed"] == []
 
 
+def _cell_by_cell_fig67_trial(spec, net, seed):
+    """``experiments._fig67_trial`` as it stood when each trace row went to ``write_rows`` as separate cells."""
+    actions = default_action_sets(net, spec.num_actions)
+    learner = replace(spec.learner, rng_seed=seed)
+    alg2 = pricing.run_algorithm2(net, actions, learner=learner)
+    phases = {
+        "zero-price": (np.zeros(net.num_followers), "ok"),
+        "algorithm2-price": (alg2.prices, experiments._alg2_status(alg2)),
+    }
+    entry = {"seed": seed, "outer_iterations": alg2.outer_iterations, "converged": alg2.converged}
+    phase_learner = replace(learner, max_iters=spec.learn_max_iters)
+    tails = []
+    for phase, (prices, status) in phases.items():
+        report = phase_learner.run(net, actions, prices)
+        entry[phase] = {"converged": report.converged, "iterations": report.iterations}
+        traces = zip(report.expected_power_trace.tolist(), report.pi_trace.tolist())
+        tails += [
+            (phase, t, k, power, ";".join(map(repr, pi)), status)
+            for t, (powers, pis) in enumerate(traces, start=1)
+            for k, (power, pi) in enumerate(zip(powers, pis), start=1)
+        ]
+    return tails, entry
+
+
+@pytest.mark.parametrize("block_cells", [discrete.BLOCK_CELLS, 7])
+@pytest.mark.parametrize(
+    "learner",
+    [LearnerConfig(), LearnerConfig(alpha1=PowerLawSchedule(c=0.6), alpha2=PowerLawSchedule(c=1.0))],
+    ids=["stock", "adapting"],
+)
+def test_convergence_experiment_csv_matches_its_cell_by_cell_rows(tmp_path, monkeypatch, learner, block_cells):
+    # block_cells 7 puts one slot in each formatting block (K * M = 12 cells a slot).
+    monkeypatch.setattr(discrete, "BLOCK_CELLS", block_cells)
+    spec = ExperimentSpec("fig6-7-convergence", trials=2, num_followers=3, num_actions=4, learn_max_iters=200,
+                          learner=learner, output_path=tmp_path / "new.csv")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        new = run_experiment(spec)
+        monkeypatch.setitem(experiments._STUDIES, "fig6-7-convergence", (_cell_by_cell_fig67_trial, None))
+        old = run_experiment(replace(spec, output_path=tmp_path / "old.csv"))
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    assert {**new, "output_path": None} == {**old, "output_path": None}
+    assert new["rows"] > 2 * 3 * 2
+
+
 def test_convergence_experiment_memory_does_not_grow_with_trials(tmp_path):
     # Each trial's rows (up to 2 phases * 300 slots * 6 followers) go to the file before the next trial runs; holding
     # every trial's rows until one final write made the peak grow with the trial count.
@@ -504,6 +551,40 @@ def test_cli_refuses_an_output_in_a_missing_directory_before_computing(tmp_path,
     err = capsys.readouterr().err
     assert str(out) in err and ".tmp" not in err
     assert not out.parent.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate"],
+        ["sweep"],
+        ["search"],
+        ["asymptote"],
+        ["learn"],
+        ["learn", "--algorithm2"],
+        ["experiment", "--id", "fig1-sweep"],
+    ],
+    ids=["generate", "sweep", "search", "asymptote", "learn", "learn-algorithm2", "experiment"],
+)
+def test_cli_refuses_an_output_that_is_a_directory_before_computing(tmp_path, capsys, monkeypatch, argv):
+    def never(args):
+        raise AssertionError("computed before checking --out")
+
+    monkeypatch.setattr(cli, "_load", never)  # every subcommand loads its scenario first
+    assert cli.main([*argv, "--followers", "2", "--out", str(tmp_path)]) == cli.EXIT_BAD_INPUT
+    assert f"cannot write {tmp_path}: it is a directory" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_cli_seed_help_says_what_each_subcommand_seeds():
+    (subparsers,) = [a for a in cli.build_parser()._actions if a.dest == "command"]
+    helps = {
+        name: next(a.help for a in sub._actions if a.dest == "seed") for name, sub in subparsers.choices.items()
+    }
+    for name in ("generate", "sweep", "search", "asymptote"):
+        assert helps[name] == "topology RNG seed (overrides the scenario's)"
+    assert "learner RNG seed" in helps["learn"]
+    assert helps["experiment"].startswith("first trial seed")
 
 
 def test_cli_rejects_bad_scenario(tmp_path):
