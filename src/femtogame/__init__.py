@@ -13,8 +13,6 @@ from .continuous import (
     EquilibriumBatch,
     EquilibriumReport,
     best_response,
-    check_supermodularity,
-    check_uniqueness_condition,
     run_algorithm1,
     solve_equilibria,
 )
@@ -55,11 +53,11 @@ from .network import (
     watts_to_dbm,
 )
 from .payoff import (
-    cross_second_derivative,
     efficiencies,
     follower_payoff,
     leader_revenue,
     payoffs,
+    sufficient_conditions,
     validate_prices,
 )
 from .pricing import (

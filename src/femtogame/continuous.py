@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import NetworkInstance, follower_sinr, interference
+from .network import NetworkInstance, interference
 from .payoff import own_gradient, own_gradient_and_slope, own_payoff, validate_power_profile, validate_prices
 
 __all__ = [
@@ -27,8 +27,6 @@ __all__ = [
     "best_response",
     "run_algorithm1",
     "solve_equilibria",
-    "check_uniqueness_condition",
-    "check_supermodularity",
 ]
 
 MAX_STEPS = 200  # rtsafe steps a best response may take before BisectionError
@@ -208,20 +206,3 @@ def solve_equilibria(
         p[rows[~settled]] = step[~settled]
         rows = rows[~settled]
     return EquilibriumBatch(profiles=p, converged=converged, rounds=rounds, damped=damped)
-
-
-def check_uniqueness_condition(net: NetworkInstance, p: np.ndarray) -> np.ndarray:
-    """Per-follower sufficient condition for a unique NE.
-
-    Evaluates h_kk*p_k / (N_k + h_0k*p_0 + sum_j h_jk*p_j) >= p_a/p_k, with
-    the denominator summed over ALL j including j = k (so the left side is
-    gamma_k/(1+gamma_k)). Followers with p_k = 0 are vacuously False.
-    """
-    p = np.asarray(p, dtype=float)
-    signal = net.own_gain * p
-    return p * signal / (interference(net, p) + signal) >= net.circuit_power
-
-
-def check_supermodularity(net: NetworkInstance, k: int, p: np.ndarray) -> bool:
-    """Increasing-differences gate: gamma_k >= p_a/p_k (False at p_k = 0)."""
-    return bool(p[k - 1] * follower_sinr(net, p)[k - 1] >= net.circuit_power)

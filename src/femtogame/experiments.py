@@ -65,6 +65,8 @@ EXPERIMENT_IDS = (
 )
 # Studies that run every seed once per follower count in ``k_values``.
 PER_K_STUDIES = ("fig2-3-se-compare", "fig5-discrete-compare")
+# Studies whose rows depend on ``ExperimentSpec.learner``, so its config hash covers it.
+_LEARNING_STUDIES = ("fig5-discrete-compare", "fig6-7-convergence")
 
 _SWEEP_HEADER = (
     "experiment",
@@ -167,20 +169,21 @@ def _spec_config(spec: ExperimentSpec) -> tuple[TopologyConfig, dict, str]:
     constants = dict(spec.constants or default_constants())
     geometry = asdict(topo)
     del geometry["rng_seed"]  # each trial reseeds the topology with its own seed
-    digest = config_hash(
-        {
-            "experiment": spec.experiment_id,
-            "topology": geometry,
-            "constants": constants,
-            "num_actions": spec.num_actions,
-            "grid_count": spec.grid_count,
-            "search_grid_count": spec.search_grid_count,
-            "k_values": list(spec.k_values),
-            "num_followers": spec.num_followers,
-            "learn_max_iters": spec.learn_max_iters,
-        }
-    )
-    return topo, constants, digest
+    config = {
+        "experiment": spec.experiment_id,
+        "topology": geometry,
+        "constants": constants,
+        "num_actions": spec.num_actions,
+        "grid_count": spec.grid_count,
+        "search_grid_count": spec.search_grid_count,
+        "k_values": list(spec.k_values),
+        "num_followers": spec.num_followers,
+        "learn_max_iters": spec.learn_max_iters,
+    }
+    if spec.experiment_id in _LEARNING_STUDIES:
+        config["learner"] = asdict(spec.learner)
+        del config["learner"]["rng_seed"]  # each trial learns with its own seed
+    return topo, constants, config_hash(config)
 
 
 def sweep_grid(net: NetworkInstance, count: int) -> np.ndarray:

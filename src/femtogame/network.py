@@ -37,9 +37,9 @@ def dbm_to_watts(x: float) -> float:
 
 
 def watts_to_dbm(p: float) -> float:
-    """Convert linear watts to dBm. Requires p > 0."""
-    if p <= 0.0:
-        raise ValueError("watts_to_dbm requires a strictly positive power")
+    """Convert linear watts to dBm. Requires p > 0 (not NaN)."""
+    if not p > 0.0:
+        raise ValueError(f"watts_to_dbm requires a strictly positive power, got {p}")
     return 10.0 * math.log10(p) + 30.0
 
 
@@ -66,6 +66,10 @@ class TopologyConfig:
     shadowing_sigma_db : float
         Standard deviation (dB) of an optional lognormal gain multiplier.
         Default 0 (off): the pathloss formula is exactly d^-k.
+
+    Radii, exponents and ``min_distance`` must be positive and finite and
+    ``shadowing_sigma_db`` finite and >= 0 (NaN fails both); the constructor
+    names the first field that is not.
     """
 
     macro_radius: float = 300.0
@@ -77,12 +81,12 @@ class TopologyConfig:
     shadowing_sigma_db: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.macro_radius <= 0 or self.femto_user_radius <= 0:
-            raise ValueError("radii must be positive")
-        if self.pathloss_exponent_fu <= 0 or self.pathloss_exponent_mu <= 0:
-            raise ValueError("pathloss exponents must be positive")
-        if self.min_distance <= 0:
-            raise ValueError("min_distance must be positive")
+        positive = ("macro_radius", "femto_user_radius", "pathloss_exponent_fu", "pathloss_exponent_mu", "min_distance")
+        for name in positive:
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        if not 0.0 <= self.shadowing_sigma_db < math.inf:
+            raise ValueError(f"shadowing_sigma_db must be >= 0 and finite, got {self.shadowing_sigma_db}")
 
 
 @dataclass(frozen=True)
@@ -277,21 +281,19 @@ def sinr_macro(net: NetworkInstance, p: np.ndarray):
     return net.gain[0, 0] * net.mu_power / (net.noise[0] + cross)
 
 
-def interference(net: NetworkInstance, p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def interference(net: NetworkInstance, p: np.ndarray) -> np.ndarray:
     """Noise plus interference at every FAP for profiles p shaped (..., K).
 
     Entry k-1 of the last axis is N_k + h_0k*p_0 + sum_{j != k} h_jk*p_j, the
-    SINR denominator of follower k; it does not depend on p_k itself. ``out``
-    (shaped like p, not p itself) gets the bits a new array would.
+    SINR denominator of follower k; it does not depend on p_k itself.
     """
-    out = np.matmul(np.asarray(p, dtype=float), net.cross_gain, out=out)
+    out = np.asarray(p, dtype=float) @ net.cross_gain
     out += net.background
     return out
 
 
-def follower_sinr(net: NetworkInstance, p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """SINR of every follower link for profiles p shaped (..., K): h_kk*p_k / interference_k; ``out`` as there."""
+def follower_sinr(net: NetworkInstance, p: np.ndarray) -> np.ndarray:
+    """SINR of every follower link for profiles p shaped (..., K): h_kk*p_k / interference_k."""
     p = np.asarray(p, dtype=float)
-    out = interference(net, p, out=out)
+    out = interference(net, p)
     return np.divide(net.own_gain * p, out, out=out)
-

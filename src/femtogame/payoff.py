@@ -12,7 +12,9 @@ evaluate every follower of profiles shaped (..., K) through
 ``own_payoff``, ``own_gradient`` and ``own_gradient_and_slope`` hold the
 payoff and its first two own-power derivatives as expressions in one
 follower's power, for the one best-response root finder
-(``continuous._best_responses``).
+(``continuous._best_responses``). ``sufficient_conditions`` evaluates the
+paper's sufficient conditions (uniqueness, increasing differences) and the
+cross derivatives for profiles shaped (..., K).
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ __all__ = [
     "efficiencies",
     "follower_payoff",
     "leader_revenue",
-    "cross_second_derivative",
+    "sufficient_conditions",
 ]
 
 
@@ -90,16 +92,15 @@ def own_gradient_and_slope(p, G, W: float, pa: float, charge):
     return gradient, slope
 
 
-def payoffs(net: NetworkInstance, p: np.ndarray, prices, out: np.ndarray | None = None) -> np.ndarray:
+def payoffs(net: NetworkInstance, p: np.ndarray, prices) -> np.ndarray:
     """Net payoff of every follower for profiles p shaped (..., K).
 
     psi(gamma_k, p_k) - lambda_k * h_k0 * p_k, one value per follower, shaped
-    like p (prices broadcast to it). The SINR, then the payoff, go into one
-    array: ``out`` (shaped like p, not p itself) if given.
+    like p (prices broadcast to it). The SINR, then the payoff, go into one array.
     """
     p = np.asarray(p, dtype=float)
     charge = np.asarray(prices, dtype=float) * net.gain[1:, 0]
-    gamma = follower_sinr(net, p, out=out)
+    gamma = follower_sinr(net, p)
     return own_payoff(p, gamma, net.bandwidth, net.circuit_power, charge, out=gamma)
 
 
@@ -122,29 +123,26 @@ def leader_revenue(net: NetworkInstance, p: np.ndarray, prices: np.ndarray):
     return (validate_prices(net, prices, ndim=(1, 2)) * net.gain[1:, 0] * p).sum(axis=-1)
 
 
-def cross_second_derivative(net: NetworkInstance, k: int, j: int, p: np.ndarray) -> float:
-    """d^2 u_k / (d p_k d p_j) for j != k in closed form.
+def sufficient_conditions(net: NetworkInstance, p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The paper's sufficient conditions at every profile of p, shaped (..., K): (unique, increasing, cross).
 
-    W * H_k * [ p_k/((1+gamma_k)(p_k+p_a)^2)
-                + gamma_k/((1+gamma_k)^2 (p_k+p_a))
-                - 1/((1+gamma_k)(p_k+p_a)) ]
-    with H_k = h_jk*h_kk / (N_k + h_0k*p_0 + sum_{i!=k} h_ik*p_i)^2. The
-    bracket is >= 0 exactly when gamma_k >= p_a/p_k (increasing differences).
+    - ``unique`` (..., K): p_k * h_kk p_k / (I_k + h_kk p_k) >= p_a, i.e. gamma_k/(1 + gamma_k) >= p_a/p_k,
+      the uniqueness condition of the best-response fixed point;
+    - ``increasing`` (..., K): p_k * gamma_k >= p_a, increasing differences;
+    - ``cross`` (..., K, K): entry [k-1, j-1] is d^2 u_k / (d p_k d p_j) = W * H_kj * [p_k/((1+gamma_k)(p_k+p_a)^2)
+      + gamma_k/((1+gamma_k)^2 (p_k+p_a)) - 1/((1+gamma_k)(p_k+p_a))] with H_kj = h_jk h_kk / I_k^2, zero on the
+      diagonal. The bracket is >= 0 exactly where ``increasing`` holds.
+
+    Both flags are False at p_k = 0. I_k is one (1, K) @ (K, K) product per profile, as in ``sinr_macro``, so
+    every profile of a batch has the bits of its own 1-D call.
     """
-    if j == k:
-        raise ValueError("cross derivative requires j != k")
-    if not 1 <= j <= net.num_followers:
-        raise ValueError(f"follower index {j} out of range 1..{net.num_followers}")
-    denom = interference(net, p)[k - 1]
-    H = net.gain[j, k] * net.gain[k, k] / (denom * denom)
-    pk = p[k - 1]
+    p = np.asarray(p, dtype=float)
     pa = net.circuit_power
-    gamma = net.gain[k, k] * pk / denom
-    total = pk + pa
+    denom = interference(net, p[..., None, :])[..., 0, :]
+    signal = net.own_gain * p
+    gamma = signal / denom
+    total = p + pa
     one_plus = 1.0 + gamma
-    bracket = (
-        pk / (one_plus * total * total)
-        + gamma / (one_plus * one_plus * total)
-        - 1.0 / (one_plus * total)
-    )
-    return net.bandwidth * H * bracket
+    bracket = p / (one_plus * total * total) + gamma / (one_plus * one_plus * total) - 1.0 / (one_plus * total)
+    H = net.cross_gain.T * net.own_gain[:, None] / (denom * denom)[..., None]
+    return p * signal / (denom + signal) >= pa, p * gamma >= pa, net.bandwidth * H * bracket[..., None]

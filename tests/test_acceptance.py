@@ -16,12 +16,10 @@ import pytest
 
 from femtogame import (
     best_response,
-    check_supermodularity,
-    check_uniqueness_condition,
-    cross_second_derivative,
     follower_payoff,
     leader_revenue,
     run_algorithm1,
+    sufficient_conditions,
 )
 from femtogame.discrete import (
     default_action_sets,
@@ -118,7 +116,7 @@ def criterion_01_derivative_oracles():
             u2, p[k - 1], p[j - 1], step_x=1e-3, step_y=0.5,
             floor_x=0.01, floor_y=0.01, richardson=True,
         )
-        an = cross_second_derivative(net, k, j, p)
+        an = sufficient_conditions(net, p)[2][k - 1, j - 1]
         worst_c = max(worst_c, abs(an - fd) / max(abs(an), abs(fd), 1.0))
 
     elapsed = time.perf_counter() - start
@@ -140,11 +138,12 @@ def criterion_02_supermodularity_gate():
         net = make_net(4, seed=1000 + i)
         p = rng.uniform(0.0, 0.1, 4)
         k = int(rng.integers(1, 5))
-        if not check_supermodularity(net, k, p):
+        _, increasing, cross = sufficient_conditions(net, p)
+        if not increasing[k - 1]:
             continue
         qualifying += 1
         j = int(rng.choice([x for x in range(1, 5) if x != k]))
-        if cross_second_derivative(net, k, j, p) < -1e-12:
+        if cross[k - 1, j - 1] < -1e-12:
             violations += 1
     ok = violations == 0 and qualifying > 0
     return ok, f"{qualifying}/1000 points qualified, {violations} cross-sign violations"
@@ -193,13 +192,13 @@ def criterion_04_standard_function_properties():
         br1 = best_response(net, k, opp, lam)
         prof1 = opp.copy()
         prof1[k - 1] = br1
-        if not check_uniqueness_condition(net, prof1)[k - 1]:
+        if not sufficient_conditions(net, prof1)[0][k - 1]:
             continue
         opp2 = opp + bump
         br2 = best_response(net, k, opp2, lam)
         prof2 = opp2.copy()
         prof2[k - 1] = br2
-        if not check_uniqueness_condition(net, prof2)[k - 1]:
+        if not sufficient_conditions(net, prof2)[0][k - 1]:
             continue
         q_pairs += 1
         if br1 <= 0.0 or br2 <= 0.0:
@@ -230,7 +229,7 @@ def criterion_05_unique_equilibrium_from_any_start():
     for seed in seeds:
         net = make_net(6, seed=seed)
         zp = zero_price_equilibrium(net, tol=1e-9)
-        if not (zp.converged and check_uniqueness_condition(net, zp.profile).all()):
+        if not (zp.converged and sufficient_conditions(net, zp.profile)[0].all()):
             return False, f"seed {seed} no longer qualifies"
         ref = zp.profile
         rng = np.random.default_rng(seed)

@@ -9,11 +9,9 @@ from hypothesis import strategies as st
 
 from femtogame import (
     best_response,
-    check_supermodularity,
-    check_uniqueness_condition,
-    cross_second_derivative,
     run_algorithm1,
     solve_equilibria,
+    sufficient_conditions,
 )
 from femtogame import continuous
 from femtogame.continuous import DAMPING
@@ -301,7 +299,7 @@ def test_uniqueness_condition_vanishing_circuit_power():
         power_max=[4.0],
         circuit_power=1e-12,
     )
-    assert check_uniqueness_condition(net, np.array([2.0]))[0]
+    assert sufficient_conditions(net, np.array([2.0]))[0][0]
 
 
 def test_uniqueness_condition_boundary_equality():
@@ -313,11 +311,11 @@ def test_uniqueness_condition_boundary_equality():
         circuit_power=0.5,
     )
     # D0 = 0.25 + 0.5*1 = 0.75, h*p = 0.125*2 = 0.25, ratio = 0.25/1.0
-    assert check_uniqueness_condition(net, np.array([2.0]))[0]
+    assert sufficient_conditions(net, np.array([2.0]))[0][0]
 
 
 def test_uniqueness_condition_false_at_zero_power(hand2):
-    assert not check_uniqueness_condition(hand2, np.zeros(2)).any()
+    assert not sufficient_conditions(hand2, np.zeros(2))[0].any()
 
 
 def test_uniqueness_condition_at_plateau_fixed_point():
@@ -325,7 +323,7 @@ def test_uniqueness_condition_at_plateau_fixed_point():
     for lam in (0.0, 1e12):
         report = run_algorithm1(net, np.full(6, lam), init=np.zeros(6))
         assert report.converged
-        assert check_uniqueness_condition(net, report.final_profile).all()
+        assert sufficient_conditions(net, report.final_profile)[0].all()
 
 
 def test_supermodularity_boundary_exact():
@@ -337,11 +335,11 @@ def test_supermodularity_boundary_exact():
         circuit_power=0.5,
     )
     # gamma = 0.09375*2/0.75 = 0.25, p_a/p = 0.5/2 = 0.25
-    assert check_supermodularity(net, 1, np.array([2.0]))
+    assert sufficient_conditions(net, np.array([2.0]))[1][0]
 
 
 def test_supermodularity_false_at_zero_power(hand2):
-    assert not check_supermodularity(hand2, 1, np.array([0.0, 0.5]))
+    assert not sufficient_conditions(hand2, np.array([0.0, 0.5]))[1][0]
 
 
 def test_supermodularity_implies_nonnegative_cross():
@@ -350,11 +348,12 @@ def test_supermodularity_implies_nonnegative_cross():
     for i in range(250):
         net = make_net(4, seed=3000 + i)
         p = rng.uniform(0.0, 0.1, 4)
+        _, increasing, cross = sufficient_conditions(net, p)
         for k in range(1, 5):
-            if not check_supermodularity(net, k, p):
+            if not increasing[k - 1]:
                 continue
             j = int(rng.choice([x for x in range(1, 5) if x != k]))
-            assert cross_second_derivative(net, k, j, p) >= -1e-12
+            assert cross[k - 1, j - 1] >= -1e-12
             checked += 1
     assert checked >= 250  # the gate must actually fire often enough to mean something
 

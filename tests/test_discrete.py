@@ -32,7 +32,7 @@ from femtogame.discrete import (
 from femtogame.experiments import sweep_grid
 from femtogame.network import NetworkInstance
 from femtogame.oracles import enumerate_expected_payoff
-from femtogame.payoff import payoffs, validate_prices
+from femtogame.payoff import own_payoff, payoffs, sufficient_conditions, validate_prices
 from femtogame.pricing import algorithm2_price_step, asymptote_price, zero_price_equilibrium
 
 from conftest import hand_net, make_net, traced_peak
@@ -568,6 +568,36 @@ def test_discrete_equilibria_name_a_two_cycle():
     assert margin > NEAR_TIE
     assert (ref_status, ref_idx.tolist(), ref_profile.tolist()) == ("cycle", idx[0].tolist(), profiles[0].tolist())
     assert not _is_pure_ne(net, acts, profiles[0], lam)
+
+
+def _round_robin(net, menu, lam, P):
+    """One more round of ``discrete_equilibria``'s round robin from the (1, K) profile P."""
+    P = P.copy()
+    charge = lam * net.gain[1:, 0]
+    for k, a in enumerate(menu):
+        G = net.own_gain[k] / (P @ net.cross_gain[:, k] + net.background[k])
+        P[:, k] = a[np.argmax(own_payoff(a, G[:, None] * a, net.bandwidth, net.circuit_power, charge[k]), axis=1)]
+    return P
+
+
+@pytest.mark.parametrize(
+    "K, topology, cycle_rows",
+    [(200, 0, [12]), (200, 1, [7]), (200, 4, [8, 13]), (200, 5, [10]), (50, 10, [6])],
+)
+def test_each_cycle_row_has_a_moving_follower_outside_the_uniqueness_condition(K, topology, cycle_rows):
+    # 40-point discrete sweeps of default topologies: every row the round robin 2-cycles on has a follower
+    # that moves between the two profiles and fails the uniqueness condition at one of them.
+    net = make_net(K, seed=topology)
+    acts = default_action_sets(net, 6)
+    prices = np.outer(sweep_grid(net, 40), np.ones(K))
+    _, profiles, status = discrete_equilibria(net, acts, prices)
+    assert np.flatnonzero(status == "cycle").tolist() == cycle_rows
+    for row in cycle_rows:
+        phases = np.vstack([profiles[row], _round_robin(net, acts, prices[row], profiles[row, None])])
+        assert np.array_equal(_round_robin(net, acts, prices[row], phases[1:]), phases[:1])  # a 2-cycle
+        unique = sufficient_conditions(net, phases)[0]
+        moving = phases[0] != phases[1]
+        assert (moving & ~unique.all(axis=0)).any()
 
 
 # ------------------------------------------------------------------- learning

@@ -708,10 +708,23 @@ def test_default_config_hashes_are_stable():
         "fig1-sweep": "2f81fbd8bd6c",
         "fig2-3-se-compare": "7940d481219d",
         "fig4-discrete-sweep": "64bdf6598e6f",
-        "fig5-discrete-compare": "fad24f7c1c68",
-        "fig6-7-convergence": "2756e4be02b5",
+        "fig5-discrete-compare": "080704d7e756",
+        "fig6-7-convergence": "aebc0ef8c6c9",
     }
     assert {i: experiments._spec_config(ExperimentSpec(i))[2] for i in EXPERIMENT_IDS} == pinned
+
+
+@pytest.mark.parametrize("experiment_id", EXPERIMENT_IDS)
+def test_config_hash_covers_the_learner_where_rows_depend_on_it(experiment_id):
+    learners = (
+        LearnerConfig(max_iters=50),
+        LearnerConfig(tau=3.0, alpha2=PowerLawSchedule(c=1.0), max_iters=50),
+        LearnerConfig(max_iters=50, rng_seed=9),  # each trial learns with its own seed
+    )
+    hashes = [experiments._spec_config(ExperimentSpec(experiment_id, learner=learner))[2] for learner in learners]
+    learning = experiment_id in ("fig5-discrete-compare", "fig6-7-convergence")
+    assert len(set(hashes)) == (2 if learning else 1)
+    assert hashes[0] == hashes[2]
 
 
 def test_cli_experiment_honours_topology_and_constants(tmp_path, capsys):

@@ -1,10 +1,11 @@
-"""The kernel's ``out=`` buffers give the bits of the plain expressions.
+"""The model kernel gives the bits of the plain expressions.
 
-The ``_ref_*`` functions are the model kernel as it was written before it took
-output buffers: one expression per function, a new array per operation. The
-buffered kernel must match them with ``np.array_equal``, not within a
-tolerance, for every profile shape, price kind and buffer choice. An
-expected-payoff enumeration's working memory stays within a fixed bound.
+The ``_ref_*`` functions are the model kernel written plainly: one expression
+per function, a new array per operation. The kernel, which reuses one array
+per call and ``own_payoff``'s ``out=`` buffer, must match them with
+``np.array_equal``, not within a tolerance, for every profile shape, price
+kind and buffer choice. An expected-payoff enumeration's working memory
+stays within a fixed bound.
 """
 
 import math
@@ -68,13 +69,9 @@ def test_kernel_out_buffers_are_bit_equal_to_the_plain_expressions(K, batch, see
     charge = np.asarray(prices) * net.gain[1:, 0]
     want_i, want_g, want_u = _ref_interference(net, p), _ref_follower_sinr(net, p), _ref_payoffs(net, p, prices)
 
-    for out in (None, np.full(p.shape, np.nan)):
-        got = interference(net, p, out=out)
-        assert np.array_equal(got, want_i) and (out is None or got is out)
-        got = follower_sinr(net, p, out=out)
-        assert np.array_equal(got, want_g) and (out is None or got is out)
-        got = payoffs(net, p, prices, out=out)
-        assert np.array_equal(got, want_u) and (out is None or got is out)
+    assert np.array_equal(interference(net, p), want_i)
+    assert np.array_equal(follower_sinr(net, p), want_g)
+    assert np.array_equal(payoffs(net, p, prices), want_u)
     assert np.array_equal(payoffs(net, p.tolist(), prices), want_u)
 
     want = _ref_own_payoff(p, want_g, W, pa, charge)

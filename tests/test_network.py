@@ -1,5 +1,7 @@
 """Topology generation, channel gains, unit conversion, and SINR formulas."""
 
+import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +11,8 @@ from hypothesis import strategies as st
 
 from femtogame import (
     NetworkInstance,
+    TopologyConfig,
+    cli,
     dbm_to_watts,
     default_constants,
     default_topology,
@@ -36,6 +40,32 @@ def test_dbm_round_trip(watts):
 def test_watts_to_dbm_rejects_nonpositive():
     with pytest.raises(ValueError):
         watts_to_dbm(0.0)
+    with pytest.raises(ValueError, match="nan"):
+        watts_to_dbm(math.nan)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("shadowing_sigma_db", -3.0),
+        ("shadowing_sigma_db", math.nan),
+        ("shadowing_sigma_db", math.inf),
+        ("macro_radius", math.nan),
+        ("femto_user_radius", math.inf),
+        ("pathloss_exponent_fu", math.nan),
+        ("pathloss_exponent_mu", -math.inf),
+        ("min_distance", math.nan),
+        ("min_distance", 0.0),
+    ],
+)
+def test_topology_config_refuses_unusable_values(tmp_path, field, value):
+    with pytest.raises(ValueError, match=field):
+        TopologyConfig(**{field: value})
+    scenario = tmp_path / "scenario.json"
+    key = field + "_m" if field in ("macro_radius", "femto_user_radius", "min_distance") else field
+    scenario.write_text(json.dumps({"topology": {key: value}}))  # NaN and Infinity literals, as Python reads them
+    assert cli.main(["generate", "--config", str(scenario), "--out", str(tmp_path / "net.json")]) == cli.EXIT_BAD_INPUT
+    assert not (tmp_path / "net.json").exists()
 
 
 def test_seed_determinism():

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from femtogame import (
-    cross_second_derivative,
     efficiencies,
     follower_payoff,
     follower_sinr,
@@ -17,6 +16,7 @@ from femtogame import (
     payoffs,
     sinr_macro,
     solve_equilibria,
+    sufficient_conditions,
     validate_power_profile,
     validate_prices,
 )
@@ -175,7 +175,7 @@ def test_cross_derivative_matches_finite_difference():
             u, p[k - 1], p[j - 1], step_x=1e-3, step_y=0.5,
             floor_x=0.01, floor_y=0.01, richardson=True,
         )
-        an = cross_second_derivative(net, k, j, p)
+        an = sufficient_conditions(net, p)[2][k - 1, j - 1]
         rel = abs(an - fd) / max(abs(an), abs(fd), 1.0)
         worst = max(worst, rel)
     assert worst < 1e-4
@@ -188,14 +188,83 @@ def test_cross_derivative_vanishes_without_coupling():
         noise=[0.1, 0.1, 0.1],
         power_max=[2.0, 2.0],
     )
-    assert abs(cross_second_derivative(net, 2, 1, np.array([0.5, 0.5]))) < 1e-250
+    assert abs(sufficient_conditions(net, np.array([0.5, 0.5]))[2][1, 0]) < 1e-250
 
 
-def test_cross_derivative_rejects_self_and_range(hand2):
-    with pytest.raises(ValueError):
-        cross_second_derivative(hand2, 1, 1, np.array([0.1, 0.1]))
-    with pytest.raises(ValueError):
-        cross_second_derivative(hand2, 1, 3, np.array([0.1, 0.1]))
+def test_cross_derivative_matrix_has_a_zero_diagonal(hand2):
+    cross = sufficient_conditions(hand2, np.array([[0.1, 0.1], [0.0, 0.7]]))[2]
+    assert cross.shape == (2, 2, 2)
+    assert not np.diagonal(cross, axis1=1, axis2=2).any()
+    assert (cross[:, 0, 1] != 0.0).all()
+
+
+# Frozen copies of the scalar, k-indexed condition checks that ``sufficient_conditions`` replaced,
+# the reference its rows must equal bit for bit.
+def _ref_unique(net, p):
+    signal = net.own_gain * p
+    return p * signal / (interference(net, p) + signal) >= net.circuit_power
+
+
+def _ref_increasing(net, k, p):
+    return bool(p[k - 1] * follower_sinr(net, p)[k - 1] >= net.circuit_power)
+
+
+def _ref_cross(net, k, j, p):
+    denom = interference(net, p)[k - 1]
+    H = net.gain[j, k] * net.gain[k, k] / (denom * denom)
+    pk = p[k - 1]
+    pa = net.circuit_power
+    gamma = net.gain[k, k] * pk / denom
+    total = pk + pa
+    one_plus = 1.0 + gamma
+    bracket = pk / (one_plus * total * total) + gamma / (one_plus * one_plus * total) - 1.0 / (one_plus * total)
+    return net.bandwidth * H * bracket
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    K=st.integers(1, 7),
+    batch=st.sampled_from([(), (4,), (2, 3)]),
+    seed=st.integers(0, 2**31 - 1),
+    silent=st.floats(0.0, 0.6),
+)
+def test_sufficient_conditions_rows_equal_the_scalar_formulas(K, batch, seed, silent):
+    net = make_net(K, seed=seed % 500)
+    rng = np.random.default_rng(seed)
+    P = rng.random(batch + (K,)) * net.power_max * (rng.random(batch + (K,)) >= silent)
+    unique, increasing, cross = sufficient_conditions(net, P)
+    assert unique.shape == increasing.shape == P.shape and cross.shape == P.shape + (K,)
+    for b in np.ndindex(batch):
+        p = P[b]
+        assert np.array_equal(unique[b], _ref_unique(net, p))
+        assert increasing[b].tolist() == [_ref_increasing(net, k, p) for k in range(1, K + 1)]
+        ref = [[_ref_cross(net, k, j, p) if j != k else 0.0 for j in range(1, K + 1)] for k in range(1, K + 1)]
+        assert np.array_equal(cross[b], ref)
+
+
+def test_cross_derivative_is_the_finite_difference_of_own_gradient():
+    # d/dp_j of own_gradient(p_k, h_kk / I_k(p)) by central differences. I_k is linear in p_j, so a step
+    # of 1e-5 I_k / h_jk moves it by a relative 1e-5 whatever the size of h_jk. The price term drops out.
+    rng = np.random.default_rng(5)
+    worst = 0.0
+    for i in range(200):
+        net = make_net(5, seed=4000 + i)
+        p = rng.uniform(0.0, 0.1, 5) * (rng.random(5) < 0.8)
+        cross = sufficient_conditions(net, p)[2]
+        for k in range(5):
+            for j in range(5):
+                if j == k:
+                    continue
+                h = 1e-5 * interference(net, p)[k] / net.cross_gain[j, k]
+                g = []
+                for step in (h, -h):
+                    q = p.copy()
+                    q[j] += step
+                    G = net.own_gain[k] / interference(net, q)[k]
+                    g.append(own_gradient(p[k], G, net.bandwidth, net.circuit_power, 0.0))
+                fd = (g[0] - g[1]) / (2.0 * h)
+                worst = max(worst, abs(cross[k, j] - fd) / max(abs(cross[k, j]), abs(fd)))
+    assert worst < 1e-7  # 3.7e-9 measured: truncation and rounding meet near this step
 
 
 def test_validators_reject_out_of_bounds(net6):
