@@ -207,14 +207,11 @@ def build_parser() -> argparse.ArgumentParser:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out_default=None, out_required=False, seed_help="topology RNG seed (overrides the scenario's)"):
+    def common(p, out_required=False, seed_help="topology RNG seed (overrides the scenario's)"):
         p.add_argument("--config", help="scenario JSON path")
         p.add_argument("--seed", type=int, default=None, help=seed_help)
         p.add_argument("--followers", type=int, default=None, help="number of follower links")
-        if out_required:
-            p.add_argument("--out", required=True, help="output file path")
-        else:
-            p.add_argument("--out", default=out_default, help="output file path")
+        p.add_argument("--out", required=out_required, help="output file path")
 
     p = sub.add_parser("generate", help="draw a topology and save it")
     common(p, out_required=True)

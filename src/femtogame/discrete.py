@@ -25,7 +25,7 @@ import numpy as np
 
 from ._csv import write_rows
 from .defaults import NUM_ACTIONS
-from .network import NetworkInstance, follower_sinr
+from .network import NetworkInstance, _validate_seed, follower_sinr
 from .payoff import leader_revenue, own_payoff, validate_prices
 
 __all__ = [
@@ -279,11 +279,10 @@ def initial_state(
     )
 
 
-def _sample_actions(pi: np.ndarray, draws: np.ndarray, cdf: np.ndarray | None = None) -> np.ndarray:
+def _sample_actions(pi: np.ndarray, draws: np.ndarray, cdf: np.ndarray) -> np.ndarray:
     """Inverse-CDF sampling, one action per row of pi: the first column at or above the row's draw of a CDF whose
     last column is the sentinel 2.0 (``cdf``, a (K, M) buffer). As a CDF never decreases, this is ``searchsorted``
     per row, capped at M-1 for a row whose full CDF rounds below its draw."""
-    cdf = np.full(pi.shape, 2.0) if cdf is None else cdf
     np.add.accumulate(pi[:, :-1], axis=1, out=cdf[:, :-1])  # ``cumsum``'s sums
     return (cdf >= draws[:, None]).argmax(axis=1)
 
@@ -450,6 +449,7 @@ class LearnerConfig:
     def __post_init__(self) -> None:
         if not (0.0 < self.tau < np.inf and 0.0 <= self.tol < np.inf and self.window >= 2 and self.max_iters >= 1):
             raise ValueError(f"need window >= 2, max_iters >= 1 and tol >= 0, tau > 0 and both finite; got {self}")
+        _validate_seed(self.rng_seed)
 
     def run(self, net: NetworkInstance, action_sets, prices) -> LearningReport:
         """Learn from a fresh state (uniform strategies, this config's seed) at ``prices``."""

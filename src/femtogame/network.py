@@ -67,9 +67,9 @@ class TopologyConfig:
         Standard deviation (dB) of an optional lognormal gain multiplier.
         Default 0 (off): the pathloss formula is exactly d^-k.
 
-    Radii, exponents and ``min_distance`` must be positive and finite and
-    ``shadowing_sigma_db`` finite and >= 0 (NaN fails both); the constructor
-    names the first field that is not.
+    Radii, exponents and ``min_distance`` must be positive and finite,
+    ``shadowing_sigma_db`` finite and >= 0 (NaN fails both) and ``rng_seed``
+    an integer >= 0; the constructor names the first field that is not.
     """
 
     macro_radius: float = 300.0
@@ -87,6 +87,13 @@ class TopologyConfig:
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
         if not 0.0 <= self.shadowing_sigma_db < math.inf:
             raise ValueError(f"shadowing_sigma_db must be >= 0 and finite, got {self.shadowing_sigma_db}")
+        _validate_seed(self.rng_seed)
+
+
+def _validate_seed(seed) -> None:
+    """Refuse an ``rng_seed`` that is not an integer >= 0; NumPy integers pass, a bool does not."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"rng_seed must be an integer >= 0, got {seed!r}")
 
 
 @dataclass(frozen=True)

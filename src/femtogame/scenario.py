@@ -2,17 +2,18 @@
 
 A scenario file carries either a fully materialized ``network`` block
 (every gain and noise value explicit) or a ``topology`` block plus
-``constants`` from which a network is generated. Power-typed values accept
-either a plain number (linear watts) or a string with a dBm suffix
-("27 dBm"); the dimensionless SINR threshold accepts "3 dB". Saved files
-always write linear watts as JSON floats, which round-trip exactly.
-An optional ``learner`` block configures discrete learning runs.
+``constants`` from which a network is generated; an optional ``learner``
+block configures discrete learning runs. One table per block states its
+keys and how each is read, and ``save_network`` writes the ``network``
+block from its table. Saved files write linear watts as JSON floats,
+which round-trip exactly.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -73,124 +74,127 @@ class Scenario:
     num_followers: int | None
 
 
-def _parse_network(block: dict) -> NetworkInstance:
-    try:
-        K = int(block["num_followers"])
-        gain = np.array(block["gain"], dtype=float)
-        noise = np.array([parse_power(v) for v in block["noise"]])
-        power_max = np.array([parse_power(v) for v in block["power_max"]])
-        return NetworkInstance(
-            num_followers=K,
-            bandwidth=float(block["bandwidth_hz"]),
-            gain=gain,
-            noise=noise,
-            mu_power=parse_power(block["mu_power"]),
-            power_max=power_max,
-            circuit_power=parse_power(block["circuit_power"]),
-            mu_sinr_threshold=parse_ratio(block["mu_sinr_threshold"]),
-            positions=block.get("positions", {}),
-        )
-    except KeyError as exc:
-        raise ScenarioError(f"network block missing field {exc}") from exc
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from exc
+def _number(value):
+    """A JSON number, kept as read; a bool is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return value
 
 
-def _parse_topology(block: dict) -> TopologyConfig:
-    known = {
-        "macro_radius_m": "macro_radius",
-        "femto_user_radius_m": "femto_user_radius",
-        "pathloss_exponent_fu": "pathloss_exponent_fu",
-        "pathloss_exponent_mu": "pathloss_exponent_mu",
-        "min_distance_m": "min_distance",
-        "rng_seed": "rng_seed",
-        "shadowing_sigma_db": "shadowing_sigma_db",
-    }
-    kwargs = {}
+def _real(value) -> float:
+    return float(_number(value))
+
+
+def _integer(value) -> int:
+    """An integral JSON number: 50 and 50.0 read as 50; 50.7 is refused."""
+    if isinstance(_number(value), float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _object(value) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError(f"expected a JSON object, got {value!r}")
+    return value
+
+
+def _list_of(read):
+    """A reader of a JSON list whose entries ``read`` reads, as a float array."""
+
+    def read_list(value) -> np.ndarray:
+        if not isinstance(value, list):
+            raise TypeError(f"expected a list, got {value!r}")
+        return np.array([read(entry) for entry in value], dtype=float)
+
+    return read_list
+
+
+def _read(name: str, block, table: dict, build):
+    """``build(**fields)`` of a JSON object read through ``table`` (key -> (field, reader)). Refuses a non-object
+    and unknown keys; a TypeError or ValueError becomes a ScenarioError naming the block and, from a reader, the key."""
+    if not isinstance(block, dict):
+        raise ScenarioError(f"{name} block must be a JSON object, got {block!r}")
+    fields = {}
     for key, value in block.items():
-        if key == "num_followers":
-            continue
-        if key not in known:
-            raise ScenarioError(f"unknown topology field {key!r}")
-        kwargs[known[key]] = value
+        if key not in table:
+            raise ScenarioError(f"unknown {name} field {key!r}")
+        field, read = table[key]
+        try:
+            fields[field] = read(value)
+        except (TypeError, ValueError) as exc:
+            raise ScenarioError(f"{name} field {key!r}: {exc}") from exc
     try:
-        return TopologyConfig(**kwargs)
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from exc
+        return build(**fields)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"{name} block: {exc}") from exc
+
+
+# One table per block: JSON key -> (field, reader). Topology numbers keep their JSON type and learner and constants
+# numbers become floats, as they always have: ``experiments`` hashes these objects into each row's config hash.
+_NETWORK = {  # in the order save_network writes them
+    "num_followers": ("num_followers", _integer),
+    "bandwidth_hz": ("bandwidth", _real),
+    "gain": ("gain", _list_of(_list_of(_real))),
+    "noise": ("noise", _list_of(parse_power)),
+    "mu_power": ("mu_power", parse_power),
+    "power_max": ("power_max", _list_of(parse_power)),
+    "circuit_power": ("circuit_power", parse_power),
+    "mu_sinr_threshold": ("mu_sinr_threshold", parse_ratio),
+    "positions": ("positions", _object),
+}
+_TOPOLOGY = {
+    "macro_radius_m": ("macro_radius", _number),
+    "femto_user_radius_m": ("femto_user_radius", _number),
+    "pathloss_exponent_fu": ("pathloss_exponent_fu", _number),
+    "pathloss_exponent_mu": ("pathloss_exponent_mu", _number),
+    "min_distance_m": ("min_distance", _number),
+    "shadowing_sigma_db": ("shadowing_sigma_db", _number),
+    "rng_seed": ("rng_seed", _integer),
+    "num_followers": ("num_followers", _integer),
+}
+_CONSTANTS = {key: (key, parse_power) for key in ("noise_power", "mu_power", "power_max", "circuit_power")}
+_CONSTANTS |= {"bandwidth": ("bandwidth", _real), "mu_sinr_threshold": ("mu_sinr_threshold", parse_ratio)}
+_SCHEDULE = {key: (key, _real) for key in "abc"}  # a / (t + b)**c
 
 
 def _schedule(entry) -> PowerLawSchedule:
-    """A learner step-size entry a / (t + b)**c: an object with any of a, b, c."""
-    if not isinstance(entry, dict) or not set(entry) <= {"a", "b", "c"}:
-        raise ScenarioError(f"bad schedule entry {entry!r}: expected an object with keys a, b, c")
-    return PowerLawSchedule(**{key: float(value) for key, value in entry.items()})
+    return _read("schedule", entry, _SCHEDULE, PowerLawSchedule)
 
 
-# learner block field -> parser; absent fields keep LearnerConfig's defaults
-_LEARNER_FIELDS = {
-    "tau": float,
-    "alpha1": _schedule,
-    "alpha2": _schedule,
-    "rng_seed": int,
-    "tol": float,
-    "window": int,
-    "max_iters": int,
+_LEARNER = {
+    "tau": ("tau", _real),
+    "alpha1": ("alpha1", _schedule),
+    "alpha2": ("alpha2", _schedule),
+    "rng_seed": ("rng_seed", _integer),
+    "tol": ("tol", _real),
+    "window": ("window", _integer),
+    "max_iters": ("max_iters", _integer),
+    "M": ("num_actions", _integer),
 }
 
 
-def _parse_learner(block: dict) -> tuple[LearnerConfig, int]:
-    for key in block:
-        if key != "M" and key not in _LEARNER_FIELDS:
-            raise ScenarioError(f"unknown learner field {key!r}")
-    try:
-        fields = {key: _LEARNER_FIELDS[key](value) for key, value in block.items() if key != "M"}
-        return LearnerConfig(**fields), int(block.get("M", defaults.NUM_ACTIONS))
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(str(exc)) from exc
+def _topology(num_followers=None, **fields) -> tuple[TopologyConfig, int | None]:
+    return TopologyConfig(**fields), num_followers
+
+
+def _learner(num_actions=defaults.NUM_ACTIONS, **fields) -> tuple[LearnerConfig, int]:
+    return LearnerConfig(**fields), num_actions
 
 
 def load_scenario(path: str | Path | None) -> Scenario:
     """Parse a scenario JSON file; a None path yields the all-defaults scenario."""
-    if path is None:
-        raw = {}
-    else:
-        try:
-            raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
+    try:
+        raw = {} if path is None else json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ScenarioError("scenario root must be a JSON object")
-    for name in ("network", "topology", "constants", "learner"):
-        if not isinstance(raw.get(name, {}), dict):
-            raise ScenarioError(f"scenario block {name!r} must be a JSON object")
-
-    network = _parse_network(raw["network"]) if "network" in raw else None
-    topology = _parse_topology(raw["topology"]) if "topology" in raw else None
-
-    constants = defaults.default_constants()
-    for key, value in raw.get("constants", {}).items():
-        if key not in constants:
-            raise ScenarioError(f"unknown constant {key!r}")
-        if key == "mu_sinr_threshold":
-            constants[key] = parse_ratio(value)
-        elif key == "bandwidth":
-            constants[key] = float(value)
-        else:
-            constants[key] = parse_power(value)
-
-    learner, num_actions = _parse_learner(raw.get("learner", {}))
-    num_followers = None
-    for block in (raw.get("network"), raw.get("topology")):
-        if block and "num_followers" in block:
-            num_followers = int(block["num_followers"])
-    return Scenario(
-        network=network,
-        topology=topology,
-        constants=constants,
-        learner=learner,
-        num_actions=num_actions,
-        num_followers=num_followers,
-    )
+    network = _read("network", raw["network"], _NETWORK, NetworkInstance) if "network" in raw else None
+    topology, k = _read("topology", raw["topology"], _TOPOLOGY, _topology) if "topology" in raw else (None, None)
+    constants = _read("constants", raw.get("constants", {}), _CONSTANTS, partial(dict, defaults.default_constants()))
+    learner, num_actions = _read("learner", raw.get("learner", {}), _LEARNER, _learner)
+    num_followers = k if k is not None else getattr(network, "num_followers", None)
+    return Scenario(network, topology, constants, learner, num_actions, num_followers)
 
 
 def network_from_scenario(
@@ -218,19 +222,7 @@ def network_from_scenario(
 
 
 def save_network(net: NetworkInstance, path: str | Path) -> None:
-    """Write a fully explicit scenario file; watt fields round-trip exactly."""
-    payload = {
-        "network": {
-            "num_followers": net.num_followers,
-            "bandwidth_hz": net.bandwidth,
-            "gain": net.gain.tolist(),
-            "noise": net.noise.tolist(),
-            "mu_power": net.mu_power,
-            "power_max": net.power_max.tolist(),
-            "circuit_power": net.circuit_power,
-            "mu_sinr_threshold": net.mu_sinr_threshold,
-        }
-    }
-    if net.positions:
-        payload["network"]["positions"] = net.positions
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    """Write a fully explicit scenario file through the ``network`` table; watt fields round-trip exactly."""
+    block = {key: getattr(net, field) for key, (field, _) in _NETWORK.items() if key != "positions" or net.positions}
+    block = {key: value.tolist() if isinstance(value, np.ndarray) else value for key, value in block.items()}
+    Path(path).write_text(json.dumps({"network": block}, indent=2) + "\n", encoding="utf-8")

@@ -682,7 +682,7 @@ def test_vectorized_sampling_matches_searchsorted(rows, seed):
         rng.random(len(pi)) < 0.5, cdf[np.arange(len(pi)), rng.integers(0, M, len(pi))], rng.random(len(pi))
     )
     want = [min(int(np.searchsorted(np.cumsum(row), d)), M - 1) for row, d in zip(pi, draws)]
-    assert _sample_actions(pi, draws).tolist() == want
+    assert _sample_actions(pi, draws, np.full(pi.shape, 2.0)).tolist() == want
 
 
 def test_sampling_caps_a_row_whose_cdf_rounds_below_the_draw():
@@ -693,7 +693,7 @@ def test_sampling_caps_a_row_whose_cdf_rounds_below_the_draw():
     draw = np.array([1.0 - 2.0**-53])
     assert np.cumsum(pi)[-1] == 1.0 - 2.0**-52
     assert int(np.searchsorted(np.cumsum(pi), draw[0])) == 7
-    assert _sample_actions(pi, draw).tolist() == [6]
+    assert _sample_actions(pi, draw, np.full(pi.shape, 2.0)).tolist() == [6]
 
 
 @settings(max_examples=40, deadline=None)

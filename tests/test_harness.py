@@ -22,6 +22,7 @@ from femtogame import (
     experiments,
     generate_topology,
     pricing,
+    scenario,
     solve_equilibria,
 )
 from femtogame._csv import format_cell, write_rows
@@ -89,16 +90,47 @@ def test_parse_ratio_accepts_linear_and_db():
 
 
 def test_saved_network_round_trips_exactly(tmp_path):
-    net = generate_topology(default_topology(), 3, **default_constants())
-    path = tmp_path / "net.json"
-    save_network(net, path)
-    loaded = network_from_scenario(load_scenario(path))
-    assert np.array_equal(loaded.gain, net.gain)
-    assert np.array_equal(loaded.noise, net.noise)
-    assert np.array_equal(loaded.power_max, net.power_max)
-    assert loaded.mu_power == net.mu_power
-    assert loaded.circuit_power == net.circuit_power
-    assert loaded.bandwidth == net.bandwidth
+    generated = generate_topology(default_topology(), 3, **default_constants())
+    shadowed = generate_topology(TopologyConfig(shadowing_sigma_db=6.0, rng_seed=4), 5, **default_constants())
+    for net in (generated, replace(generated, positions={}), shadowed):
+        path = tmp_path / "net.json"
+        save_network(net, path)
+        loaded = network_from_scenario(load_scenario(path))
+        assert np.array_equal(loaded.gain, net.gain)
+        assert np.array_equal(loaded.noise, net.noise)
+        assert np.array_equal(loaded.power_max, net.power_max)
+        assert loaded.mu_power == net.mu_power
+        assert loaded.circuit_power == net.circuit_power
+        assert loaded.bandwidth == net.bandwidth
+        assert loaded.mu_sinr_threshold == net.mu_sinr_threshold
+        assert loaded.num_followers == net.num_followers
+        assert loaded.positions == net.positions
+        assert ("positions" in json.loads(path.read_text())["network"]) == bool(net.positions)
+
+
+def test_readme_scenario_example_lists_every_key_and_loads(tmp_path):
+    section = README.read_text().split("## Scenario JSON", 1)[1]
+    example = json.loads(section.split("```json", 1)[1].split("```", 1)[0])
+    tables = {
+        "network": scenario._NETWORK,
+        "topology": scenario._TOPOLOGY,
+        "constants": scenario._CONSTANTS,
+        "learner": scenario._LEARNER,
+    }
+    assert {name: sorted(example[name]) for name in example} == {name: sorted(t) for name, t in tables.items()}
+    path = tmp_path / "example.json"
+    path.write_text(json.dumps(example))
+    sc = load_scenario(path)
+    assert sc.network.num_followers == 2
+    assert sc.learner == LearnerConfig(alpha1=PowerLawSchedule(c=0.6), alpha2=PowerLawSchedule(c=1.0))
+
+
+@pytest.mark.parametrize("config", [TopologyConfig, LearnerConfig])
+@pytest.mark.parametrize("seed", [-3, 1.5, True, "0", None])
+def test_configs_refuse_an_unusable_seed(config, seed):
+    with pytest.raises(ValueError, match="rng_seed"):
+        config(rng_seed=seed)
+    assert config(rng_seed=np.int64(3)).rng_seed == 3
 
 
 def test_missing_config_yields_defaults():
@@ -592,6 +624,56 @@ def test_cli_rejects_bad_scenario(tmp_path):
     bad.write_text('{"constants": {"nonsense": 1}}')
     res = run_cli("asymptote", "--config", str(bad))
     assert res.returncode == 2
+
+
+_NETWORK_BLOCK = {
+    "num_followers": 2,
+    "bandwidth_hz": 1e6,
+    "gain": [[1.0e-6, 2.0e-7, 3.0e-8], [1.1e-7, 4.0e-6, 9.0e-8], [2.5e-8, 7.0e-8, 5.0e-6]],
+    "noise": [1e-7, 1e-7, 1e-7],
+    "mu_power": "27 dBm",
+    "power_max": [0.1, 0.1],
+    "circuit_power": "3 dBm",
+    "mu_sinr_threshold": "3 dB",
+}
+
+
+@pytest.mark.parametrize(
+    "command, block, key, body",
+    [
+        ("generate", "topology", "macro_radius_m", {"macro_radius_m": "300"}),
+        ("generate", "topology", "rng_seed", {"rng_seed": 1.5}),
+        ("asymptote", "network", "noise", {**_NETWORK_BLOCK, "noise": 5}),
+        ("asymptote", "network", "bandwidth_hz", {**_NETWORK_BLOCK, "bandwidth_hz": [1e6]}),
+        ("asymptote", "network", "num_followers", {**_NETWORK_BLOCK, "num_followers": [2]}),
+        ("generate", "constants", "bandwidth", {"bandwidth": [1]}),
+        ("asymptote", "network", "bandwith_hz", {**_NETWORK_BLOCK, "bandwith_hz": 1e6}),
+        ("asymptote", "network", "positions", {**_NETWORK_BLOCK, "positions": 7}),
+        ("learn", "learner", "window", {"window": 50.7}),
+        ("learn", "learner", "max_iters", {"max_iters": 99.9}),
+        ("learn", "learner", "rng_seed", {"rng_seed": 1.5}),
+        ("experiment", "learner", "M", {"M": 6.9}),
+        ("asymptote", "network", "num_followers", {**_NETWORK_BLOCK, "num_followers": 2.7}),
+        ("asymptote", "network", "gain", {k: v for k, v in _NETWORK_BLOCK.items() if k != "gain"}),
+        ("learn", "learner", "alpha1", {"alpha1": 0.6}),
+        ("learn", "learner", "tau", {"tau": "1.0"}),
+        ("experiment", "learner", "tau", {"tau": True}),
+    ],
+)
+def test_cli_refuses_every_bad_scenario_field_naming_block_and_key(tmp_path, capsys, command, block, key, body):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({block: body}))
+    out = tmp_path / "out.file"
+    argv = [command, "--config", str(path), "--out", str(out)]
+    if command == "experiment":
+        argv += ["--id", "fig4-discrete-sweep", "--followers", "2"]
+    elif command != "asymptote":
+        argv += ["--followers", "2"]
+    assert cli.main(argv) == cli.EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {block} ") or err.startswith(f"error: unknown {block} field"), err
+    assert repr(key) in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_cli_price_search_alias_matches_search(tmp_path):
