@@ -205,13 +205,8 @@ def sweep_grid(net: NetworkInstance, count: int) -> np.ndarray:
 
 
 def mean_efficiency(net: NetworkInstance, profile: np.ndarray):
-    """Average follower efficiency, one value per pure power profile of ``profile`` shaped (..., K).
-
-    Each row goes through ``efficiencies`` as a (1, K) profile of its own, so
-    a row of a batch keeps the bits of the 1-D call on that row.
-    """
-    p = np.asarray(profile, dtype=float)
-    return efficiencies(net, p[..., None, :])[..., 0, :].mean(axis=-1)
+    """Average follower efficiency, one value per pure power profile of ``profile`` shaped (..., K)."""
+    return efficiencies(net, profile).mean(axis=-1)
 
 
 def _metrics(net: NetworkInstance, P: np.ndarray, prices: np.ndarray) -> tuple[list, list, list]:

@@ -292,9 +292,11 @@ def interference(net: NetworkInstance, p: np.ndarray) -> np.ndarray:
     """Noise plus interference at every FAP for profiles p shaped (..., K).
 
     Entry k-1 of the last axis is N_k + h_0k*p_0 + sum_{j != k} h_jk*p_j, the
-    SINR denominator of follower k; it does not depend on p_k itself.
+    SINR denominator of follower k; it does not depend on p_k itself. The sum
+    is one (1, K) @ (K, K) product per profile, so every profile of a batch
+    has the bits of its own 1-D call.
     """
-    out = np.asarray(p, dtype=float) @ net.cross_gain
+    out = (np.asarray(p, dtype=float)[..., None, :] @ net.cross_gain)[..., 0, :]
     out += net.background
     return out
 

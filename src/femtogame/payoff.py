@@ -9,10 +9,11 @@ The follower model is written once: ``payoffs`` and ``efficiencies``
 evaluate every follower of profiles shaped (..., K) through
 ``network.interference``, and the scalar functions are views of one entry.
 ``leader_revenue`` takes (K,) or (B, K) profiles, one value per profile.
-``own_payoff``, ``own_gradient`` and ``own_gradient_and_slope`` hold the
-payoff and its first two own-power derivatives as expressions in one
-follower's power, for the one best-response root finder
-(``continuous._best_responses``). ``sufficient_conditions`` evaluates the
+``own_payoff`` and ``own_gradient`` hold the payoff and its own-power
+derivative as expressions in one follower's power; ``own_scaled_gradient``
+is that derivative times (1 + G p)(p + p_a), with its slope, the function
+the one best-response root finder (``continuous._best_responses``) runs
+Newton steps on. ``sufficient_conditions`` evaluates the
 paper's sufficient conditions (uniqueness, increasing differences) and the
 cross derivatives for profiles shaped (..., K).
 """
@@ -27,7 +28,7 @@ __all__ = [
     "validate_prices",
     "own_payoff",
     "own_gradient",
-    "own_gradient_and_slope",
+    "own_scaled_gradient",
     "payoffs",
     "efficiencies",
     "follower_payoff",
@@ -72,24 +73,20 @@ def own_gradient(p, G, W: float, pa: float, charge):
     return -W * np.log1p(gamma) / (total * total) + W * G / ((1.0 + gamma) * total) - charge
 
 
-def own_gradient_and_slope(p, G, W: float, pa: float, charge):
-    """``own_gradient`` (bit-equal) and its derivative, the Newton step's slope, from shared intermediates.
+def own_scaled_gradient(p, G, W: float, pa: float, charge):
+    """(f, f') with f = (1 + G p)(p + p_a) * ``own_gradient``, from shared intermediates, elementwise.
 
-    slope = 2W*log(1+G p)/(p+p_a)^3 - 2W*G/((1+G p)(p+p_a)^2) - W*G^2/((1+G p)^2 (p+p_a)).
+    f = W*G - W*(1+G p)*log(1+G p)/(p+p_a) - charge*(1+G p)(p+p_a) has the gradient's sign and root but no 1/p
+    pole; f' = W*((1+G p)*log(1+G p)/(p+p_a) - G*(1 + log(1+G p)))/(p+p_a) - charge*(G*(p+p_a) + 1 + G p) is
+    negative for p >= 0, so f falls strictly, close to linearly, and Newton steps on it settle in a few steps.
     """
     gamma = G * p
+    one_plus = 1.0 + gamma
     total = p + pa
     log = np.log1p(gamma)
-    total2 = total * total
-    one_plus = 1.0 + gamma
-    spread = one_plus * total
-    gradient = -W * log / total2 + W * G / spread - charge
-    slope = (
-        2.0 * W * log / (total2 * total)
-        - 2.0 * W * G / (spread * total)
-        - W * G * G / (one_plus * one_plus * total)
-    )
-    return gradient, slope
+    spread = one_plus * log / total
+    f = W * (G - spread) - charge * one_plus * total
+    return f, W * (spread - G * (1.0 + log)) / total - charge * (G * total + one_plus)
 
 
 def payoffs(net: NetworkInstance, p: np.ndarray, prices) -> np.ndarray:
@@ -133,12 +130,11 @@ def sufficient_conditions(net: NetworkInstance, p: np.ndarray) -> tuple[np.ndarr
       + gamma_k/((1+gamma_k)^2 (p_k+p_a)) - 1/((1+gamma_k)(p_k+p_a))] with H_kj = h_jk h_kk / I_k^2, zero on the
       diagonal. The bracket is >= 0 exactly where ``increasing`` holds.
 
-    Both flags are False at p_k = 0. I_k is one (1, K) @ (K, K) product per profile, as in ``sinr_macro``, so
-    every profile of a batch has the bits of its own 1-D call.
+    Both flags are False at p_k = 0. Every profile of a batch has the bits of its own 1-D call.
     """
     p = np.asarray(p, dtype=float)
     pa = net.circuit_power
-    denom = interference(net, p[..., None, :])[..., 0, :]
+    denom = interference(net, p)
     signal = net.own_gain * p
     gamma = signal / denom
     total = p + pa

@@ -189,6 +189,9 @@ def load_scenario(path: str | Path | None) -> Scenario:
         raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ScenarioError("scenario root must be a JSON object")
+    unknown = raw.keys() - {"network", "topology", "constants", "learner"}
+    if unknown:
+        raise ScenarioError(f"unknown scenario block {min(unknown)!r}")
     network = _read("network", raw["network"], _NETWORK, NetworkInstance) if "network" in raw else None
     topology, k = _read("topology", raw["topology"], _TOPOLOGY, _topology) if "topology" in raw else (None, None)
     constants = _read("constants", raw.get("constants", {}), _CONSTANTS, partial(dict, defaults.default_constants()))

@@ -418,6 +418,24 @@ def test_damping_settles_the_two_cycle_of_topology_101():
         assert _nash_gap(net, batch.profiles[i], prices[i]) <= 1e-7
 
 
+def test_the_two_solvers_part_where_the_uniqueness_condition_fails():
+    # Default K = 200 topology 1, sweep point 24: Algorithm 1 and the batched
+    # solver, both from the zero-price profile, settle on two Nash points
+    # 9.1e-4 W apart. Every follower on which they part fails `unique` at
+    # both, so Yates's one fixed point is not promised there.
+    net = make_net(200, seed=1)
+    lam = np.full(200, sweep_grid(net, 40)[24])
+    init = zero_price_equilibrium(net).profile
+    batch = solve_equilibria(net, lam[None], init)
+    sequential = run_algorithm1(net, lam, init)
+    assert batch.converged[0] and sequential.converged
+    apart = np.abs(sequential.final_profile - batch.profiles[0])
+    assert apart.max() > 5e-4
+    for profile in (batch.profiles[0], sequential.final_profile):
+        assert _nash_gap(net, profile, lam) <= 1e-7
+        assert not sufficient_conditions(net, profile)[0][apart > 1e-6].any()
+
+
 def test_solve_equilibria_rows_are_independent(net6):
     prices = np.array([np.zeros(6), np.full(6, 1e12), np.full(6, 1e14)])
     batch = solve_equilibria(net6, prices, np.zeros(6))
@@ -425,6 +443,35 @@ def test_solve_equilibria_rows_are_independent(net6):
         alone = solve_equilibria(net6, lam[None], np.zeros(6))
         assert np.array_equal(alone.profiles[0], batch.profiles[i])
         assert alone.rounds[0] == batch.rounds[i]
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    K=st.sampled_from([6, 20, 50, 200]) | st.integers(min_value=1, max_value=200),
+    seed=st.integers(min_value=0, max_value=9),
+    points=st.lists(st.integers(min_value=0, max_value=39), min_size=1, max_size=6, unique=True),
+)
+def test_batch_rows_are_bit_equal_to_their_one_row_calls(K, seed, points):
+    # interference is one vector product per profile, so no row's bits depend
+    # on the rows solved beside it; the 1-D product is the learner's.
+    net = make_net(K, seed=seed)
+    grid = sweep_grid(net, 40)
+    prices = np.outer(grid, np.ones(K))
+    init = zero_price_equilibrium(net).profile
+    batch = solve_equilibria(net, prices, init)
+    rows = continuous_sweep_rows(net, grid)
+    for i in points:
+        alone = solve_equilibria(net, prices[i : i + 1], init)
+        assert np.array_equal(alone.profiles[0], batch.profiles[i])
+        assert (alone.rounds[0], alone.converged[0], alone.damped[0]) == (
+            batch.rounds[i],
+            batch.converged[i],
+            batch.damped[i],
+        )
+        assert continuous_sweep_rows(net, grid[i : i + 1]) == [rows[i]]
+        p = batch.profiles[i]
+        assert np.array_equal(interference(net, batch.profiles)[i], interference(net, p))
+        assert np.array_equal(interference(net, p), p @ net.cross_gain + net.background)
 
 
 @pytest.mark.parametrize("K", [50, 200])
@@ -466,7 +513,8 @@ def test_solve_equilibria_rejects_invalid_init(net3, init):
 
 # The batched solver as it stood before it validated whole batches and shared
 # the gradient's intermediates with its slope: per-row validation, separate
-# gradient and slope, and the p = 0 boundary through own_gradient.
+# gradient and slope, and the p = 0 boundary through own_gradient; its
+# interior roots came from rtsafe on the unscaled gradient.
 def _reference_gradient_slope(p, G, W, pa):
     gamma = G * p
     total = p + pa
@@ -514,7 +562,50 @@ def _reference_best_responses(net, G, charge, start, tol=1e-9, max_iter=200):
     raise AssertionError("reference best responses did not finish")
 
 
-def _reference_solve_equilibria(net, prices, init, tol=1e-7, max_rounds=10_000):
+# A frozen copy of continuous._best_responses: Newton steps on the scaled gradient
+# f = (1 + G p)(p + p_a) * own_gradient, taken while they stay inside the
+# closed sign bracket, bisection otherwise.
+def _frozen_best_responses(net, G, charge, start, tol=1e-9, max_iter=200):
+    W, pa = net.bandwidth, net.circuit_power
+    p_max = np.broadcast_to(net.power_max, G.shape)
+    on = W * G / pa - charge > 0.0
+    full = own_gradient(p_max, G, W, pa, charge) >= 0.0
+    out = np.where(on & full, p_max, 0.0)
+    idx = np.flatnonzero(on & ~full)
+    G, c = G.ravel()[idx], charge.ravel()[idx]
+    lo, hi = np.zeros(idx.size), p_max.ravel()[idx]
+    x = np.clip(start.ravel()[idx], lo, hi)
+    flat = out.ravel()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(max_iter):
+            if idx.size == 0:
+                return out
+            gamma = G * x
+            one_plus = 1.0 + gamma
+            total = x + pa
+            log = np.log1p(gamma)
+            spread = one_plus * log / total
+            f = W * (G - spread) - c * one_plus * total
+            slope = W * (spread - G * (1.0 + log)) / total - c * (G * total + one_plus)
+            rising = f > 0.0
+            lo = np.where(rising, x, lo)
+            hi = np.where(rising, hi, x)
+            new = x - f / slope
+            new = np.where((new >= lo) & (new <= hi), new, 0.5 * (lo + hi))
+            done = np.abs(new - x) <= tol
+            x = new
+            if done.any():
+                root = x[done]
+                keep = own_payoff(root, G[done] * root, W, pa, c[done]) > 0.0
+                flat[idx[done]] = np.where(keep, root, 0.0)
+                live = ~done
+                idx, G, c, lo, hi, x = (a[live] for a in (idx, G, c, lo, hi, x))
+    raise AssertionError("frozen best responses did not finish")
+
+
+def _reference_solve_equilibria(
+    net, prices, init, tol=1e-7, max_rounds=10_000, best_responses=_reference_best_responses
+):
     prices = np.asarray(prices, dtype=float)
     if prices.ndim != 2:
         raise ValueError("prices must be shaped (B, K)")
@@ -534,7 +625,8 @@ def _reference_solve_equilibria(net, prices, init, tol=1e-7, max_rounds=10_000):
         if not rows.size:
             break
         P = p[rows]
-        proposal = _reference_best_responses(net, net.own_gain / interference(net, P), charge[rows], P)
+        I = (P[:, None, :] @ net.cross_gain)[:, 0, :] + net.background  # one vector product per row
+        proposal = best_responses(net, net.own_gain / I, charge[rows], P)
         residual = np.abs(proposal - P).max(axis=1)
         returned = np.abs(proposal - before[rows]).max(axis=1) < residual
         slow = damped[rows] | (returned & (residual >= tol))
@@ -551,12 +643,20 @@ def _reference_solve_equilibria(net, prices, init, tol=1e-7, max_rounds=10_000):
 
 
 def _assert_same_as_reference(net, prices, init):
+    # Bit for bit against the frozen copy; against the old rtsafe solver, the
+    # same convergence and damping and every power within the solver's tol.
     batch = solve_equilibria(net, prices, init)
-    profiles, converged, rounds, damped = _reference_solve_equilibria(net, prices, init)
+    profiles, converged, rounds, damped = _reference_solve_equilibria(
+        net, prices, init, best_responses=_frozen_best_responses
+    )
     assert np.array_equal(batch.profiles, profiles)
     assert np.array_equal(batch.converged, converged)
     assert np.array_equal(batch.rounds, rounds)
     assert np.array_equal(batch.damped, damped)
+    old_profiles, old_converged, _, old_damped = _reference_solve_equilibria(net, prices, init)
+    assert np.array_equal(batch.converged, old_converged)
+    assert np.array_equal(batch.damped, old_damped)
+    assert np.abs(batch.profiles - old_profiles).max() <= 1e-7
     return batch
 
 

@@ -945,6 +945,15 @@ def test_cli_learn_rejects_empty_run_and_negative_tol(tmp_path, capsys, bad):
     assert not out.exists()
 
 
+def test_cli_learn_refuses_a_misspelt_scenario_block(tmp_path, capsys):
+    path = tmp_path / "learner.json"
+    path.write_text(json.dumps({"learnr": {"max_iters": 5}}))
+    out = tmp_path / "learn.csv"
+    assert cli.main(["learn", "--config", str(path), "--followers", "2", "--out", str(out)]) == cli.EXIT_BAD_INPUT
+    assert "'learnr'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # Values the learner block parses but LearnerConfig or PowerLawSchedule must
 # refuse; Python's json reads NaN and Infinity.
 _BAD_LEARNER_VALUES = [

@@ -26,7 +26,8 @@ from conftest import make_net
 
 def _ref_interference(net, p):
     p = np.asarray(p, dtype=float)
-    return net.background + p @ net.cross_gain
+    rows = [row @ net.cross_gain for row in p.reshape(-1, p.shape[-1])]  # each profile's own 1-D product
+    return net.background + np.reshape(rows, p.shape)
 
 
 def _ref_follower_sinr(net, p):

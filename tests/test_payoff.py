@@ -22,7 +22,7 @@ from femtogame import (
 )
 from femtogame.experiments import mean_efficiency, sweep_grid
 from femtogame.oracles import finite_difference_cross, finite_difference_gradient
-from femtogame.payoff import own_gradient, own_gradient_and_slope
+from femtogame.payoff import own_gradient, own_scaled_gradient
 from femtogame.pricing import zero_price_equilibrium
 
 from conftest import hand_net, make_net
@@ -146,13 +146,21 @@ def test_gradient_matches_finite_difference():
     pa=st.floats(min_value=1e-4, max_value=1.0),
     charge=st.floats(min_value=0.0, max_value=1e8),
 )
-def test_gradient_and_slope_share_the_gradient_bits(p, G, pa, charge):
+def test_scaled_gradient_has_the_sign_and_root_of_the_gradient(p, G, pa, charge):
     W = 1e6
-    gradient, slope = own_gradient_and_slope(p, G, W, pa, charge)
-    assert gradient == own_gradient(p, G, W, pa, charge)
+    f, slope = own_scaled_gradient(p, G, W, pa, charge)
+    gradient = own_gradient(p, G, W, pa, charge)
+    scale = (1.0 + G * p) * (p + pa)
+    # f's terms W*G, W*(1 + G p) log(1 + G p)/(p + p_a) and charge*scale cancel at the root: 1e-12 of their size
+    noise = 1e-12 * (W * G + W * (1.0 + G * p) * math.log1p(G * p) / (p + pa) + charge * scale)
+    assert abs(f - scale * gradient) <= noise
+    assert np.sign(f) == np.sign(gradient) or abs(f) <= noise
     assert own_gradient(0.0, G, W, pa, charge) == W * G / pa - charge  # the batched solver's p = 0 test
     h = 1e-5 * (p + min(pa, 1.0 / G))  # small against p + p_a and 1/G + p, the scales of the two terms
-    fd = (own_gradient(p + h, G, W, pa, 0.0) - own_gradient(p - h, G, W, pa, 0.0)) / (2.0 * h)  # charge drops out
+    fd = (own_scaled_gradient(p + h, G, W, pa, charge)[0] - own_scaled_gradient(p - h, G, W, pa, charge)[0]) / (
+        2.0 * h
+    )
+    assert slope < 0.0
     assert slope == pytest.approx(fd, rel=1e-4)
 
 
