@@ -31,8 +31,7 @@ from ._csv import write_rows
 from .discrete import default_action_sets, write_learning_csv
 from .experiments import (
     EXPERIMENT_IDS,
-    HEADERS,
-    PER_K_STUDIES,
+    STUDIES,
     ExperimentSpec,
     continuous_sweep_rows,
     discrete_sweep_rows,
@@ -53,31 +52,25 @@ EXIT_BAD_INPUT = 2
 EXIT_NO_CONVERGENCE = 3
 
 
-def _load(args) -> Scenario:
-    return load_scenario(args.config or None)
-
-
 def _network(args, scenario: Scenario):
     return network_from_scenario(scenario, seed=args.seed, num_followers=args.followers)
 
 
-def cmd_generate(args) -> int:
-    scenario = _load(args)
+def cmd_generate(args, scenario) -> int:
     net = _network(args, scenario)
     save_network(net, args.out)
     print(f"wrote network with {net.num_followers} followers to {args.out}")
     return EXIT_OK
 
 
-def cmd_sweep(args) -> int:
-    scenario = _load(args)
+def cmd_sweep(args, scenario) -> int:
     net = _network(args, scenario)
     grid = sweep_grid(net, args.points)
     if args.game == "continuous":
         rows = continuous_sweep_rows(net, grid)
     else:
         rows = discrete_sweep_rows(net, grid, scenario.num_actions)
-    write_rows(args.out, HEADERS["fig1-sweep"][3:8], (r[:5] for r in rows))  # sweep columns: no lead, no status
+    write_rows(args.out, STUDIES["fig1-sweep"].header[3:8], (r[:5] for r in rows))  # sweep columns: no lead, no status
     if not all(r[4] for r in rows):
         cycles = [i for i, r in enumerate(rows) if r[-1] == "cycle"]
         capped = [i for i, r in enumerate(rows) if not r[4] and i not in cycles]
@@ -98,8 +91,7 @@ def _emit_json(payload: dict, out: str | None, what: str) -> None:
         print(text)
 
 
-def cmd_search(args) -> int:
-    scenario = _load(args)
+def cmd_search(args, scenario) -> int:
     net = _network(args, scenario)
     cfg = PriceSearchConfig(mode=args.mode, grid_count=args.points)
     result = se_price_search(net, cfg)
@@ -119,8 +111,7 @@ def cmd_search(args) -> int:
     return EXIT_OK
 
 
-def cmd_asymptote(args) -> int:
-    scenario = _load(args)
+def cmd_asymptote(args, scenario) -> int:
     net = _network(args, scenario)
     zp = zero_price_equilibrium(net)
     if not zp.converged:
@@ -135,8 +126,7 @@ def cmd_asymptote(args) -> int:
     return EXIT_OK
 
 
-def cmd_learn(args) -> int:
-    scenario = _load(args)
+def cmd_learn(args, scenario) -> int:
     net = _network(args, scenario)
     actions = default_action_sets(net, scenario.num_actions)
     learner = scenario.learner
@@ -168,21 +158,20 @@ def cmd_learn(args) -> int:
     return EXIT_OK if report.converged else EXIT_NO_CONVERGENCE
 
 
-def cmd_experiment(args) -> int:
-    scenario = _load(args)
+def cmd_experiment(args, scenario) -> int:
     if scenario.network is not None:
         raise ScenarioError(
             "experiment studies draw their own topologies; give a topology block, not a network block"
         )
-    per_k = args.id in PER_K_STUDIES
-    if args.points is not None and args.id == "fig6-7-convergence":
-        raise ValueError("--points does not apply to fig6-7-convergence, which sweeps no prices")
+    study = STUDIES[args.id]
+    if args.points is not None and study.points is None:
+        raise ValueError(f"--points does not apply to {args.id}, which sweeps no prices")
     followers = args.followers if args.followers is not None else scenario.num_followers
     overrides = {}
     if followers is not None:
-        overrides["k_values" if per_k else "num_followers"] = (followers,) if per_k else followers
+        overrides = {"k_values": (followers,)} if study.per_k else {"num_followers": followers}
     if args.points is not None:
-        overrides["search_grid_count" if per_k else "grid_count"] = args.points
+        overrides[study.points] = args.points
     spec = ExperimentSpec(
         experiment_id=args.id,
         trials=args.trials,
@@ -207,54 +196,42 @@ def build_parser() -> argparse.ArgumentParser:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out_required=False, seed_help="topology RNG seed (overrides the scenario's)"):
+    def command(name, run, help, aliases=(), out_required=False,
+                seed_help="topology RNG seed (overrides the scenario's)"):
+        p = sub.add_parser(name, aliases=list(aliases), help=help)
+        p.set_defaults(run=run)
         p.add_argument("--config", help="scenario JSON path")
         p.add_argument("--seed", type=int, default=None, help=seed_help)
         p.add_argument("--followers", type=int, default=None, help="number of follower links")
         p.add_argument("--out", required=out_required, help="output file path")
+        return p
 
-    p = sub.add_parser("generate", help="draw a topology and save it")
-    common(p, out_required=True)
+    command("generate", cmd_generate, "draw a topology and save it", out_required=True)
 
-    p = sub.add_parser("sweep", aliases=["price-sweep"], help="uniform-price sweep -> CSV")
-    common(p, out_required=True)
+    p = command("sweep", cmd_sweep, "uniform-price sweep -> CSV", ["price-sweep"], out_required=True)
     p.add_argument("--points", type=int, default=40, help="price grid size")
     p.add_argument("--game", choices=("continuous", "discrete"), default="continuous")
 
-    p = sub.add_parser("search", aliases=["price-search"], help="revenue-optimal price search")
-    common(p)
+    p = command("search", cmd_search, "revenue-optimal price search", ["price-search"])
     p.add_argument("--points", type=int, default=60, help="price grid size")
     p.add_argument("--mode", choices=("uniform-price", "per-link"), default="uniform-price")
 
-    p = sub.add_parser("asymptote", help="closed-form high-price approximation")
-    common(p)
+    command("asymptote", cmd_asymptote, "closed-form high-price approximation")
 
-    p = sub.add_parser("learn", help="stochastic learning run -> CSV")
-    common(p, seed_help="topology RNG seed and learner RNG seed (overrides both of the scenario's)")
+    p = command("learn", cmd_learn, "stochastic learning run -> CSV",
+                seed_help="topology RNG seed and learner RNG seed (overrides both of the scenario's)")
     p.add_argument("--price", type=float, help="uniform interference price (default 0)")
     p.add_argument("--algorithm2", action="store_true", help="run the heuristic outer price loop")
 
-    p = sub.add_parser("experiment", help="run a named study")
-    common(p, out_required=True, seed_help="first trial seed: trial i draws its topology, and in fig5 and fig6-7 "
-           "its learner's RNG, from seed + i (default: the topology block's rng_seed, else 0)")
+    p = command("experiment", cmd_experiment, "run a named study", out_required=True,
+                seed_help="first trial seed: trial i draws its topology, and in fig5 and fig6-7 "
+                "its learner's RNG, from seed + i (default: the topology block's rng_seed, else 0)")
     p.add_argument("--id", required=True, choices=EXPERIMENT_IDS)
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--points", type=int, default=None,
                    help="price grid size: the sweep grid of fig1/fig4, the SE search grid of fig2-3/fig5")
 
     return parser
-
-
-_COMMANDS = {
-    "generate": cmd_generate,
-    "sweep": cmd_sweep,
-    "price-sweep": cmd_sweep,
-    "search": cmd_search,
-    "price-search": cmd_search,
-    "asymptote": cmd_asymptote,
-    "learn": cmd_learn,
-    "experiment": cmd_experiment,
-}
 
 
 def main(argv=None) -> int:
@@ -266,7 +243,7 @@ def main(argv=None) -> int:
                 raise IsADirectoryError(f"cannot write {args.out}: it is a directory")
             if not Path(args.out).parent.is_dir():
                 raise FileNotFoundError(f"cannot write {args.out}: no directory {Path(args.out).parent}")
-        return _COMMANDS[args.command](args)
+        return args.run(args, load_scenario(args.config or None))
     except (ScenarioError, ValueError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

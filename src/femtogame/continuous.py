@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import NetworkInstance, interference
+from .network import NetworkInstance, interference, validate_follower
 from .payoff import own_gradient, own_payoff, own_scaled_gradient, validate_power_profile, validate_prices
 
 __all__ = [
@@ -66,9 +66,10 @@ def best_response(
     prices: np.ndarray,
     tol: float = 1e-9,
 ) -> float:
-    """Unique maximizer of follower k's payoff over [0, p_max[k]].
+    """Unique maximizer of follower k's payoff, k in 1..K, over [0, p_max[k]].
 
-    ``opponents`` is a full length-K profile; entry k-1 is ignored. This is
+    ``opponents`` is a full length-K profile of finite powers >= 0, which may
+    exceed p_max; entry k-1 is ignored but, like the prices, checked. This is
     ``_best_responses`` on one (1, K) row in which only follower k is live,
     started from 0 W: the gradient sign at the interval ends decides boundary
     solutions, an interior root is found to within ``tol`` watts (a root
@@ -77,6 +78,11 @@ def best_response(
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
+    k = validate_follower(net, k)
+    opponents = np.asarray(opponents, dtype=float)
+    if opponents.shape != (net.num_followers,) or not np.all(np.isfinite(opponents) & (opponents >= 0.0)):
+        raise ValueError(f"opponents must be {net.num_followers} finite powers >= 0")
+    prices = validate_prices(net, prices)
     G = np.zeros((1, net.num_followers))
     charge = np.zeros_like(G)  # G = charge = 0 leaves every other follower silent
     G[0, k - 1] = net.gain[k, k] / interference(net, opponents)[k - 1]
@@ -180,7 +186,9 @@ def solve_equilibria(
     if prices.ndim != 2:
         raise ValueError("prices must be shaped (B, K)")
     B, K = validate_prices(net, prices, ndim=2).shape
-    p = validate_power_profile(net, np.array(np.broadcast_to(np.asarray(init, dtype=float), (B, K))), ndim=2)
+    # a C-ordered copy: a copy of the zero-stride broadcast comes out column-major, and kernels round strided rows
+    # differently from contiguous ones
+    p = validate_power_profile(net, np.broadcast_to(np.asarray(init, dtype=float), (B, K)).copy(), ndim=2)
     charge = prices * net.gain[1:, 0]
     before = np.full((B, K), np.nan)  # each row's profile one round back
     converged = np.zeros(B, dtype=bool)

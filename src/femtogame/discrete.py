@@ -25,7 +25,7 @@ import numpy as np
 
 from ._csv import write_rows
 from .defaults import NUM_ACTIONS
-from .network import NetworkInstance, _validate_seed, follower_sinr
+from .network import NetworkInstance, _validate_seed, follower_sinr, validate_follower
 from .payoff import leader_revenue, own_payoff, validate_prices
 
 __all__ = [
@@ -188,8 +188,8 @@ def _expected_payoffs(net: NetworkInstance, action_sets, strategies, charge: np.
 
 
 def expected_follower_payoff(net: NetworkInstance, k: int, action_sets, strategies, prices) -> float:
-    """Expected net payoff of follower k; one entry of ``expected_payoffs``."""
-    return float(expected_payoffs(net, action_sets, strategies, prices)[k - 1])
+    """Expected net payoff of follower k, 1..K; one entry of ``expected_payoffs``."""
+    return float(expected_payoffs(net, action_sets, strategies, prices)[validate_follower(net, k) - 1])
 
 
 def expected_leader_revenue(net: NetworkInstance, action_sets, strategies, prices) -> float:

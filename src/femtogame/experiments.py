@@ -14,8 +14,10 @@ fig6-7-convergence  stochastic learning traces (expected power and
                     strategy rows), at zero price and at the outer-loop
                     price.
 
-Every row carries the trial seed and a hash of the generating configuration,
-so any row is reproducible from (experiment id, seed, config hash).
+``STUDIES`` defines each one: its trial and summary functions, CSV header,
+follower counts and learner dependence. Every row carries the trial seed and
+a hash of the generating configuration, so any row is reproducible from
+(experiment id, seed, config hash).
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import hashlib
 import json
 import math
 import warnings
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -45,9 +48,9 @@ from .pricing import (
 )
 
 __all__ = [
+    "Study",
+    "STUDIES",
     "EXPERIMENT_IDS",
-    "PER_K_STUDIES",
-    "HEADERS",
     "ExperimentSpec",
     "config_hash",
     "sweep_grid",
@@ -55,18 +58,6 @@ __all__ = [
     "discrete_sweep_rows",
     "run_experiment",
 ]
-
-EXPERIMENT_IDS = (
-    "fig1-sweep",
-    "fig2-3-se-compare",
-    "fig4-discrete-sweep",
-    "fig5-discrete-compare",
-    "fig6-7-convergence",
-)
-# Studies that run every seed once per follower count in ``k_values``.
-PER_K_STUDIES = ("fig2-3-se-compare", "fig5-discrete-compare")
-# Studies whose rows depend on ``ExperimentSpec.learner``, so its config hash covers it.
-_LEARNING_STUDIES = ("fig5-discrete-compare", "fig6-7-convergence")
 
 _SWEEP_HEADER = (
     "experiment",
@@ -90,24 +81,17 @@ _COMPARE_HEADER = (
     "mu_sinr_linear",
 )
 
-# CSV header of each experiment; README's "CSV schemas" section mirrors it.
-HEADERS = {
-    "fig1-sweep": _SWEEP_HEADER,
-    "fig2-3-se-compare": _COMPARE_HEADER + ("status",),
-    "fig4-discrete-sweep": _SWEEP_HEADER,
-    "fig5-discrete-compare": _COMPARE_HEADER + ("outer_iterations", "status"),
-    "fig6-7-convergence": (
-        "experiment",
-        "seed",
-        "config_hash",
-        "phase",
-        "iteration",
-        "k",
-        "expected_power_w",
-        "pi_row",
-        "status",
-    ),
-}
+
+@dataclass(frozen=True)
+class Study:
+    """Everything that sets one study apart; ``STUDIES`` holds one per experiment id."""
+
+    trial: Callable  # (spec, net, seed) -> (row tails, summary entry)
+    summarize: Callable | None  # (spec, the trials' entries) -> summary fields, or None
+    header: tuple  # CSV header; README's "CSV schemas" section mirrors it
+    per_k: bool = False  # every seed runs once per follower count in ``k_values``, not once at ``num_followers``
+    learns: bool = False  # rows depend on ``ExperimentSpec.learner``, so the config hash covers it
+    points: str | None = None  # the ``ExperimentSpec`` field the CLI's --points sets; None: it sweeps no prices
 
 
 @dataclass(frozen=True)
@@ -180,7 +164,7 @@ def _spec_config(spec: ExperimentSpec) -> tuple[TopologyConfig, dict, str]:
         "num_followers": spec.num_followers,
         "learn_max_iters": spec.learn_max_iters,
     }
-    if spec.experiment_id in _LEARNING_STUDIES:
+    if STUDIES[spec.experiment_id].learns:
         config["learner"] = asdict(spec.learner)
         del config["learner"]["rng_seed"]  # each trial learns with its own seed
     return topo, constants, config_hash(config)
@@ -227,12 +211,6 @@ def _schemes(net: NetworkInstance, names, P: np.ndarray, prices: np.ndarray, con
 def _scheme_tail(name: str, m: dict) -> tuple:
     """A comparison row's cells after (experiment, k, seed, config_hash)."""
     return name, m["efficiency"], m["revenue"], m["mu_sinr"]
-
-
-def _failed_tail(spec: ExperimentSpec, lead: tuple, exc: Exception) -> tuple:
-    """A failed trial's row after its identifying cells ``lead``: blanks, then the status."""
-    blanks = ("",) * (len(HEADERS[spec.experiment_id]) - len(lead) - 1)
-    return (*blanks, f"failed:{type(exc).__name__}")
 
 
 def continuous_sweep_rows(net: NetworkInstance, grid: np.ndarray):
@@ -388,42 +366,57 @@ def _scheme_means(spec: ExperimentSpec, entries: list) -> dict:
     return means
 
 
-# experiment id -> (trial function, summary drawn from the trials' entries)
-_STUDIES = {
-    "fig1-sweep": (_fig1_trial, _interior_max_fraction),
-    "fig2-3-se-compare": (_fig23_trial, _scheme_means),
-    "fig4-discrete-sweep": (_fig4_trial, _interior_max_fraction),
-    "fig5-discrete-compare": (_fig5_trial, None),
-    "fig6-7-convergence": (_fig67_trial, None),
+# The one definition of each study; EXPERIMENT_IDS is a view of it.
+STUDIES = {
+    "fig1-sweep": Study(_fig1_trial, _interior_max_fraction, _SWEEP_HEADER, points="grid_count"),
+    "fig2-3-se-compare": Study(
+        _fig23_trial, _scheme_means, _COMPARE_HEADER + ("status",), per_k=True, points="search_grid_count"
+    ),
+    "fig4-discrete-sweep": Study(_fig4_trial, _interior_max_fraction, _SWEEP_HEADER, points="grid_count"),
+    "fig5-discrete-compare": Study(
+        _fig5_trial,
+        None,
+        _COMPARE_HEADER + ("outer_iterations", "status"),
+        per_k=True,
+        learns=True,
+        points="search_grid_count",
+    ),
+    "fig6-7-convergence": Study(
+        _fig67_trial,
+        None,
+        ("experiment", "seed", "config_hash", "phase", "iteration", "k", "expected_power_w", "pi_row", "status"),
+        learns=True,
+    ),
 }
+EXPERIMENT_IDS = tuple(STUDIES)
 
 
 def run_experiment(spec: ExperimentSpec) -> dict:
     """Execute the named study, write its CSV, and return a summary dict.
 
-    Every seed of every follower count K (``k_values`` for the studies in
-    ``PER_K_STUDIES``, ``num_followers`` for the rest) draws its own
+    Every seed of every follower count K (``k_values`` for a study whose
+    ``per_k`` is set, ``num_followers`` for the rest) draws its own
     topology and runs the study's trial function. A trial that raises
     leaves one ``failed:<Name>`` row and an entry in ``failures``. Each
     trial's rows are written before the next trial runs, so memory does not
     grow with ``trials``.
     """
     topo, constants, digest = _spec_config(spec)
-    trial, summarize = _STUDIES[spec.experiment_id]
-    per_k = spec.experiment_id in PER_K_STUDIES
+    study = STUDIES[spec.experiment_id]
     entries, failures, counts = [], [], {"rows": 0, "rows_not_ok": 0}
 
     def rows():
-        for K in spec.k_values if per_k else (spec.num_followers,):
+        for K in spec.k_values if study.per_k else (spec.num_followers,):
             for seed in range(spec.seed_base, spec.seed_base + spec.trials):
-                where = {"k": K, "seed": seed} if per_k else {"seed": seed}
+                where = {"k": K, "seed": seed} if study.per_k else {"seed": seed}
                 lead = (spec.experiment_id, *where.values(), digest)
                 try:
                     net = generate_topology(replace(topo, rng_seed=seed), K, **constants)
-                    tails, entry = trial(spec, net, seed)
+                    tails, entry = study.trial(spec, net, seed)
                     entries.append(entry)
                 except Exception as exc:  # noqa: BLE001 - partial failures are data
-                    tails = [_failed_tail(spec, lead, exc)]
+                    blanks = ("",) * (len(study.header) - len(lead) - 1)
+                    tails = [(*blanks, f"failed:{type(exc).__name__}")]
                     failures.append({**where, "error": f"{type(exc).__name__}: {exc}"})
                 for tail in tails:
                     counts["rows"] += 1
@@ -431,10 +424,10 @@ def run_experiment(spec: ExperimentSpec) -> dict:
                     yield lead + tail
                 del tails  # written: the next trial runs without them
 
-    write_rows(spec.output_path, HEADERS[spec.experiment_id], rows())
-    summary = {"per_trial" if per_k else "per_seed": entries}
-    if summarize is not None:
-        summary.update(summarize(spec, entries))
+    write_rows(spec.output_path, study.header, rows())
+    summary = {"per_trial" if study.per_k else "per_seed": entries}
+    if study.summarize is not None:
+        summary.update(study.summarize(spec, entries))
     summary["experiment_id"] = spec.experiment_id
     summary["config_hash"] = digest
     summary["output_path"] = str(spec.output_path)

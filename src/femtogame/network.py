@@ -25,6 +25,7 @@ __all__ = [
     "watts_to_dbm",
     "generate_topology",
     "validate_power_profile",
+    "validate_follower",
     "sinr_macro",
     "interference",
     "follower_sinr",
@@ -277,6 +278,13 @@ def validate_power_profile(net: NetworkInstance, p: np.ndarray, ndim=1) -> np.nd
     return p
 
 
+def validate_follower(net: NetworkInstance, k) -> int:
+    """Check k is an integer follower index 1..K (0 is the macro link); returns it as an int."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 1 <= k <= net.num_followers:
+        raise ValueError(f"follower index must be an integer in 1..{net.num_followers}, got {k!r}")
+    return int(k)
+
+
 def sinr_macro(net: NetworkInstance, p: np.ndarray):
     """SINR h_00*p_0 / (N_0 + sum_k h_k0*p_k) of the macro link at the MBS for profiles p, (K,) or (B, K).
 
@@ -293,10 +301,11 @@ def interference(net: NetworkInstance, p: np.ndarray) -> np.ndarray:
 
     Entry k-1 of the last axis is N_k + h_0k*p_0 + sum_{j != k} h_jk*p_j, the
     SINR denominator of follower k; it does not depend on p_k itself. The sum
-    is one (1, K) @ (K, K) product per profile, so every profile of a batch
+    is one (1, K) @ (K, K) product per C-ordered profile (a strided one would
+    round differently), so every profile of a batch, in any memory layout,
     has the bits of its own 1-D call.
     """
-    out = (np.asarray(p, dtype=float)[..., None, :] @ net.cross_gain)[..., 0, :]
+    out = (np.ascontiguousarray(p, dtype=float)[..., None, :] @ net.cross_gain)[..., 0, :]
     out += net.background
     return out
 

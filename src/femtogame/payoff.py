@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .network import NetworkInstance, follower_sinr, interference, validate_power_profile
+from .network import NetworkInstance, follower_sinr, interference, validate_follower, validate_power_profile
 
 __all__ = [
     "validate_prices",
@@ -107,8 +107,8 @@ def efficiencies(net: NetworkInstance, p: np.ndarray) -> np.ndarray:
 
 
 def follower_payoff(net: NetworkInstance, k: int, p: np.ndarray, prices: np.ndarray) -> float:
-    """Net payoff of follower k; one entry of ``payoffs``."""
-    return float(payoffs(net, p, prices)[k - 1])
+    """Net payoff of follower k, 1..K; one entry of ``payoffs``."""
+    return float(payoffs(net, p, prices)[validate_follower(net, k) - 1])
 
 
 def leader_revenue(net: NetworkInstance, p: np.ndarray, prices: np.ndarray):

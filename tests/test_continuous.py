@@ -451,6 +451,8 @@ def test_solve_equilibria_rows_are_independent(net6):
     seed=st.integers(min_value=0, max_value=9),
     points=st.lists(st.integers(min_value=0, max_value=39), min_size=1, max_size=6, unique=True),
 )
+@example(K=50, seed=9, points=[8])  # a column-major batch moved this row's mean efficiency in its last bit
+@example(K=191, seed=9, points=[18])
 def test_batch_rows_are_bit_equal_to_their_one_row_calls(K, seed, points):
     # interference is one vector product per profile, so no row's bits depend
     # on the rows solved beside it; the 1-D product is the learner's.
@@ -474,19 +476,41 @@ def test_batch_rows_are_bit_equal_to_their_one_row_calls(K, seed, points):
         assert np.array_equal(interference(net, p), p @ net.cross_gain + net.background)
 
 
+@pytest.mark.parametrize("init", [np.zeros(3), np.zeros((4, 3)), np.zeros((3, 4)).T])
+def test_solve_equilibria_returns_c_ordered_profiles(net3, init):
+    # Kernels round a strided row differently from a contiguous one, so a
+    # column-major batch gives metrics that differ from the row's own call.
+    prices = np.zeros((4, 3))
+    assert solve_equilibria(net3, prices, init).profiles.flags["C_CONTIGUOUS"]
+
+
+def test_interference_rows_keep_their_bits_in_any_memory_layout():
+    # A column-major batch read its rows strided: 149 of these 2000 entries
+    # differed from the rows' own calls.
+    net = make_net(50, seed=9)
+    P = np.random.default_rng(0).uniform(0.0, 0.1, (40, 50))
+    rows = np.array([interference(net, p) for p in P])
+    assert np.array_equal(interference(net, np.asfortranarray(P)), rows)
+    wide = np.zeros((40, 100))
+    wide[:, ::2] = P
+    assert np.array_equal(interference(net, wide[:, ::2]), rows)  # every other column: strided rows
+
+
 @pytest.mark.parametrize("K", [50, 200])
-def test_sweep_rows_stay_within_tol_of_their_one_row_solves(K):
-    # A row's bits may depend on the batch: the (B, K) @ (K, K) interference
-    # product rounds differently from a one-row solve. From K = 20 the last
-    # bits of some rows move, and at K = 200 topology 0 by up to 7.4e-10 W.
+def test_sweep_rows_equal_their_one_row_solves(K):
+    # Every row of a 40-point default sweep, profile and CSV cells, has the
+    # bits of its one-row call; the batch beside it moves none of them.
     net = make_net(K, seed=0)
-    prices = np.outer(sweep_grid(net, 40), np.ones(K))
+    grid = sweep_grid(net, 40)
+    prices = np.outer(grid, np.ones(K))
     init = zero_price_equilibrium(net).profile
     batch = solve_equilibria(net, prices, init)
+    rows = continuous_sweep_rows(net, grid)
     for i, lam in enumerate(prices):
         alone = solve_equilibria(net, lam[None], init)
-        assert np.abs(alone.profiles[0] - batch.profiles[i]).max() <= 1e-7
+        assert np.array_equal(alone.profiles[0], batch.profiles[i])
         assert (alone.converged[0], alone.rounds[0]) == (batch.converged[i], batch.rounds[i])
+        assert continuous_sweep_rows(net, grid[i : i + 1]) == [rows[i]]
 
 
 @pytest.mark.parametrize(

@@ -30,7 +30,7 @@ from femtogame.defaults import default_constants
 from femtogame.discrete import LearnerConfig, PowerLawSchedule, default_action_sets
 from femtogame.experiments import (
     EXPERIMENT_IDS,
-    HEADERS,
+    STUDIES,
     ExperimentSpec,
     config_hash,
     run_experiment,
@@ -432,7 +432,8 @@ def test_convergence_experiment_csv_matches_its_cell_by_cell_rows(tmp_path, monk
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         new = run_experiment(spec)
-        monkeypatch.setitem(experiments._STUDIES, "fig6-7-convergence", (_cell_by_cell_fig67_trial, None))
+        study = replace(experiments.STUDIES["fig6-7-convergence"], trial=_cell_by_cell_fig67_trial)
+        monkeypatch.setitem(experiments.STUDIES, "fig6-7-convergence", study)
         old = run_experiment(replace(spec, output_path=tmp_path / "old.csv"))
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
     assert {**new, "output_path": None} == {**old, "output_path": None}
@@ -487,13 +488,13 @@ def test_readme_csv_schemas_match_headers():
             columns = tuple(c.strip() for c in match.group(2).split(","))
             for name in re.findall(r"`([\w-]+)`", match.group(1)):
                 documented[name] = columns
-    assert {i: documented.get(i) for i in EXPERIMENT_IDS} == HEADERS
+    assert {i: documented.get(i) for i in EXPERIMENT_IDS} == {i: study.header for i, study in STUDIES.items()}
 
 
 def test_readme_sweep_schema_matches_cli_header():
     section = " ".join(README.read_text().split("## CSV schemas", 1)[1].split())
     documented = re.search(r"- `sweep` \(both games\): `([^`]+)`", section).group(1)
-    assert tuple(c.strip() for c in documented.split(",")) == HEADERS["fig1-sweep"][3:8]
+    assert tuple(c.strip() for c in documented.split(",")) == STUDIES["fig1-sweep"].header[3:8]
 
 
 # ------------------------------------------------------------------------ CLI
@@ -599,13 +600,33 @@ def test_cli_refuses_an_output_in_a_missing_directory_before_computing(tmp_path,
     ids=["generate", "sweep", "search", "asymptote", "learn", "learn-algorithm2", "experiment"],
 )
 def test_cli_refuses_an_output_that_is_a_directory_before_computing(tmp_path, capsys, monkeypatch, argv):
-    def never(args):
+    def never(path):
         raise AssertionError("computed before checking --out")
 
-    monkeypatch.setattr(cli, "_load", never)  # every subcommand loads its scenario first
+    monkeypatch.setattr(cli, "load_scenario", never)  # main loads the scenario before any subcommand runs
     assert cli.main([*argv, "--followers", "2", "--out", str(tmp_path)]) == cli.EXIT_BAD_INPUT
     assert f"cannot write {tmp_path}: it is a directory" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+def test_every_subcommand_and_alias_parses_to_its_handler():
+    (subparsers,) = [a for a in cli.build_parser()._actions if a.dest == "command"]
+    handlers = {name: sub.get_default("run") for name, sub in subparsers.choices.items()}
+    assert set(handlers) == {"generate", "sweep", "price-sweep", "search", "price-search", "asymptote", "learn",
+                             "experiment"}
+    assert all(run.__name__ == f"cmd_{name}" for name, run in handlers.items() if "-" not in name)
+    assert (handlers["price-sweep"], handlers["price-search"]) == (cli.cmd_sweep, cli.cmd_search)
+    args = cli.build_parser().parse_args(["price-sweep", "--out", "x.csv"])
+    assert args.run is cli.cmd_sweep
+
+
+@pytest.mark.parametrize("experiment_id", EXPERIMENT_IDS)
+def test_every_study_header_starts_with_the_cells_run_experiment_writes(experiment_id):
+    study = experiments.STUDIES[experiment_id]
+    lead = ("experiment", "k", "seed", "config_hash") if study.per_k else ("experiment", "seed", "config_hash")
+    assert study.header[: len(lead)] == lead
+    assert study.header[-1] == "status"  # run_experiment counts a row not ok by its last cell
+    assert study.points is None or study.points in ExperimentSpec.__dataclass_fields__
 
 
 def test_cli_seed_help_says_what_each_subcommand_seeds():
@@ -1027,11 +1048,11 @@ def test_failed_trials_keep_their_rows_and_messages(tmp_path, monkeypatch, exper
         output_path=out,
     )
     summary = run_experiment(spec)
-    per_k = experiment_id in experiments.PER_K_STUDIES
+    per_k = STUDIES[experiment_id].per_k
     trials = 2 * (2 if per_k else 1)
     rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
     assert len(rows) == trials
-    assert all(len(row) == len(HEADERS[experiment_id]) for row in rows)
+    assert all(len(row) == len(STUDIES[experiment_id].header) for row in rows)
     assert {row[-1] for row in rows} == {"failed:ValueError"}
     assert summary["rows_not_ok"] == trials
     assert summary["per_trial" if per_k else "per_seed"] == []

@@ -8,7 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from femtogame import (
+    best_response,
+    default_action_sets,
     efficiencies,
+    expected_follower_payoff,
+    expected_payoffs,
     follower_payoff,
     follower_sinr,
     interference,
@@ -74,6 +78,58 @@ def test_follower_payoff_negative_at_punitive_price(hand2):
     psi_max = efficiencies(hand2, np.column_stack([grid, np.full_like(grid, 0.2)]))[:, 0].max()
     lam = 10.0 * psi_max / (hand2.gain[1, 0] * p[0])
     assert follower_payoff(hand2, 1, p, np.array([lam, 0.0])) < 0.0
+
+
+# The scalar views of the batched kernels, each called on K = 4 followers at zero prices.
+_NET4 = make_net(4, seed=0)
+_PURE4 = [np.eye(6)[j] for j in (0, 2, 5, 1)]  # one pure strategy per follower over the 6-power menu
+_VIEWS = {
+    "best_response": lambda k: best_response(_NET4, k, np.full(4, 0.01), np.zeros(4)),
+    "follower_payoff": lambda k: follower_payoff(_NET4, k, np.full(4, 0.01), np.zeros(4)),
+    "expected_follower_payoff": lambda k: expected_follower_payoff(
+        _NET4, k, default_action_sets(_NET4, 6), _PURE4, np.zeros(4)
+    ),
+}
+
+
+@pytest.mark.parametrize("view", _VIEWS)
+@pytest.mark.parametrize("k", [0, -1, 5, 2.0, True, "1"], ids=repr)
+def test_scalar_views_refuse_a_follower_outside_1_to_K(view, k):
+    # k = 0 read the macro link's gain and the last follower's price; k = -1 the last follower.
+    with pytest.raises(ValueError, match=r"follower index must be an integer in 1\.\.4"):
+        _VIEWS[view](k)
+
+
+def test_scalar_payoff_views_are_their_kernel_entries():
+    p = np.full(4, 0.01)
+    views = [follower_payoff(_NET4, np.int64(k), p, np.zeros(4)) for k in (1, 4)]
+    assert views == payoffs(_NET4, p, 0.0)[[0, 3]].tolist()
+    expected = expected_payoffs(_NET4, default_action_sets(_NET4, 6), _PURE4, np.zeros(4))
+    assert _VIEWS["expected_follower_payoff"](4) == expected[3]
+
+
+@pytest.mark.parametrize(
+    "opponents, prices",
+    [
+        (np.full(4, 0.01), np.full(4, np.nan)),
+        (np.full(4, 0.01), np.array([0.0, 0.0, 0.0, -1.0])),
+        (np.full(4, 0.01), np.zeros(2)),
+        (np.full(4, 0.01), np.full(4, np.inf)),
+        (np.array([np.nan, 0.01, 0.01, 0.01]), np.zeros(4)),
+        (np.array([0.01, -0.01, 0.01, 0.01]), np.zeros(4)),
+        (np.array([0.01, np.inf, 0.01, 0.01]), np.zeros(4)),
+        (np.full(3, 0.01), np.zeros(4)),
+    ],
+)
+def test_best_response_refuses_bad_prices_and_opponents(opponents, prices):
+    with pytest.raises(ValueError, match="price|power"):
+        best_response(_NET4, 2, opponents, prices)
+
+
+def test_best_response_takes_opponents_above_p_max():
+    # The interference a follower sees scales past the power box; acceptance
+    # criterion 04 checks the best response's scalability there.
+    assert best_response(_NET4, 2, np.full(4, 0.4), np.zeros(4)) > 0.0
 
 
 def test_leader_revenue_trivial_cases(hand2):
