@@ -4,8 +4,8 @@ Followers draw powers from a finite menu, one (K, M) array with a row per
 follower, keep a mixed strategy pi_k on their row, and learn from realized
 payoffs only: a fast timescale updates the per-action payoff estimates U_k
 (only the sampled action moves), a slow timescale nudges pi_k toward the
-Logit response of the current estimates. The slot loop draws uniforms in
-chunks and memoizes payoffs, with every draw and bit of a per-slot loop.
+Logit response of the current estimates. The slot loop reuses its buffers,
+draws uniforms in chunks and memoizes payoffs, bit for bit a per-slot loop.
 Expected payoffs under product-form strategies sum each follower's own
 action out by hand: its interference does not depend on its own power, so
 one interference column over the others' joint support (actions of
@@ -19,11 +19,10 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from itertools import product
 
 import numpy as np
 
-from ._csv import write_rows
+from ._csv import CHUNK_ROWS, write_rows
 from .defaults import NUM_ACTIONS
 from .network import NetworkInstance, _validate_seed, follower_sinr, validate_follower
 from .payoff import leader_revenue, own_payoff, validate_prices
@@ -78,7 +77,10 @@ class PowerLawSchedule:
             raise ValueError(f"need finite a > 0, b >= 0, c > 0; got {self.a}, {self.b}, {self.c}")
 
     def __call__(self, t: int) -> float:
-        return self.a / (t + self.b) ** self.c
+        try:
+            return self.a / (t + self.b) ** self.c
+        except OverflowError:  # the power passed the float range: the step is 0.0, its limit
+            return 0.0
 
 
 def validate_schedules(alpha1: PowerLawSchedule, alpha2: PowerLawSchedule) -> list[str]:
@@ -279,12 +281,14 @@ def initial_state(
     )
 
 
-def _sample_actions(pi: np.ndarray, draws: np.ndarray, cdf: np.ndarray) -> np.ndarray:
-    """Inverse-CDF sampling, one action per row of pi: the first column at or above the row's draw of a CDF whose
-    last column is the sentinel 2.0 (``cdf``, a (K, M) buffer). As a CDF never decreases, this is ``searchsorted``
-    per row, capped at M-1 for a row whose full CDF rounds below its draw."""
-    np.add.accumulate(pi[:, :-1], axis=1, out=cdf[:, :-1])  # ``cumsum``'s sums
-    return (cdf >= draws[:, None]).argmax(axis=1)
+def _sample_actions(pi: np.ndarray, draws: np.ndarray, cdf: np.ndarray, hit=None, out=None) -> np.ndarray:
+    """Inverse-CDF sampling, one action per row of pi, into ``out``: the first column whose running sum (in ``cdf``, a
+    (K, M) buffer; the test in ``hit``, a bool one) reaches the row's draw. ``draws``, (K, M) or (K,) widened to it,
+    holds the draw and -1.0 in the last column (a sum rounding below its draw gives M-1, ``searchsorted`` capped)."""
+    if draws.ndim == 1:
+        draws = np.where(np.arange(pi.shape[1]) < pi.shape[1] - 1, draws[:, None], -1.0)
+    np.add.accumulate(pi, 1, None, cdf)  # ``cumsum``'s sums
+    return np.greater_equal(cdf, draws, hit).argmax(1, out)
 
 
 def learning_step(state: LearningState, net: NetworkInstance, prices) -> LearningState:
@@ -305,28 +309,30 @@ class LearningReport:
     converged: bool
 
     def _trace_lines(self, pi_sep: str = ","):
-        """Yield "t,k,expected power,pi" per slot and follower, 1-based, pi's entries joined by ``pi_sep``. Each block
-        of ``BLOCK_CELLS`` strategy entries is refused (``ValueError``) if it holds NaN or inf, then formatted with
-        one ``map(repr, ...)`` per array, the text ``format_cell`` gives finite floats."""
+        """Yield "t,k,expected power,pi" per slot and follower, 1-based, pi's entries joined by ``pi_sep``. A block of
+        ``CHUNK_ROWS // K`` slots (a ``write_rows`` chunk) is refused (``ValueError``) if it holds NaN or inf, then
+        formatted by one ``%`` over its cells, filled a column at a time by slice (``%r`` is ``format_cell``'s text)."""
         K, M = self.pi_trace.shape[1:]
-        step = max(1, BLOCK_CELLS // (K * M or 1))
+        step, line = max(1, CHUNK_ROWS // (K or 1)), "%d,%d,%r," + pi_sep.join(["%r"] * M)
         for start in range(0, len(self.pi_trace), step):
             powers, pis = self.expected_power_trace[start : start + step], self.pi_trace[start : start + step]
             if not (np.isfinite(powers).all() and np.isfinite(pis).all()):
                 raise ValueError("non-finite value in learning trace")
-            for (t, k), power, pi in zip(
-                product(range(start + 1, start + len(pis) + 1), range(1, K + 1)),
-                map(repr, powers.reshape(-1).tolist()),
-                map(pi_sep.join, zip(*[map(repr, pis.reshape(-1).tolist())] * M)),  # M strategy cells a row
-            ):
-                yield f"{t},{k},{power},{pi}"
+            cells = [None] * (powers.size * (3 + M))  # a line's 3 + M cells, line after line
+            cells[0 :: 3 + M] = np.arange(start + 1, start + len(pis) + 1).repeat(K).tolist()
+            cells[1 :: 3 + M], cells[2 :: 3 + M] = list(range(1, K + 1)) * len(pis), powers.reshape(-1).tolist()
+            for j in range(M):
+                cells[3 + j :: 3 + M] = pis[:, :, j].reshape(-1).tolist()
+            yield from ("\n".join([line] * powers.size) % tuple(cells)).splitlines()
 
 
 def _learn(net: NetworkInstance, prices, state: LearningState, tol: float, window: int, max_iters: int, trace):
     """``run_learning``'s slots; (iterations, converged). Slot i's pi goes to trace[(i - 1) % len(trace)], so
-    ``trace`` holds at least ``max_iters`` slots or exactly the ``window`` that the convergence check reads.
-    Uniforms come ``BLOCK_CELLS // K`` slots at a time; a run that stops inside a chunk rewinds the generator and
-    draws only the rows used. Payoffs are memoized per call (prices and menu are fixed) by joint action."""
+    ``trace`` holds at least ``max_iters`` slots or exactly the ``window`` that the convergence check reads. The
+    slot arithmetic writes into arrays made once per call, reads the sampled estimates once and skips ``/ tau`` at
+    tau = 1 (x / 1.0 is x). Uniforms come ``BLOCK_CELLS // (K * M)`` slots at a time, laid out as
+    ``_sample_actions`` compares them; a run that stops inside a chunk rewinds the generator and draws only the
+    rows used. Payoffs are memoized per call (prices and menu are fixed) by joint action."""
     charge = validate_prices(net, prices) * net.gain[1:, 0]
     menu = _validate_menu(state.powers, net.num_followers)
     state.U, state.pi = U, pi = np.ascontiguousarray(state.U, dtype=float), np.ascontiguousarray(state.pi, dtype=float)
@@ -345,36 +351,45 @@ def _learn(net: NetworkInstance, prices, state: LearningState, tol: float, windo
     row_start = np.arange(0, K * M, M)
     rng, alpha1, alpha2, tau = state.rng, state.alpha1, state.alpha2, state.tau
     W, pa = net.bandwidth, net.circuit_power
-    cdf, memo, slots, start, rows, converged = np.full((K, M), 2.0), {}, len(trace), 0, 0, False
-    draws = np.empty((max(1, min(BLOCK_CELLS // K, max_iters)), K))
+    memo, slots, start, rows, converged, w = {}, len(trace), 0, 0, False, 0
+    draws = np.full((max(1, min(BLOCK_CELLS // (K * M), max_iters)), K, M), -1.0)  # -1.0: the sentinel column
+    (cdf, e), (top, total), (u, step), gap = np.empty((2, K, M)), np.empty((2, K, 1)), np.empty((2, K)), np.empty(K * M)
+    pi_flat, ring, hit, cell = pi.reshape(-1), trace.reshape(slots, K * M), np.empty((K, M), bool), np.empty(K, int)
     for iterations in range(1, max_iters + 1):
         if iterations > start + rows:
             start, rows = start + rows, min(len(draws), max_iters - start - rows)
             saved = rng.bit_generator.state
-            rng.random(out=draws[:rows])
+            draws[:rows, :, :-1] = rng.random((rows, K))[:, :, None]
         t = state.t + iterations
         a1, a2 = alpha1(t), alpha2(t)
-        cell = row_start + _sample_actions(pi, draws[iterations - 1 - start], cdf)
+        _sample_actions(pi, draws[iterations - 1 - start], cdf, hit, cell)
+        np.add(cell, row_start, cell)
         if (payoff := memo.get(key := cell.tobytes())) is None:
             p = menu_flat[cell]  # the pure joint action
             payoff = own_payoff(p, follower_sinr(net, p), W, pa, charge)
             if len(memo) < BLOCK_CELLS // (2 * K):  # keys and payoffs hold at most BLOCK_CELLS numbers
                 memo[key] = payoff  # never written in place
-        U_flat[cell] += a1 * (payoff - U_flat[cell])
-        e = np.exp((U - np.maximum.reduce(U, axis=1, keepdims=True)) / tau)
-        e /= np.add.reduce(e, axis=1, keepdims=True)
-        e *= a2
-        pi *= 1.0 - a2
-        pi += e
+        U_flat.take(cell, None, u, "clip")  # the sampled estimates, read once ("clip" writes u unbuffered)
+        np.subtract(payoff, u, step)
+        np.multiply(step, a1, step)
+        U_flat[cell] = np.add(u, step, step)
+        np.maximum.reduce(U, 1, None, top, True)
+        np.subtract(U, top, e)
+        if tau != 1.0:  # x / 1.0 is x
+            np.divide(e, tau, e)
+        np.exp(e, e)
+        np.divide(e, np.add.reduce(e, 1, None, total, True), e)
+        np.multiply(e, a2, e)
+        np.multiply(pi, 1.0 - a2, pi)
+        np.add(pi, e, pi)
         trace[(iterations - 1) % slots] = pi
         first = (iterations - window) % slots  # the window's first slot
-        if (
-            iterations >= window
-            and np.maximum.reduce(np.abs(pi - trace[first]), axis=None) < tol
-            and np.ptp(trace[first : first + window] if slots > window else trace, axis=0).max() < tol
-        ):
-            converged = True
-            break
+        # max |pi - trace[first]| < tol, an exact pre-check of the range; w, the last largest gap, refuses most slots
+        if iterations >= window and abs(pi_flat[w] - ring[first, w]) < tol:
+            w = np.abs(np.subtract(pi_flat, ring[first], gap), gap).argmax()
+            if gap[w] < tol and np.ptp(trace[first : first + window] if slots > window else trace, 0).max() < tol:
+                converged = True
+                break
     if iterations < start + rows:  # leave the generator where per-slot draws of K would
         rng.bit_generator.state = saved
         rng.random((iterations - start, K))

@@ -40,9 +40,9 @@ __all__ = [
 def validate_prices(net: NetworkInstance, prices: np.ndarray, ndim=1) -> np.ndarray:
     """Check (K,) prices, (B, K) with ``ndim=2``, either with ``ndim=(1, 2)``, are finite and >= 0; returns floats."""
     lam = np.asarray(prices, dtype=float)
-    if lam.ndim not in np.atleast_1d(ndim) or lam.shape[-1] != net.num_followers:
+    if lam.ndim not in (ndim if isinstance(ndim, tuple) else (ndim,)) or lam.shape[-1] != net.num_followers:
         raise ValueError(f"price vector must have length {net.num_followers}")
-    if np.any(lam < 0.0) or not np.all(np.isfinite(lam)):
+    if not ((lam >= 0.0) & (lam < np.inf)).all():  # NaN fails both comparisons, -inf the first, +inf the second
         raise ValueError("prices must be finite and nonnegative")
     return lam
 

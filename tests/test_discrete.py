@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from femtogame import _csv, discrete, follower_payoff
@@ -33,7 +33,7 @@ from femtogame.experiments import sweep_grid
 from femtogame.network import NetworkInstance
 from femtogame.oracles import enumerate_expected_payoff
 from femtogame.payoff import own_payoff, payoffs, sufficient_conditions, validate_prices
-from femtogame.pricing import algorithm2_price_step, asymptote_price, zero_price_equilibrium
+from femtogame.pricing import algorithm2_price_step, asymptote_price, run_algorithm2, zero_price_equilibrium
 
 from conftest import hand_net, make_net, traced_peak
 
@@ -140,6 +140,19 @@ def test_power_law_schedule_values():
         PowerLawSchedule(a=0.0)
     with pytest.raises(ValueError):
         PowerLawSchedule(c=-1.0)
+
+
+@pytest.mark.parametrize(("c", "t"), [(100.0, 1210), (1100.0, 2)])
+def test_schedule_whose_power_overflows_steps_zero(c, t):
+    # (t + b) ** c first passes the float range at slot t: the step is its limit, 0.0, and the run goes on
+    schedule = PowerLawSchedule(c=c)
+    assert schedule(t) == 0.0
+    assert schedule(t - 1) == 1.0 / (t - 1) ** c > 0.0  # the last finite power keeps its bits
+    net = make_net(2, seed=0)
+    state = initial_state(default_action_sets(net, 3), alpha1=PowerLawSchedule(c=0.6), alpha2=schedule)
+    rep = run_learning(net, np.zeros(2), state, tol=0.0, max_iters=t + 5)
+    assert state.t == rep.iterations == t + 5
+    assert np.allclose(rep.strategies.sum(axis=1), 1.0)
 
 
 @pytest.mark.parametrize("field", ["a", "b", "c"])
@@ -973,6 +986,9 @@ def _reference_learning(net, prices, state, tol, window, max_iters):
 
 
 @settings(max_examples=100, deadline=None)
+@example(seed=0, K=4, M=5, tau=1.0, adapting=True, log_price=None, tol=1e-3, window=12, max_iters=300)
+@example(seed=7, K=3, M=4, tau=1.0, adapting=False, log_price=10.0, tol=0.0, window=2, max_iters=300)
+@example(seed=11, K=1, M=2, tau=1.0, adapting=True, log_price=14.0, tol=0.2, window=3, max_iters=40)
 @given(
     seed=st.integers(0, 2**32 - 1),
     K=st.integers(1, 4),
@@ -1002,12 +1018,31 @@ def test_run_learning_matches_reference_slot_loop(seed, K, M, tau, adapting, log
     assert fused.rng.random() == ref.rng.random()  # the generator is left where the slots left it
 
 
-@pytest.mark.parametrize("block", [None, 121, 1])  # stock: K = 40 crosses a 409-slot chunk; 121 and 1: small chunks
+@pytest.mark.parametrize("topology", range(8))
+def test_run_learning_matches_reference_at_the_shape_the_studies_run(topology):
+    # learning-k6, fig5 and fig6-7 learn on K = M = 6 with tau = 1, tol 1e-3 and window 50 (the adapting pair),
+    # at zero price and at the prices Algorithm 2 returns: every bit, decision and draw is the reference loop's.
+    net = make_net(6, seed=topology)
+    learner = LearnerConfig(alpha1=PowerLawSchedule(c=0.6), alpha2=PowerLawSchedule(), rng_seed=topology)
+    assert (learner.tau, learner.tol, learner.window) == (1.0, 1e-3, 50)
+    acts = default_action_sets(net, 6)
+    for prices in (np.zeros(6), run_algorithm2(net, acts, learner=learner).prices):
+        steps = {"alpha1": learner.alpha1, "alpha2": learner.alpha2}
+        ref, fused = (initial_state(acts, rng_seed=topology, **steps) for _ in range(2))
+        pi_trace, converged = _reference_learning(net, prices, ref, learner.tol, learner.window, 2000)
+        rep = run_learning(net, prices, fused, tol=learner.tol, window=learner.window, max_iters=2000)
+        assert np.array_equal(rep.pi_trace, pi_trace)
+        assert np.array_equal(rep.U, ref.U) and np.array_equal(rep.strategies, ref.pi)
+        assert (rep.iterations, rep.converged, fused.t) == (len(pi_trace), converged, ref.t)
+        assert fused.rng.random() == ref.rng.random()
+
+
+@pytest.mark.parametrize("block", [None, 121, 1])  # stock: K = 6 crosses a 455-slot chunk; 121 and 1: small chunks
 @pytest.mark.parametrize("tol", [1e-3, 0.0])  # 1e-3 settles inside a chunk, 0 runs to the cap
 @pytest.mark.parametrize("K", [6, 40])
 def test_run_learning_matches_reference_across_draw_chunks_and_memo_caps(monkeypatch, K, tol, block):
-    # 121 gives K = 6 chunks of 20 slots and a memo of 10 payoffs, K = 40 chunks of 3 slots and a memo of 1;
-    # 1 gives one-slot chunks and no memo at all.
+    # With M = 6, 121 gives K = 6 chunks of 3 slots and a memo of 10 payoffs, K = 40 one-slot chunks and a memo
+    # of 1; 1 gives one-slot chunks and no memo at all.
     if block is not None:
         monkeypatch.setattr(discrete, "BLOCK_CELLS", block)
     net = make_net(K, seed=K)

@@ -425,7 +425,7 @@ def _cell_by_cell_fig67_trial(spec, net, seed):
     ids=["stock", "adapting"],
 )
 def test_convergence_experiment_csv_matches_its_cell_by_cell_rows(tmp_path, monkeypatch, learner, block_cells):
-    # block_cells 7 puts one slot in each formatting block (K * M = 12 cells a slot).
+    # block_cells 7 puts one slot in each draw chunk and expected-power block (K * M = 12 cells a slot).
     monkeypatch.setattr(discrete, "BLOCK_CELLS", block_cells)
     spec = ExperimentSpec("fig6-7-convergence", trials=2, num_followers=3, num_actions=4, learn_max_iters=200,
                           learner=learner, output_path=tmp_path / "new.csv")
@@ -954,6 +954,16 @@ def test_cli_learn_rejects_unknown_learner_fields(tmp_path):
     res = run_cli("learn", "--config", str(path), "--followers", "2")
     assert res.returncode == 2, res.stdout + res.stderr
     assert "unknown learner field" in res.stderr
+
+
+def test_cli_learn_runs_a_step_schedule_whose_power_overflows(tmp_path):
+    # 1/t^1100 passes the float range at slot 2; the step is then 0.0, so the run finishes instead of dying
+    path = tmp_path / "steep.json"
+    path.write_text(json.dumps({"learner": {"alpha2": {"c": 1100}}}))
+    out = tmp_path / "learn.csv"
+    res = run_cli("learn", "--followers", "2", "--config", str(path), "--out", str(out))
+    assert res.returncode == 0, res.stderr
+    assert "Traceback" not in res.stderr and len(out.read_text().splitlines()) > 1
 
 
 @pytest.mark.parametrize("bad", [{"max_iters": 0}, {"tol": -1.0}])

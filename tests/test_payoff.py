@@ -340,6 +340,17 @@ def test_validators_reject_out_of_bounds(net6):
         validate_prices(net6, np.full(6, -1.0))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), -1.0, -5e-324])
+@pytest.mark.parametrize(("shape", "ndim"), [((6,), 1), ((3, 6), 2), ((6,), (1, 2)), ((3, 6), (1, 2))])
+def test_validate_prices_refuses_non_finite_and_negative_entries(net6, bad, shape, ndim):
+    lam = np.full(shape, 1e10)
+    lam.reshape(-1)[-1] = -0.0  # accepted: -0.0 >= 0
+    assert np.array_equal(validate_prices(net6, lam, ndim=ndim), lam)
+    lam.reshape(-1)[-3] = bad  # in the last row of a batch
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        validate_prices(net6, lam, ndim=ndim)
+
+
 _METRIC_ARGUMENTS = ["revenue profile", "revenue prices", "macro SINR profile"]
 
 
