@@ -32,7 +32,7 @@ for seed in range(8):
 
     zp = zero_price_equilibrium(net)
     lam_a = asymptote_price(net, zp.profile)
-    at_a = run_algorithm1(net, lam_a, init=zp.profile).final_profile
+    at_a = run_algorithm1(net, lam_a[None], init=zp.profile).profiles[0]
 
     # the expensive route: geometric grid plus local refinement
     searched = se_price_search(net, PriceSearchConfig(grid_count=24))

@@ -11,7 +11,6 @@ harness with a CLI front end.
 from .continuous import (
     BisectionError,
     EquilibriumBatch,
-    EquilibriumReport,
     best_response,
     run_algorithm1,
     solve_equilibria,

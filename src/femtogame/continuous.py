@@ -4,13 +4,14 @@ The best response maximizes the quasiconcave follower payoff over
 [0, p_max] at the root of its gradient, which changes sign at most once
 (+ to -). One root finder, ``_best_responses`` (Newton steps on the scaled
 gradient, safeguarded by bisection), holds the boundary rules and finds
-that root for any batch. ``best_response`` calls it on one follower;
-``run_algorithm1`` (the paper's Algorithm 1) iterates ``best_response`` one
-follower at a time; ``solve_equilibria`` updates every follower of a batch
-of price vectors at once. Where the paper's uniqueness condition holds,
-both reach the one fixed point (Yates 1995, standard interference
-functions). Outside it they may stop at different Nash points: default
-K = 200 topology 1 at sweep point 24 ends 9.1e-4 W apart.
+that root for any batch. Both solvers map (B, K) prices to an
+``EquilibriumBatch``: ``run_algorithm1`` (the paper's Algorithm 1) moves
+followers 1..K in turn, each by one column step (``best_response`` is that
+step on one row), and ``solve_equilibria`` moves all of them at once. Where
+the paper's uniqueness condition holds, both reach the one fixed point
+(Yates 1995, standard interference functions). Outside it they may stop at
+different Nash points: default K = 200 topology 1 at sweep point 24 ends
+9.1e-4 W apart.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .payoff import own_gradient, own_payoff, own_scaled_gradient, validate_powe
 
 __all__ = [
     "BisectionError",
-    "EquilibriumReport",
     "EquilibriumBatch",
     "best_response",
     "run_algorithm1",
@@ -40,23 +40,13 @@ class BisectionError(RuntimeError):
 
 
 @dataclass
-class EquilibriumReport:
-    """Outcome of one Algorithm-1 run."""
-
-    final_profile: np.ndarray
-    iterations: int
-    converged: bool
-    trace: list  # profile after each round; entry 0 is the initial profile
-
-
-@dataclass
 class EquilibriumBatch:
-    """Outcome of one ``solve_equilibria`` call; row b solves price row b."""
+    """Outcome of one ``solve_equilibria`` or ``run_algorithm1`` call; row b solves price row b."""
 
     profiles: np.ndarray  # (B, K) last profile of each row
-    converged: np.ndarray  # (B,) BR moves no power of the profile by tol or more
-    rounds: np.ndarray  # (B,) synchronous rounds run
-    damped: np.ndarray  # (B,) a 2-cycle switched the row to damped updates
+    converged: np.ndarray  # (B,) the row settled within tol
+    rounds: np.ndarray  # (B,) rounds run
+    damped: np.ndarray  # (B,) a 2-cycle switched the row to damped updates (never in run_algorithm1)
 
 
 def best_response(
@@ -70,11 +60,11 @@ def best_response(
 
     ``opponents`` is a full length-K profile of finite powers >= 0, which may
     exceed p_max; entry k-1 is ignored but, like the prices, checked. This is
-    ``_best_responses`` on one (1, K) row in which only follower k is live,
-    started from 0 W: the gradient sign at the interval ends decides boundary
-    solutions, an interior root is found to within ``tol`` watts (a root
-    smaller than ``tol`` still yields a positive power), and the root is kept
-    only if its payoff beats p_k = 0 (ties go to the smaller power).
+    Algorithm 1's column step on one row, started from 0 W: the gradient sign
+    at the interval ends decides boundary solutions, an interior root is
+    found to within ``tol`` watts (a root smaller than ``tol`` still yields a
+    positive power), and the root is kept only if its payoff beats p_k = 0
+    (ties go to the smaller power).
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -82,12 +72,20 @@ def best_response(
     opponents = np.asarray(opponents, dtype=float)
     if opponents.shape != (net.num_followers,) or not np.all(np.isfinite(opponents) & (opponents >= 0.0)):
         raise ValueError(f"opponents must be {net.num_followers} finite powers >= 0")
-    prices = validate_prices(net, prices)
-    G = np.zeros((1, net.num_followers))
-    charge = np.zeros_like(G)  # G = charge = 0 leaves every other follower silent
-    G[0, k - 1] = net.gain[k, k] / interference(net, opponents)[k - 1]
-    charge[0, k - 1] = prices[k - 1] * net.gain[k, 0]
-    return float(_best_responses(net, G, charge, np.zeros_like(G), tol)[0, k - 1])
+    charge = validate_prices(net, prices)[k - 1 : k] * net.gain[k, 0]
+    return float(_column_best_responses(net, k - 1, opponents[None], charge, tol)[0])
+
+
+def _column_best_responses(net: NetworkInstance, j: int, P, charge, tol: float) -> np.ndarray:
+    """Best response of follower j + 1, from 0 W, to every profile of P (B, K); ``charge`` (B,) is lambda h_0."""
+    G = net.own_gain[j] / interference(net, P)[:, j]
+    return _best_responses(net, G, charge, np.zeros_like(G), net.power_max[j], tol)
+
+
+def _batch(net: NetworkInstance, prices, init) -> tuple[np.ndarray, np.ndarray]:
+    """Validated (B, K) prices and a C-ordered (kernels round strided rows differently) copy of validated starts."""
+    prices = validate_prices(net, prices, ndim=2)
+    return prices, np.broadcast_to(validate_power_profile(net, init, ndim=(1, 2)), prices.shape).copy()
 
 
 def run_algorithm1(
@@ -96,34 +94,35 @@ def run_algorithm1(
     init: np.ndarray,
     tol: float = 1e-7,
     max_rounds: int = 10_000,
-) -> EquilibriumReport:
-    """Asynchronous best-response iteration to a power-allocation fixed point.
+) -> EquilibriumBatch:
+    """Asynchronous best responses to a power-allocation fixed point for every price vector of a (B, K) batch.
 
-    Runs rounds of single-follower best responses, followers 1..K in turn,
-    until the profile changes by less than ``tol`` (infinity norm) over a
-    full round, or ``max_rounds`` is hit (reported via ``converged=False``,
-    not an exception). The trace records the initial profile as round 0 and
-    every completed round thereafter.
+    Each round moves follower j = 1..K of every unsettled row in turn to its best response to the row's profile
+    (one column step). A row settles once a round changes it by less than ``tol`` (infinity norm); one still
+    moving after ``max_rounds`` is reported via ``converged=False``. ``init`` is one (K,) start or (B, K) starts;
+    ``damped`` is all False, and every row has the bits of its own one-row call.
     """
-    K = net.num_followers
-    prices = validate_prices(net, prices)
-    p = validate_power_profile(net, init).copy()
-    trace = [p.copy()]
-    converged = False
-    rounds = 0
-    for rounds in range(1, max_rounds + 1):
-        previous = p.copy()
-        for k in range(1, K + 1):
-            p[k - 1] = best_response(net, k, p, prices)
-        trace.append(p.copy())
-        if np.max(np.abs(p - previous)) < tol:
-            converged = True
+    prices, p = _batch(net, prices, init)
+    charge = prices * net.gain[1:, 0]
+    converged = np.zeros(len(p), dtype=bool)
+    rounds = np.zeros(len(p), dtype=int)
+    rows = np.arange(len(p))
+    for t in range(1, max_rounds + 1):
+        if not rows.size:
             break
-    return EquilibriumReport(final_profile=p, iterations=rounds, converged=converged, trace=trace)
+        P = p[rows]
+        for j in range(net.num_followers):
+            P[:, j] = _column_best_responses(net, j, P, charge[rows, j], 1e-9)  # best_response's default tol
+        settled = np.abs(P - p[rows]).max(axis=1) < tol
+        p[rows] = P
+        rounds[rows] = t
+        converged[rows[settled]] = True
+        rows = rows[~settled]
+    return EquilibriumBatch(profiles=p, converged=converged, rounds=rounds, damped=np.zeros(len(p), dtype=bool))
 
 
-def _best_responses(net: NetworkInstance, G, charge, start, tol: float = 1e-9) -> np.ndarray:
-    """``best_response`` for every entry of (B, K) arrays G = h_kk/interference, charge = lambda_k h_k0.
+def _best_responses(net: NetworkInstance, G, charge, start, p_max, tol: float = 1e-9) -> np.ndarray:
+    """Best response for every entry of same-shaped arrays G = h_kk/interference, charge = lambda_k h_k0, in [0, p_max].
 
     Same boundary rules; interior roots by safeguarded Newton steps from ``start`` on the scaled gradient
     ``own_scaled_gradient``, which falls strictly and has no 1/p pole. A step that stays inside the closed sign
@@ -131,7 +130,7 @@ def _best_responses(net: NetworkInstance, G, charge, start, tol: float = 1e-9) -
     The search stops once a step is <= tol W.
     """
     W, pa = net.bandwidth, net.circuit_power
-    p_max = np.broadcast_to(net.power_max, G.shape)
+    p_max = np.broadcast_to(p_max, G.shape)
     on = W * G / pa - charge > 0.0  # own_gradient at p = 0
     full = own_gradient(p_max, G, W, pa, charge) >= 0.0
     out = np.where(on & full, p_max, 0.0)
@@ -182,13 +181,8 @@ def solve_equilibria(
     ``damped`` records it. ``init`` is one (K,) start or (B, K) starts;
     the prices and the starts are each validated in one pass over the batch.
     """
-    prices = np.asarray(prices, dtype=float)
-    if prices.ndim != 2:
-        raise ValueError("prices must be shaped (B, K)")
-    B, K = validate_prices(net, prices, ndim=2).shape
-    # a C-ordered copy: a copy of the zero-stride broadcast comes out column-major, and kernels round strided rows
-    # differently from contiguous ones
-    p = validate_power_profile(net, np.broadcast_to(np.asarray(init, dtype=float), (B, K)).copy(), ndim=2)
+    prices, p = _batch(net, prices, init)
+    B, K = p.shape
     charge = prices * net.gain[1:, 0]
     before = np.full((B, K), np.nan)  # each row's profile one round back
     converged = np.zeros(B, dtype=bool)
@@ -200,7 +194,7 @@ def solve_equilibria(
         if not rows.size:
             break
         P = p[rows]
-        proposal = _best_responses(net, net.own_gain / interference(net, P), charge[rows], P)
+        proposal = _best_responses(net, net.own_gain / interference(net, P), charge[rows], P, net.power_max)
         residual = np.abs(proposal - P).max(axis=1)
         returned = np.abs(proposal - before[rows]).max(axis=1) < residual
         slow = damped[rows] | (returned & (residual >= tol))

@@ -283,10 +283,8 @@ def initial_state(
 
 def _sample_actions(pi: np.ndarray, draws: np.ndarray, cdf: np.ndarray, hit=None, out=None) -> np.ndarray:
     """Inverse-CDF sampling, one action per row of pi, into ``out``: the first column whose running sum (in ``cdf``, a
-    (K, M) buffer; the test in ``hit``, a bool one) reaches the row's draw. ``draws``, (K, M) or (K,) widened to it,
-    holds the draw and -1.0 in the last column (a sum rounding below its draw gives M-1, ``searchsorted`` capped)."""
-    if draws.ndim == 1:
-        draws = np.where(np.arange(pi.shape[1]) < pi.shape[1] - 1, draws[:, None], -1.0)
+    (K, M) buffer; the test in ``hit``, a bool one) reaches the row's draw. ``draws``, (K, M), holds the draw and
+    -1.0 in the last column (a sum rounding below its draw gives M-1, ``searchsorted`` capped)."""
     np.add.accumulate(pi, 1, None, cdf)  # ``cumsum``'s sums
     return np.greater_equal(cdf, draws, hit).argmax(1, out)
 

@@ -166,8 +166,8 @@ class NetworkInstance:
             raise ValueError("mu_power must be positive and finite")
         if not (self.bandwidth > 0.0 and math.isfinite(self.bandwidth)):
             raise ValueError("bandwidth must be positive and finite")
-        if not (self.mu_sinr_threshold > 0.0):
-            raise ValueError("mu_sinr_threshold must be positive")
+        if not (self.mu_sinr_threshold > 0.0 and math.isfinite(self.mu_sinr_threshold)):
+            raise ValueError("mu_sinr_threshold must be positive and finite")
         background = noise[1:] + gain[0, 1:] * self.mu_power
         own_gain = np.diagonal(gain)[1:].copy()
         cross_gain = gain[1:, 1:] - np.diag(own_gain)

@@ -40,7 +40,11 @@ __all__ = [
 def validate_prices(net: NetworkInstance, prices: np.ndarray, ndim=1) -> np.ndarray:
     """Check (K,) prices, (B, K) with ``ndim=2``, either with ``ndim=(1, 2)``, are finite and >= 0; returns floats."""
     lam = np.asarray(prices, dtype=float)
-    if lam.ndim not in (ndim if isinstance(ndim, tuple) else (ndim,)) or lam.shape[-1] != net.num_followers:
+    ranks = ndim if isinstance(ndim, tuple) else (ndim,)
+    if lam.ndim not in ranks:
+        shapes = " or ".join(("({0},)", "(B, {0})")[rank - 1] for rank in ranks).format(net.num_followers)
+        raise ValueError(f"prices must be shaped {shapes}, got {lam.shape}")
+    if lam.shape[-1] != net.num_followers:
         raise ValueError(f"price vector must have length {net.num_followers}")
     if not ((lam >= 0.0) & (lam < np.inf)).all():  # NaN fails both comparisons, -inf the first, +inf the second
         raise ValueError("prices must be finite and nonnegative")

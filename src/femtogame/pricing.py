@@ -15,7 +15,7 @@ import numpy as np
 
 from .continuous import solve_equilibria
 from .discrete import LearnerConfig, _expected_payoffs, expected_powers
-from .network import NetworkInstance, interference, sinr_macro
+from .network import NetworkInstance, interference, sinr_macro, validate_power_profile
 from .payoff import leader_revenue
 
 __all__ = [
@@ -108,9 +108,9 @@ def asymptote_price(net: NetworkInstance, p_star: np.ndarray) -> np.ndarray:
     implies dropout at W/(p_a (N_k + h_0k*p_0)). That is not the model's
     dropout price: the payment uses h_k0, so followers fall silent at
     ``cutoff_price`` = W*G_k/(p_a*h_k0) instead. The two agree only when
-    h_kk = h_k0 and no other femtocell interferes.
+    h_kk = h_k0 and no other femtocell interferes. ``p_star`` is a (K,) or (B, K) power profile, validated.
     """
-    p_star = np.asarray(p_star, dtype=float)
+    p_star = validate_power_profile(net, p_star, ndim=(1, 2))
     return net.bandwidth / ((p_star + net.circuit_power) * net.background)
 
 
@@ -120,9 +120,9 @@ def cutoff_price(net: NetworkInstance, profile: np.ndarray) -> np.ndarray:
     The payoff gradient at p_k = 0 is W*G_k/p_a - lambda_k*h_k0, with
     G_k = h_kk / interference_k; it turns negative at
     lambda_k = W*G_k/(p_a*h_k0). Useful for sizing sweep grids so the
-    revenue roll-off is actually inside them. Shaped like ``profile``.
+    revenue roll-off is actually inside them. Shaped like ``profile``, a (K,) or (B, K) power profile, validated.
     """
-    G = net.own_gain / interference(net, profile)
+    G = net.own_gain / interference(net, validate_power_profile(net, profile, ndim=(1, 2)))
     return net.bandwidth * G / (net.circuit_power * net.gain[1:, 0])
 
 

@@ -236,12 +236,16 @@ def criterion_05_unique_equilibrium_from_any_start():
         inits = [np.zeros(6), np.asarray(net.power_max, dtype=float)]
         inits += [rng.uniform(0.0, net.power_max, 6) for _ in range(10)]
         for init in inits:
-            rep = run_algorithm1(net, np.zeros(6), init=init, tol=1e-9, max_rounds=10_000)
-            if not rep.converged:
+            rep = run_algorithm1(net, np.zeros((1, 6)), init=init, tol=1e-9, max_rounds=10_000)
+            if not rep.converged[0]:
                 return False, f"seed {seed} failed to converge from one start"
-            worst = max(worst, float(np.abs(rep.final_profile - ref).max()))
-        from_zero = run_algorithm1(net, np.zeros(6), init=np.zeros(6), tol=1e-9)
-        traj = np.array(from_zero.trace)
+            worst = max(worst, float(np.abs(rep.profiles[0] - ref).max()))
+        # the all-zeros run replayed capped at 1..R rounds: its profile after each round, bit for bit
+        rounds = run_algorithm1(net, np.zeros((1, 6)), init=np.zeros(6), tol=1e-9).rounds[0]
+        traj = np.array(
+            [np.zeros(6)]
+            + [run_algorithm1(net, np.zeros((1, 6)), np.zeros(6), 1e-9, r).profiles[0] for r in range(1, rounds + 1)]
+        )
         monotone = monotone and bool((np.diff(traj, axis=0) >= -1e-12).all())
     ok = worst <= 1e-5 and monotone
     return ok, (
@@ -286,10 +290,10 @@ def criterion_07_asymptote_price_quality():
             net = make_net(K, seed=seed)
             zp = zero_price_equilibrium(net)
             lam_a = asymptote_price(net, zp.profile)
-            rep = run_algorithm1(net, lam_a, init=zp.profile)
-            eff_a.append(mean_efficiency(net, rep.final_profile))
-            rev_a.append(leader_revenue(net, rep.final_profile, lam_a))
-            mu_a.append(sinr_macro(net, rep.final_profile))
+            at_a = run_algorithm1(net, lam_a[None], init=zp.profile).profiles[0]
+            eff_a.append(mean_efficiency(net, at_a))
+            rev_a.append(leader_revenue(net, at_a, lam_a))
+            mu_a.append(sinr_macro(net, at_a))
             res = se_price_search(net, PriceSearchConfig(grid_count=24))
             eff_s.append(mean_efficiency(net, res.equilibrium))
             rev_s.append(res.revenue)
@@ -326,11 +330,11 @@ def criterion_08_high_price_power_prediction():
         net = make_net(6, seed=seed)
         zp = zero_price_equilibrium(net)
         lam = 100.0 * asymptote_price(net, zp.profile)
-        rep = run_algorithm1(net, lam, init=zp.profile)
+        profile = run_algorithm1(net, lam[None], init=zp.profile).profiles[0]
         base = np.array([net.noise[k] + net.gain[0, k] * net.mu_power for k in range(1, 7)])
         inverse_positive += int(np.sum(net.bandwidth / (lam * base) - net.circuit_power > 0.0))
         for k in range(1, 7):
-            p = rep.final_profile[k - 1]
+            p = profile[k - 1]
             pred = grid_best_response(net, k, np.zeros(6), lam)
             silent += p == 0.0
             predicted_silent += pred == 0.0

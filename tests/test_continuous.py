@@ -13,7 +13,6 @@ from femtogame import (
     solve_equilibria,
     sufficient_conditions,
 )
-from femtogame import continuous
 from femtogame.continuous import DAMPING
 from femtogame.experiments import continuous_sweep_rows, sweep_grid
 from femtogame.network import interference
@@ -228,50 +227,75 @@ def test_best_response_rejects_bad_tol(hand2):
 def test_algorithm1_single_follower_converges_fast(hand2):
     net = hand_net(gain=[[1.0, 0.2], [0.3, 4.0]], noise=[0.1, 0.1], circuit_power=0.5)
     prices = np.array([0.5])
-    report = run_algorithm1(net, prices, init=np.zeros(1))
-    assert report.converged
-    assert report.iterations <= 2
-    assert report.final_profile[0] == pytest.approx(
+    report = run_algorithm1(net, prices[None], init=np.zeros(1))
+    assert report.converged[0]
+    assert report.rounds[0] <= 2
+    assert report.profiles[0, 0] == pytest.approx(
         best_response(net, 1, np.zeros(1), prices), abs=1e-9
     )
 
 
+def _trajectory(net, prices, init):
+    """Profile after rounds 0..R of a one-row Algorithm-1 run that converges in R rounds.
+
+    The run is deterministic, so capping it at r rounds gives its profile
+    after round r bit for bit.
+    """
+    report = run_algorithm1(net, prices[None], init=init)
+    assert report.converged[0]
+    rounds = range(1, report.rounds[0] + 1)
+    return np.array([init, *(run_algorithm1(net, prices[None], init, max_rounds=r).profiles[0] for r in rounds)])
+
+
 def test_algorithm1_monotone_from_zero(net6):
-    prices = np.full(6, 1e12)
-    report = run_algorithm1(net6, prices, init=np.zeros(6))
-    assert report.converged
-    powers = np.array(report.trace)
+    powers = _trajectory(net6, np.full(6, 1e12), np.zeros(6))
     assert (np.diff(powers, axis=0) >= -1e-12).all()
 
 
 def test_algorithm1_converges_from_any_start(net6):
-    prices = np.full(6, 1e12)
-    base = run_algorithm1(net6, prices, init=np.zeros(6)).final_profile
-    top = run_algorithm1(net6, prices, init=np.asarray(net6.power_max)).final_profile
+    prices = np.full((1, 6), 1e12)
+    base = run_algorithm1(net6, prices, init=np.zeros(6)).profiles[0]
+    top = run_algorithm1(net6, prices, init=np.asarray(net6.power_max)).profiles[0]
     assert np.max(np.abs(top - base)) < 1e-5
 
 
+def _reference_algorithm1(net, prices, init):
+    """Algorithm 1 (tol 1e-7 W, at most 10,000 rounds) as a round robin of the bisection best response."""
+    p = np.array(init, dtype=float)
+    for rounds in range(1, 10_001):
+        previous = p.copy()
+        for k in range(1, net.num_followers + 1):
+            p[k - 1] = _reference_best_response(net, k, p, prices)
+        if np.max(np.abs(p - previous)) < 1e-7:
+            return p, rounds, True
+    return p, 10_000, False
+
+
 @pytest.mark.parametrize("K", [6, 50])
-def test_algorithm1_matches_the_bisection_reference_on_a_panel(K, monkeypatch):
+def test_algorithm1_matches_the_bisection_reference_on_a_panel(K):
     # Topologies 0-4 at 0, 0.1, 1 and 10 times the asymptote prices, from
-    # zero and from the zero-price profile; the reference is Algorithm 1
-    # with the bisection best response.
+    # zero and from the zero-price profile, as one batch per start: every row
+    # has the bits of its one-row run, and matches the round robin of the
+    # bisection best response.
     for seed in range(5):
         net = make_net(K, seed=seed)
         zp = zero_price_equilibrium(net).profile
         lam_a = asymptote_price(net, zp)
-        for scale in (0.0, 0.1, 1.0, 10.0):
-            for init in (np.zeros(K), zp):
-                got = run_algorithm1(net, scale * lam_a, init=init)
-                with monkeypatch.context() as patch:
-                    patch.setattr(continuous, "best_response", _reference_best_response)
-                    reference = run_algorithm1(net, scale * lam_a, init=init)
-                assert np.max(np.abs(got.final_profile - reference.final_profile)) <= 1e-9
-                assert (got.iterations, got.converged) == (reference.iterations, reference.converged)
+        prices = np.outer([0.0, 0.1, 1.0, 10.0], lam_a)
+        for init in (np.zeros(K), zp):
+            got = run_algorithm1(net, prices, init=init)
+            assert not got.damped.any()
+            for i, lam in enumerate(prices):
+                alone = run_algorithm1(net, lam[None], init=init)
+                assert np.array_equal(alone.profiles[0], got.profiles[i])
+                assert (alone.rounds[0], alone.converged[0]) == (got.rounds[i], got.converged[i])
+                profile, rounds, converged = _reference_algorithm1(net, lam, init)
+                assert np.max(np.abs(got.profiles[i] - profile)) <= 1e-9
+                assert (got.rounds[i], got.converged[i]) == (rounds, converged)
 
 
 @pytest.mark.parametrize(
-    "prices", [[-5.0, 0.0, 0.0], [np.inf, 0.0, 0.0], [np.nan, 0.0, 0.0], [0.0, 0.0], [[0.0, 0.0, 0.0]]]
+    "prices", [[[-5.0, 0.0, 0.0]], [[np.inf, 0.0, 0.0]], [[np.nan, 0.0, 0.0]], [[0.0, 0.0]], [0.0, 0.0, 0.0]]
 )
 def test_algorithm1_rejects_invalid_prices(net3, prices):
     with pytest.raises(ValueError, match="price"):
@@ -279,16 +303,22 @@ def test_algorithm1_rejects_invalid_prices(net3, prices):
 
 
 @pytest.mark.parametrize(
-    "init", [[np.nan, 0.0, 0.0], [-1e-3, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0], [[0.0, 0.0, 0.0]]]
+    "init", [[np.nan, 0.0, 0.0], [-1e-3, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0], [[[0.0, 0.0, 0.0]]]]
 )
 def test_algorithm1_rejects_invalid_init(net3, init):
     with pytest.raises(ValueError, match="power profile"):
-        run_algorithm1(net3, np.zeros(3), init=np.array(init))
+        run_algorithm1(net3, np.zeros((1, 3)), init=np.array(init))
+
+
+@pytest.mark.parametrize("solver", [run_algorithm1, solve_equilibria])
+def test_both_solvers_refuse_a_single_price_vector_naming_the_batch_shape(net3, solver):
+    with pytest.raises(ValueError, match=r"^prices must be shaped \(B, 3\), got \(3,\)$"):
+        solver(net3, np.zeros(3), np.zeros(3))
 
 
 def test_algorithm1_leaves_init_untouched(net3):
     init = np.zeros(3)
-    run_algorithm1(net3, np.zeros(3), init=init)
+    run_algorithm1(net3, np.zeros((1, 3)), init=init)
     assert np.array_equal(init, np.zeros(3))
 
 
@@ -321,9 +351,9 @@ def test_uniqueness_condition_false_at_zero_power(hand2):
 def test_uniqueness_condition_at_plateau_fixed_point():
     net = make_net(6, seed=2)
     for lam in (0.0, 1e12):
-        report = run_algorithm1(net, np.full(6, lam), init=np.zeros(6))
-        assert report.converged
-        assert sufficient_conditions(net, report.final_profile)[0].all()
+        report = run_algorithm1(net, np.full((1, 6), lam), init=np.zeros(6))
+        assert report.converged[0]
+        assert sufficient_conditions(net, report.profiles[0])[0].all()
 
 
 def test_supermodularity_boundary_exact():
@@ -395,13 +425,13 @@ def test_batched_equilibria_are_nash_and_match_algorithm1(K, seed, start, rows):
     )
     init = start * net.power_max
     batch = solve_equilibria(net, prices, init)
-    for lam, profile, ok in zip(prices, batch.profiles, batch.converged):
-        if not ok:
+    reference = run_algorithm1(net, prices, init=init)
+    for i, lam in enumerate(prices):
+        if not batch.converged[i]:
             continue
-        assert _nash_gap(net, profile, lam) <= 1e-7
-        reference = run_algorithm1(net, lam, init=init)
-        if reference.converged:
-            assert np.max(np.abs(profile - reference.final_profile)) <= 1e-6
+        assert _nash_gap(net, batch.profiles[i], lam) <= 1e-7
+        if reference.converged[i]:
+            assert np.max(np.abs(batch.profiles[i] - reference.profiles[i])) <= 1e-6
 
 
 def test_damping_settles_the_two_cycle_of_topology_101():
@@ -427,11 +457,11 @@ def test_the_two_solvers_part_where_the_uniqueness_condition_fails():
     lam = np.full(200, sweep_grid(net, 40)[24])
     init = zero_price_equilibrium(net).profile
     batch = solve_equilibria(net, lam[None], init)
-    sequential = run_algorithm1(net, lam, init)
-    assert batch.converged[0] and sequential.converged
-    apart = np.abs(sequential.final_profile - batch.profiles[0])
+    sequential = run_algorithm1(net, lam[None], init)
+    assert batch.converged[0] and sequential.converged[0]
+    apart = np.abs(sequential.profiles[0] - batch.profiles[0])
     assert apart.max() > 5e-4
-    for profile in (batch.profiles[0], sequential.final_profile):
+    for profile in (batch.profiles[0], sequential.profiles[0]):
         assert _nash_gap(net, profile, lam) <= 1e-7
         assert not sufficient_conditions(net, profile)[0][apart > 1e-6].any()
 

@@ -674,6 +674,11 @@ def test_learning_preserves_simplex_every_step(net3):
             validate_simplex(state.pi[k], atol=1e-12)
 
 
+def _sentinel_layout(draws, M):
+    """(K,) draws as ``_sample_actions`` takes them: (K, M), each row's draw then -1.0 in the last column."""
+    return np.where(np.arange(M) < M - 1, draws[:, None], -1.0)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.lists(
@@ -695,7 +700,7 @@ def test_vectorized_sampling_matches_searchsorted(rows, seed):
         rng.random(len(pi)) < 0.5, cdf[np.arange(len(pi)), rng.integers(0, M, len(pi))], rng.random(len(pi))
     )
     want = [min(int(np.searchsorted(np.cumsum(row), d)), M - 1) for row, d in zip(pi, draws)]
-    assert _sample_actions(pi, draws, np.full(pi.shape, 2.0)).tolist() == want
+    assert _sample_actions(pi, _sentinel_layout(draws, M), np.full(pi.shape, 2.0)).tolist() == want
 
 
 def test_sampling_caps_a_row_whose_cdf_rounds_below_the_draw():
@@ -706,7 +711,7 @@ def test_sampling_caps_a_row_whose_cdf_rounds_below_the_draw():
     draw = np.array([1.0 - 2.0**-53])
     assert np.cumsum(pi)[-1] == 1.0 - 2.0**-52
     assert int(np.searchsorted(np.cumsum(pi), draw[0])) == 7
-    assert _sample_actions(pi, draw, np.full(pi.shape, 2.0)).tolist() == [6]
+    assert _sample_actions(pi, _sentinel_layout(draw, 7), np.full(pi.shape, 2.0)).tolist() == [6]
 
 
 @settings(max_examples=40, deadline=None)

@@ -966,6 +966,15 @@ def test_cli_learn_runs_a_step_schedule_whose_power_overflows(tmp_path):
     assert "Traceback" not in res.stderr and len(out.read_text().splitlines()) > 1
 
 
+@pytest.mark.parametrize("target", ["inf", "inf dB"])
+def test_cli_learn_algorithm2_refuses_an_infinite_macro_sinr_target(tmp_path, capsys, target):
+    # a target no price can meet used to run all outer iterations and exit 3
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"constants": {"mu_sinr_threshold": target}}))
+    assert cli.main(["learn", "--algorithm2", "--followers", "3", "--config", str(path)]) == cli.EXIT_BAD_INPUT
+    assert "mu_sinr_threshold must be positive and finite" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("bad", [{"max_iters": 0}, {"tol": -1.0}])
 def test_cli_learn_rejects_empty_run_and_negative_tol(tmp_path, capsys, bad):
     path = tmp_path / "learner.json"

@@ -208,6 +208,13 @@ def test_arrays_are_read_only(net6):
         net6.gain[0, 0] = 2.0
 
 
+@pytest.mark.parametrize("threshold", [float("nan"), 0.0, -1.0, float("inf")])
+def test_instance_rejects_a_macro_sinr_target_that_is_not_positive_and_finite(net6, threshold):
+    # an infinite target is never met, so Algorithm 2 would run every outer iteration for nothing
+    with pytest.raises(ValueError, match="mu_sinr_threshold"):
+        replace(net6, mu_sinr_threshold=threshold)
+
+
 @pytest.mark.parametrize("bandwidth", [float("nan"), 0.0, -1.0, float("inf")])
 def test_instance_rejects_bad_bandwidth(net6, bandwidth):
     with pytest.raises(ValueError, match="bandwidth"):

@@ -125,6 +125,14 @@ def test_cutoff_price_hand_value():
     assert cutoff_price(net, np.zeros(1))[0] == pytest.approx(20.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("profile", [[0.01], [-1.0, 0.0, 0.0], [np.nan, 0.0, 0.0], [[[0.0, 0.0, 0.0]]]])
+@pytest.mark.parametrize("price", [asymptote_price, cutoff_price])
+def test_price_formulas_refuse_a_profile_that_is_not_a_power_profile(net3, price, profile):
+    # A (1,) profile used to spread over all three links and p* = -1 W to give a negative asymptote price
+    with pytest.raises(ValueError, match="power profile"):
+        price(net3, np.array(profile))
+
+
 def test_best_response_drops_out_exactly_past_cutoff():
     net = toy_net()
     co = cutoff_price(net, np.zeros(1))[0]
@@ -143,9 +151,8 @@ def test_search_beats_dense_scan_to_relative_tolerance():
     dense = np.geomspace(1e-3 * lam_a.min(), 1e3 * lam_a.max(), 3000)
     best, init = -np.inf, zp.profile
     for x in dense:
-        rep = run_algorithm1(net, np.array([x]), init=init, tol=1e-7)
-        init = rep.final_profile
-        best = max(best, leader_revenue(net, rep.final_profile, np.array([x])))
+        init = run_algorithm1(net, np.array([[x]]), init=init, tol=1e-7).profiles[0]
+        best = max(best, leader_revenue(net, init, np.array([x])))
     assert res.revenue >= best * (1 - 1e-3)
 
 
@@ -237,9 +244,9 @@ def test_revenue_zero_at_zero_price_and_past_all_cutoffs(net3):
     zp = zero_price_equilibrium(net3)
     assert leader_revenue(net3, zp.profile, np.zeros(3)) == 0.0
     cut = cutoff_price(net3, np.zeros(3)).max()
-    rep = run_algorithm1(net3, np.full(3, 10 * cut), init=np.zeros(3))
-    assert rep.converged
-    assert np.array_equal(rep.final_profile, np.zeros(3))
+    rep = run_algorithm1(net3, np.full((1, 3), 10 * cut), init=np.zeros(3))
+    assert rep.converged[0]
+    assert np.array_equal(rep.profiles[0], np.zeros(3))
 
 
 def test_price_search_config_validation():
