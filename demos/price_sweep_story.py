@@ -20,7 +20,7 @@ net = generate_topology(default_topology(), 6, **default_constants())
 zp = zero_price_equilibrium(net)
 eff0 = mean_efficiency(net, zp.profile)
 print(f"unpriced mean efficiency: {eff0:.3e} bit/J")
-print(f"equilibrium found in:     {zp.rounds} synchronous best-response rounds")
+print(f"equilibrium found in:     {zp.rounds} synchronous Newton rounds")
 
 grid = sweep_grid(net, 50)
 rows = continuous_sweep_rows(net, grid)

@@ -25,6 +25,7 @@ __all__ = [
     "watts_to_dbm",
     "generate_topology",
     "validate_power_profile",
+    "validate_rank",
     "validate_follower",
     "sinr_macro",
     "interference",
@@ -271,11 +272,20 @@ def generate_topology(
 def validate_power_profile(net: NetworkInstance, p: np.ndarray, ndim=1) -> np.ndarray:
     """Check 0 <= p_k <= p_max: a (K,) profile, (B, K) with ``ndim=2``, either with ``ndim=(1, 2)``; returns floats."""
     p = np.asarray(p, dtype=float)
-    if p.ndim not in np.atleast_1d(ndim) or p.shape[-1] != net.num_followers:
+    validate_rank("power profile", p, ndim, net.num_followers)
+    if p.shape[-1] != net.num_followers:
         raise ValueError(f"power profile must have length {net.num_followers}")
     if np.any(p < 0.0) or np.any(p > net.power_max) or not np.all(np.isfinite(p)):
         raise ValueError("power profile out of [0, p_max] bounds")
     return p
+
+
+def validate_rank(what: str, x: np.ndarray, ndim, K: int) -> None:
+    """Raise, naming the accepted shapes (K,) and (B, K) and the one received, unless x.ndim is ``ndim`` or in it."""
+    ranks = ndim if isinstance(ndim, tuple) else (ndim,)
+    if x.ndim not in ranks:
+        shapes = " or ".join(("({0},)", "(B, {0})")[rank - 1] for rank in ranks).format(K)
+        raise ValueError(f"{what} must be shaped {shapes}, got {x.shape}")
 
 
 def validate_follower(net: NetworkInstance, k) -> int:

@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .network import NetworkInstance, follower_sinr, interference, validate_follower, validate_power_profile
+from .network import (NetworkInstance, follower_sinr, interference, validate_follower, validate_power_profile,
+                      validate_rank)
 
 __all__ = [
     "validate_prices",
@@ -40,10 +41,7 @@ __all__ = [
 def validate_prices(net: NetworkInstance, prices: np.ndarray, ndim=1) -> np.ndarray:
     """Check (K,) prices, (B, K) with ``ndim=2``, either with ``ndim=(1, 2)``, are finite and >= 0; returns floats."""
     lam = np.asarray(prices, dtype=float)
-    ranks = ndim if isinstance(ndim, tuple) else (ndim,)
-    if lam.ndim not in ranks:
-        shapes = " or ".join(("({0},)", "(B, {0})")[rank - 1] for rank in ranks).format(net.num_followers)
-        raise ValueError(f"prices must be shaped {shapes}, got {lam.shape}")
+    validate_rank("prices", lam, ndim, net.num_followers)
     if lam.shape[-1] != net.num_followers:
         raise ValueError(f"price vector must have length {net.num_followers}")
     if not ((lam >= 0.0) & (lam < np.inf)).all():  # NaN fails both comparisons, -inf the first, +inf the second

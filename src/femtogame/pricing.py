@@ -63,7 +63,7 @@ class ZeroPriceResult:
 
     profile: np.ndarray
     converged: bool
-    rounds: int  # synchronous best-response rounds of ``solve_equilibria``
+    rounds: int  # synchronous Newton rounds of ``solve_equilibria``, one step per follower each
 
 
 @dataclass
