@@ -275,7 +275,7 @@ def validate_power_profile(net: NetworkInstance, p: np.ndarray, ndim=1) -> np.nd
     validate_rank("power profile", p, ndim, net.num_followers)
     if p.shape[-1] != net.num_followers:
         raise ValueError(f"power profile must have length {net.num_followers}")
-    if np.any(p < 0.0) or np.any(p > net.power_max) or not np.all(np.isfinite(p)):
+    if not ((p >= 0.0) & (p <= net.power_max)).all():  # NaN fails both comparisons, -inf the first, +inf the second
         raise ValueError("power profile out of [0, p_max] bounds")
     return p
 

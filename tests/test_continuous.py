@@ -220,9 +220,10 @@ def test_best_response_matches_the_bisection_reference(case, g, mu, pa, share):
     assert abs(br - root) <= 1e-9
 
 
-def test_best_response_rejects_bad_tol(hand2):
-    with pytest.raises(ValueError):
-        best_response(hand2, 1, np.zeros(2), np.zeros(2), tol=0.0)
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_best_response_rejects_bad_tol(hand2, tol):
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        best_response(hand2, 1, np.zeros(2), np.zeros(2), tol=tol)
 
 
 def test_algorithm1_single_follower_converges_fast(hand2):
@@ -773,6 +774,55 @@ def test_solve_equilibria_takes_one_gradient_evaluation_per_round(monkeypatch):
     batch = solve_equilibria(net, np.outer(sweep_grid(net, 40), np.ones(50)), init)
     assert batch.converged.all() and solves == []
     assert shapes == [((batch.rounds >= t).sum(), 50) for t in range(1, batch.rounds.max() + 1)]
+
+
+@pytest.mark.parametrize("solver", [solve_equilibria, run_algorithm1])
+@pytest.mark.parametrize(
+    ("name", "value"),
+    [("tol", 0.0), ("tol", -1.0), ("tol", math.nan), ("tol", math.inf), ("max_rounds", 0), ("max_rounds", -3),
+     ("max_rounds", 2.5)],
+)
+def test_both_solvers_refuse_invalid_settings(net3, solver, name, value):
+    # A tol of 0, -1 or NaN never settles a row, so the solve would run every
+    # round in silence; tol = inf settles after two rounds at a one-step
+    # profile; max_rounds < 1 returns the start, unconverged.
+    with pytest.raises(ValueError, match=f"{name} must be"):
+        solver(net3, np.zeros((2, 3)), np.zeros(3), **{name: value})
+
+
+def test_zero_price_equilibrium_refuses_an_infinite_tol(net3):
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        zero_price_equilibrium(net3, tol=math.inf)
+
+
+def test_solve_equilibria_accepts_a_numpy_integer_round_cap(net3):
+    batch = solve_equilibria(net3, np.zeros((2, 3)), np.zeros(3), max_rounds=np.int32(1))
+    assert np.array_equal(batch.rounds, [1, 1]) and not batch.converged.any()
+
+
+def test_the_zero_price_solve_of_topology_3_takes_the_secant_and_matches_the_reference(monkeypatch):
+    # At round 2 of default K = 6 topology 3's zero-price solve, follower 4's
+    # Newton step leaves its sign bracket, so the round forms the secant.
+    net = make_net(6, seed=3)
+    steps, newton_steps = [], continuous._newton_steps
+
+    def recorded(net, G, charge, p):
+        steps.append((G, charge, p))
+        return newton_steps(net, G, charge, p)
+
+    monkeypatch.setattr(continuous, "_newton_steps", recorded)
+    zero = np.zeros((1, 6))
+    batch = _assert_same_as_reference(net, zero, zero)
+    assert batch.converged[0] and len(steps) == batch.rounds[0] == 8
+    W, pa, p_max = net.bandwidth, net.circuit_power, net.power_max
+    left = []
+    for G, charge, p in steps:
+        interior = (W * G / pa - charge > 0.0) & ~(own_gradient(p_max, G, W, pa, charge) >= 0.0)
+        f, slope = own_scaled_gradient(p, G, W, pa, charge)
+        lo, hi = np.where(f > 0.0, p, 0.0), np.where(f > 0.0, p_max, p)
+        newton = p - f / slope
+        left.append(np.flatnonzero(interior & ~((newton >= lo) & (newton <= hi))).tolist())
+    assert left == [[], [3], [], [], [], [], [], []]
 
 
 @pytest.mark.parametrize("bad", [-1e-3, 2.0, np.nan])

@@ -351,6 +351,18 @@ def test_validate_prices_refuses_non_finite_and_negative_entries(net6, bad, shap
         validate_prices(net6, lam, ndim=ndim)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), -1.0, -5e-324, "above"])
+@pytest.mark.parametrize(("shape", "ndim"), [((6,), 1), ((3, 6), 2), ((6,), (1, 2)), ((3, 6), (1, 2))])
+def test_validate_power_profile_refuses_entries_outside_0_to_p_max(net6, bad, shape, ndim):
+    p = np.broadcast_to(net6.power_max / 2.0, shape).copy()
+    p.reshape(-1)[-1] = -0.0  # accepted: -0.0 >= 0
+    p.reshape(-1)[-2] = net6.power_max[-2]  # accepted: p_max itself
+    assert np.array_equal(validate_power_profile(net6, p, ndim=ndim), p)
+    p.reshape(-1)[-3] = np.nextafter(net6.power_max[-3], np.inf) if bad == "above" else bad  # in the last row
+    with pytest.raises(ValueError, match=r"out of \[0, p_max\] bounds"):
+        validate_power_profile(net6, p, ndim=ndim)
+
+
 _METRIC_ARGUMENTS = ["revenue profile", "revenue prices", "macro SINR profile"]
 
 
