@@ -1,16 +1,15 @@
 """Continuous-strategy follower game: best responses and equilibrium solvers.
 
 The best response maximizes the quasiconcave follower payoff over [0, p_max] at the root of its gradient, which
-changes sign at most once (+ to -); ``_boundary`` and ``_kept`` hold the rules for the ends. One root finder,
-``_best_responses`` (Newton steps on the scaled gradient, safeguarded by bisection), finds that root for any batch.
-Both solvers map (B, K) prices to an ``EquilibriumBatch``: ``run_algorithm1`` (the paper's Algorithm 1) moves
-followers 1..K in turn, each to its best response by one column step (``best_response`` is that step on one row), and
-``solve_equilibria`` moves all of them at once, each by one safeguarded Newton step on the same scaled gradient
-(``_newton_steps``), a one-step Newton-Jacobi method with the fixed points and the rate of nonlinear Jacobi iteration
-(Ortega & Rheinboldt 1970); its rounds keep the unsettled rows packed and form the secant and the damped step only
-where some row takes them. Where the paper's uniqueness condition holds, both reach the one fixed point (Yates 1995,
-standard interference functions). Outside it they may stop at different Nash points: default K = 200 topology 1 at
-sweep point 24 ends 9.1e-4 W apart.
+changes sign at most once (+ to -); ``_boundary`` and ``_kept`` hold the rules for the ends. One step rule moves
+toward that root: ``_newton_step``, a Newton step on the scaled gradient kept in its sign bracket by a secant. Both
+solvers map (B, K) prices to an ``EquilibriumBatch``: ``run_algorithm1`` (the paper's Algorithm 1) moves followers
+1..K in turn, each to its best response (``_best_responses`` repeats the step from 0 W; ``best_response`` is that
+column step on one row), and ``solve_equilibria`` moves all at once, one step each per round (``_newton_steps``), a
+Newton-Jacobi method with the fixed points and the rate of nonlinear Jacobi iteration (Ortega & Rheinboldt 1970).
+Where the paper's uniqueness condition holds, both reach the one fixed point (Yates 1995, standard interference
+functions). Outside it they may stop at different Nash points: default K = 200 topology 1 at sweep point 24 ends
+9.1e-4 W apart.
 """
 
 from __future__ import annotations
@@ -30,13 +29,14 @@ __all__ = [
     "solve_equilibria",
 ]
 
-MAX_STEPS = 200  # Newton or bisection steps a best response may take before BisectionError
+MAX_STEPS = 200  # Newton steps a best response may take before BisectionError
+BR_TOL = 1e-9  # W: a best response stops once a Newton step is this small (best_response's and Algorithm 1's tol)
 DAMPING = 0.5  # beta of the damped update p <- (1 - beta) p + beta N(p)
 NOISE = 1e-6  # a residual below NOISE * tol is rounding noise: it settles a row however slowly it shrinks
 
 
 class BisectionError(RuntimeError):
-    """A best-response root search failed to shrink below tolerance."""
+    """A best response took ``MAX_STEPS`` Newton steps without one shrinking to its tol."""
 
 
 @dataclass
@@ -54,17 +54,17 @@ def best_response(
     k: int,
     opponents: np.ndarray,
     prices: np.ndarray,
-    tol: float = 1e-9,
+    tol: float = BR_TOL,
 ) -> float:
     """Unique maximizer of follower k's payoff, k in 1..K, over [0, p_max[k]].
 
     ``opponents`` is a full length-K profile of finite powers >= 0, which may
     exceed p_max; entry k-1 is ignored but, like the prices, checked. This is
-    Algorithm 1's column step on one row, started from 0 W: the gradient sign
-    at the interval ends decides boundary solutions, an interior root is
-    found to within ``tol`` watts (a root smaller than ``tol`` still yields a
-    positive power), and the root is kept only if its payoff beats p_k = 0
-    (ties go to the smaller power).
+    Algorithm 1's column step on one row: the gradient sign at the interval
+    ends decides boundary solutions, an interior root is approached by Newton
+    steps from 0 W until one is <= ``tol`` watts (a root smaller than ``tol``
+    still yields a positive power), and the root is kept only if its payoff
+    beats p_k = 0 (ties go to the smaller power).
     """
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be finite and positive, got {tol}")
@@ -79,7 +79,7 @@ def best_response(
 def _column_best_responses(net: NetworkInstance, j: int, P, charge, tol: float) -> np.ndarray:
     """Best response of follower j + 1, from 0 W, to every profile of P (B, K); ``charge`` (B,) is lambda h_0."""
     G = net.own_gain[j] / interference(net, P)[:, j]
-    return _best_responses(net, G, charge, np.zeros_like(G), net.power_max[j], tol)
+    return _best_responses(net, G, charge, net.power_max[j], tol)
 
 
 def _batch(net: NetworkInstance, prices, init, tol, max_rounds) -> tuple[np.ndarray, np.ndarray]:
@@ -108,56 +108,42 @@ def run_algorithm1(
     ``damped`` is all False, and every row has the bits of its own one-row call.
     """
     prices, p = _batch(net, prices, init, tol, max_rounds)
-    charge = prices * net.gain[1:, 0]
-    converged = np.zeros(len(p), dtype=bool)
-    rounds = np.zeros(len(p), dtype=int)
-    rows = np.arange(len(p))
+    charge, B = prices * net.gain[1:, 0], len(p)
+    converged, rounds, rows = np.zeros(B, dtype=bool), np.zeros(B, dtype=int), np.arange(B)
     for t in range(1, max_rounds + 1):
         if not rows.size:
             break
         P = p[rows]
         for j in range(net.num_followers):
-            P[:, j] = _column_best_responses(net, j, P, charge[rows, j], 1e-9)  # best_response's default tol
+            P[:, j] = _column_best_responses(net, j, P, charge[rows, j], BR_TOL)
         settled = np.abs(P - p[rows]).max(axis=1) < tol
-        p[rows] = P
-        rounds[rows] = t
+        p[rows], rounds[rows] = P, t
         converged[rows[settled]] = True
         rows = rows[~settled]
-    return EquilibriumBatch(profiles=p, converged=converged, rounds=rounds, damped=np.zeros(len(p), dtype=bool))
+    return EquilibriumBatch(profiles=p, converged=converged, rounds=rounds, damped=np.zeros(B, dtype=bool))
 
 
-def _best_responses(net: NetworkInstance, G, charge, start, p_max, tol: float = 1e-9) -> np.ndarray:
+def _best_responses(net: NetworkInstance, G, charge, p_max, tol: float = BR_TOL) -> np.ndarray:
     """Best response for every entry of same-shaped arrays G = h_kk/interference, charge = lambda_k h_k0, in [0, p_max].
 
-    Boundary rules of ``_boundary`` and ``_kept``; interior roots by safeguarded Newton steps from ``start`` on the
-    scaled gradient ``own_scaled_gradient``, which falls strictly and has no 1/p pole. A step that stays inside the
-    closed sign bracket is taken, so an exact root ends the search at once; one that leaves it bisects the bracket
-    instead. The search stops once a step is <= tol W.
+    ``_boundary``'s rules, else ``_newton_step`` repeated from 0 W until a step is <= tol W, then ``_kept`` once: an
+    iterate it zeroed inside the loop would restart the steps from 0 W, which can cycle.
     """
-    W, pa = net.bandwidth, net.circuit_power
     p_max = np.broadcast_to(p_max, G.shape)
-    interior, out = _boundary(net, G, charge, p_max)[:2]
+    interior, out, head, tail, scale = _boundary(net, G, charge, p_max)
     idx = np.flatnonzero(interior)
-    G, c = G.ravel()[idx], charge.ravel()[idx]
-    lo, hi = np.zeros(idx.size), p_max.ravel()[idx]
-    x = np.clip(start.ravel()[idx], lo, hi)
-    flat = out.ravel()
+    G, c, p_max, head, tail, scale = (a.ravel()[idx] for a in (G, charge, p_max, head, tail, scale))
+    x, flat = np.zeros(idx.size), out.ravel()
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(MAX_STEPS):
             if idx.size == 0:
                 return out
-            f, slope = own_scaled_gradient(x, G, W, pa, c)
-            rising = f > 0.0
-            lo = np.where(rising, x, lo)
-            hi = np.where(rising, hi, x)
-            new = x - f / slope
-            new = np.where((new >= lo) & (new <= hi), new, 0.5 * (lo + hi))
-            done = np.abs(new - x) <= tol
-            x = new
+            new = _newton_step(net, G, c, x, p_max, True, head, tail, scale)  # every packed entry is interior
+            done, x = np.abs(new - x) <= tol, new
             if done.any():
                 flat[idx[done]] = _kept(net, x[done], G[done], c[done])
                 live = ~done
-                idx, G, c, lo, hi, x = (a[live] for a in (idx, G, c, lo, hi, x))
+                idx, G, c, p_max, head, tail, scale, x = (a[live] for a in (idx, G, c, p_max, head, tail, scale, x))
     if idx.size:
         raise BisectionError(f"{idx.size} best responses still above tol {tol:.3e} W after {MAX_STEPS} steps")
     return out
@@ -181,24 +167,29 @@ def _kept(net: NetworkInstance, p, G, charge) -> np.ndarray:
     return np.where(own_payoff(p, G * p, net.bandwidth, net.circuit_power, charge) > 0.0, p, 0.0)
 
 
-def _newton_steps(net: NetworkInstance, G, charge, p) -> np.ndarray:
-    """One Newton step on ``own_scaled_gradient`` from every power of p (B, K) toward its best response.
+def _newton_step(net: NetworkInstance, G, charge, p, p_max, interior, head, tail, scale) -> np.ndarray:
+    """One Newton step on ``own_scaled_gradient`` from every power p toward its best response, before ``_kept``.
 
-    Boundary rules of ``_boundary`` and ``_kept``, one ``where`` choosing between them. The step stays in the sign
-    bracket, [0, p] where f(p) < 0 and [p, p_max] where f(p) > 0; an interior Newton step that leaves it takes the
-    secant through the bracket's ends instead, whose end values are formed only in a call where some step does.
+    The step stays in its sign bracket, [0, p] where f(p) < 0 and [p, p_max] where f(p) > 0; an ``interior`` step
+    that leaves it takes the secant through the bracket's ends (f = p_a ``head`` and ``scale`` ``tail``, from
+    ``_boundary``), formed only in a call where some step does. Callers silence the division warnings.
     """
-    pa, p_max = net.circuit_power, net.power_max
-    interior, out, head, tail, scale = _boundary(net, G, charge, p_max)
-    f, slope = own_scaled_gradient(p, G, net.bandwidth, pa, charge)
+    f, slope = own_scaled_gradient(p, G, net.bandwidth, net.circuit_power, charge)
     rising = f > 0.0
     lo, hi = np.where(rising, p, 0.0), np.where(rising, p_max, p)
+    new = p - f / slope
+    off = interior & ~((new >= lo) & (new <= hi))
+    if off.any():  # f = (1 + G p)(p + p_a) * own_gradient at both ends
+        f_lo, f_hi = np.where(rising, f, net.circuit_power * head), np.where(rising, scale * tail, f)
+        new = np.where(off, lo - f_lo * (hi - lo) / (f_hi - f_lo), new)
+    return new
+
+
+def _newton_steps(net: NetworkInstance, G, charge, p) -> np.ndarray:
+    """One ``_newton_step`` from every power of p (B, K), kept by ``_kept``, where ``_boundary`` leaves it interior."""
+    interior, out, head, tail, scale = _boundary(net, G, charge, net.power_max)
     with np.errstate(divide="ignore", invalid="ignore"):
-        new = p - f / slope
-        off = interior & ~((new >= lo) & (new <= hi))
-        if off.any():  # f = (1 + G p)(p + p_a) * own_gradient at both ends
-            f_lo, f_hi = np.where(rising, f, pa * head), np.where(rising, scale * tail, f)
-            new = np.where(off, lo - f_lo * (hi - lo) / (f_hi - f_lo), new)
+        new = _newton_step(net, G, charge, p, net.power_max, interior, head, tail, scale)
         return np.where(interior, _kept(net, new, G, charge), out)
 
 

@@ -52,7 +52,11 @@ MAX_ROUNDS = 200  # discrete_equilibria's round-robin cap: rows still moving aft
 
 
 def default_action_sets(net: NetworkInstance, M: int = NUM_ACTIONS) -> np.ndarray:
-    """The Table power menu p^j = (j/M) * p_max,k for j = 0..M-1: a read-only (K, M) array, one row per follower."""
+    """The Table power menu p^j = (j/M) * p_max,k for j = 0..M-1: a read-only (K, M) array, one row per follower.
+
+    Refuses an M that is not an integer (a bool included) and one below 2."""
+    if isinstance(M, bool) or not isinstance(M, (int, np.integer)):
+        raise ValueError(f"M must be an integer, got {M!r}")
     if M < 2:
         raise ValueError("M must be >= 2")
     menu = np.outer(net.power_max, np.arange(M) / M)

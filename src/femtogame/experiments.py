@@ -125,8 +125,9 @@ class ExperimentSpec:
             raise ValueError("trials must be >= 1")
         if self.seed_base < 0:
             raise ValueError("seed_base must be >= 0")
-        if self.num_actions < 2:
-            raise ValueError("num_actions (the learner block's M) must be >= 2")
+        M = self.num_actions
+        if isinstance(M, bool) or not isinstance(M, (int, np.integer)) or M < 2:
+            raise ValueError(f"num_actions (the learner block's M) must be an integer >= 2, got {M!r}")
         if self.learn_max_iters < 1:
             raise ValueError("learn_max_iters must be >= 1")
         if self.num_followers < 1:

@@ -63,7 +63,7 @@ def grid_best_response(
     """Argmax of follower k's payoff over a uniform grid on [0, p_max].
 
     Vectorized over the whole grid with its own payoff expression (the
-    best-response root finder never touches this code path).
+    best-response Newton steps never touch this code path).
     """
     denom = _interference(net, k, np.asarray(opponents, dtype=float))
     grid = np.linspace(0.0, float(net.power_max[k - 1]), cfg.grid_points)

@@ -12,7 +12,7 @@ evaluate every follower of profiles shaped (..., K) through
 ``own_payoff`` and ``own_gradient`` hold the payoff and its own-power
 derivative as expressions in one follower's power; ``own_scaled_gradient``
 is that derivative times (1 + G p)(p + p_a), with its slope, the function
-the one best-response root finder (``continuous._best_responses``) runs
+the one best-response step rule (``continuous._newton_step``) takes its
 Newton steps on. ``sufficient_conditions`` evaluates the
 paper's sufficient conditions (uniqueness, increasing differences) and the
 cross derivatives for profiles shaped (..., K).

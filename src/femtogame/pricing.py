@@ -133,10 +133,13 @@ def price_grid(net: NetworkInstance, p_star: np.ndarray, direction, count: int) 
     1e-3 * min_k lambda^a_k / direction_k up to 10 * max_k cutoff_k / direction_k,
     both evaluated at the zero-price profile ``p_star``, so the efficiency
     plateau and the revenue roll-off both lie inside the grid. Refuses
-    ``count < 2``.
+    ``count < 2`` and a direction that is not finite and > 0.
     """
     if count < 2:
         raise ValueError(f"a price grid needs at least 2 points, got {count}")
+    d = np.asarray(direction, dtype=float)
+    if not np.all((d > 0.0) & (d < np.inf)):
+        raise ValueError(f"a price direction must be finite and > 0, got {direction!r}")
     lo = 1e-3 * float(np.min(asymptote_price(net, p_star) / direction))
     hi = 10.0 * float(np.max(cutoff_price(net, p_star) / direction))
     if hi <= lo:

@@ -147,8 +147,8 @@ def test_best_response_stays_inside_power_bracket(g, mu, pa, p_max):
             assert lo - 1e-9 <= br <= hi + 1e-9
 
 
-# The scalar bisection best response as it stood before best_response became a
-# one-entry call of the batched rtsafe root finder.
+# A scalar best response by bisection on own_gradient, independent of the
+# Newton steps that best_response takes.
 def _reference_best_response(net, k, opponents, prices, tol=1e-9):
     G = net.gain[k, k] / interference(net, opponents)[k - 1]
     lam_h = prices[k - 1] * net.gain[k, 0]
@@ -211,10 +211,11 @@ def test_best_response_matches_the_bisection_reference(case, g, mu, pa, share):
     br = best_response(net, 1, opp, prices)
     assert (br == 0.0) == (reference == 0.0) and (br == p_max) == (reference == p_max)
     # Each solver keeps its own 1e-9 W bound on the root, bisected to a few
-    # ulps here: bisection returns the midpoint of a bracket <= tol wide, and
-    # rtsafe stops on a step <= tol, which after a bisection step leaves the
-    # midpoint of a bracket up to 2 tol wide. So the two may differ by up to
-    # 1.5e-9 W (1.14e-9 W at g = 0.382, mu = 0.102, p_a = 1 W).
+    # ulps here: bisection returns the midpoint of a bracket <= tol wide, so
+    # the reference lies within tol / 2 of the root, and the Newton steps
+    # stop on a step <= tol, by when the root is far nearer than that step
+    # (6.7e-16 W off at g = 0.382, mu = 0.102, p_a = 1 W, where the
+    # reference is 1.75e-10 W off).
     root = _reference_best_response(net, 1, opp, prices, tol=4.0 * np.spacing(p_max))
     assert abs(reference - root) <= 0.5e-9
     assert abs(br - root) <= 1e-9
@@ -575,9 +576,10 @@ def test_solve_equilibria_rejects_invalid_init(net3, init):
         solve_equilibria(net3, np.zeros((1, 3)), np.array(init))
 
 
-# A frozen copy of continuous._best_responses: Newton steps on the scaled gradient
-# f = (1 + G p)(p + p_a) * own_gradient, taken while they stay inside the
-# closed sign bracket, bisection otherwise.
+# A frozen copy of an earlier continuous._best_responses, independent of
+# _newton_step: Newton steps on the scaled gradient
+# f = (1 + G p)(p + p_a) * own_gradient, taken while they stay inside a
+# carried closed sign bracket, bisection otherwise.
 def _frozen_best_responses(net, G, charge, start, tol=1e-9, max_iter=200):
     W, pa = net.bandwidth, net.circuit_power
     p_max = np.broadcast_to(net.power_max, G.shape)
@@ -744,7 +746,7 @@ def test_newton_steps_stay_inside_their_sign_bracket():
     W, pa = net.bandwidth, net.circuit_power
     G = net.own_gain / interference(net, np.zeros((1, 1)))
     charge = np.full((1, 1), 0.01) * net.gain[1:, 0]
-    root = _best_responses(net, G, charge, np.zeros((1, 1)), net.power_max)
+    root = _best_responses(net, G, charge, net.power_max)
     for start, leaves in ((0.0, lambda newton: newton > root), (2.5, lambda newton: newton < 0.0)):
         f, slope = own_scaled_gradient(start, G, W, pa, charge)
         assert leaves(start - f / slope)
@@ -755,6 +757,42 @@ def test_newton_steps_stay_inside_their_sign_bracket():
             p = continuous._newton_steps(net, G, charge, p)
             assert lo <= p <= hi and p > 0.0  # never silenced on the way to an interior root
         assert abs(p - root) <= 1e-9
+
+
+_ENTRY = st.tuples(
+    st.sampled_from(["silent", "interior", "p_max", "below tol"]),
+    _decade(-4.0, 5.0),
+    st.floats(min_value=1e-6, max_value=0.999),
+    st.floats(min_value=0.01, max_value=0.99),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(entries=st.lists(_ENTRY, min_size=1, max_size=8), pa=_decade(-3.0, 0.0), tol=st.sampled_from([1e-9, 1e-12]))
+def test_batched_best_responses_match_the_frozen_bisection_root_finder(entries, pa, tol):
+    # One batch of mixed entries, shaped as in test_best_response_matches_the_bisection_reference:
+    # entry k is follower k's G = g / p_a and charge = mu * its cutoff charge W G / p_a, with its own p_max.
+    W = 1e6
+    g, mu, p_max = [], [], []
+    for case, g_k, mu_k, share in entries:
+        if case == "silent":
+            mu_k = 1.0 / mu_k
+        elif case == "below tol":  # g scaled with p_a keeps the root ~ p_a (1 - mu) / g where it is at p_a = 1e-3 W
+            g_k, mu_k = (2e4 + share * 8e4) * pa / 1e-3, 0.999 - share * 0.009
+        lo, hi = _power_bracket(g_k, mu_k, pa, math.inf)
+        p_max.append(share * lo if case == "p_max" else (1.0 if case == "silent" else 2.0 * hi))
+        g.append(g_k)
+        mu.append(mu_k)
+    K = len(entries)
+    net = hand_net(gain=np.eye(K + 1) + 0.1, noise=np.ones(K + 1), bandwidth=W, circuit_power=pa, power_max=p_max)
+    G = np.array(g)[None] / pa
+    charge = np.array(mu)[None] * W * G / pa
+    br = _best_responses(net, G, charge, net.power_max, tol)
+    frozen = _frozen_best_responses(net, G, charge, np.zeros_like(G), tol=tol)
+    for (case, *_), root, top in zip(entries, frozen[0], p_max):
+        assert {"silent": root == 0.0, "interior": 0.0 < root < top, "p_max": root == top,
+                "below tol": 0.0 < root < 1e-9}[case]
+    assert np.all(np.abs(br - frozen) <= tol)
 
 
 def test_solve_equilibria_takes_one_gradient_evaluation_per_round(monkeypatch):

@@ -79,6 +79,18 @@ def test_default_menu_refuses_fewer_than_two_actions():
         default_action_sets(net, 1)
 
 
+@pytest.mark.parametrize("M", [2.5, 3.0, True, "3"])
+def test_default_menu_refuses_a_non_integer_action_count(M):
+    # M = 2.5 built the three-action menu [0, 0.4, 0.8] * p_max.
+    with pytest.raises(ValueError, match="M must be an integer"):
+        default_action_sets(make_net(2, seed=0), M)
+
+
+def test_default_menu_accepts_a_numpy_integer_action_count():
+    net = make_net(2, seed=0)
+    assert np.array_equal(default_action_sets(net, np.int64(3)), default_action_sets(net, 3))
+
+
 @pytest.mark.parametrize(
     "menu",
     [

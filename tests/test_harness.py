@@ -255,6 +255,8 @@ def test_experiment_spec_rejects_unknown_id():
         {"grid_count": 1},
         {"search_grid_count": 1},
         {"num_actions": 1},
+        {"num_actions": 2.5},  # wrote 40 fig4 rows with the menu [0, 0.4, 0.8] * p_max
+        {"num_actions": True},
         {"seed_base": -1},
         {"learn_max_iters": 0},
     ],
@@ -262,6 +264,10 @@ def test_experiment_spec_rejects_unknown_id():
 def test_experiment_spec_rejects_out_of_range_sizes(sizes):
     with pytest.raises(ValueError):
         ExperimentSpec("fig2-3-se-compare", **sizes)
+
+
+def test_experiment_spec_accepts_a_numpy_integer_action_count():
+    assert ExperimentSpec("fig4-discrete-sweep", num_actions=np.int32(3)).num_actions == 3
 
 
 def test_sweep_experiment_summary_and_rows(tmp_path):

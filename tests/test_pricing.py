@@ -211,6 +211,16 @@ def test_search_grid_is_the_sweep_grid(net3):
     assert np.array_equal(res.grid_revenues, [row[1] for row in continuous_sweep_rows(net3, sweep_grid(net3, 25))])
 
 
+@pytest.mark.parametrize(
+    "direction", [np.nan, [1.0, -1.0, 1.0], [1.0, np.inf, 1.0], 0.0, [1.0, 0.0, 1.0], -np.inf],
+    ids=["nan", "negative", "inf", "zero", "a-zero-entry", "-inf"],
+)
+def test_price_grid_refuses_a_direction_that_is_not_finite_and_positive(net3, direction):
+    # A NaN direction gave NaN multipliers, and [1, -1, 1] gave a grid from -5.97e11 through NaN to 5.2e17.
+    with pytest.raises(ValueError, match="price direction must be finite and > 0"):
+        pricing.price_grid(net3, zero_price_equilibrium(net3).profile, direction, 4)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     K=st.integers(min_value=1, max_value=4),
