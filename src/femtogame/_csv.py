@@ -1,8 +1,10 @@
 """Deterministic CSV emission shared by trace exports and experiments.
 
 Floats are serialized with repr() (shortest round-trip form, '.' decimal),
-text as-is, UTF-8 with a header row. Identical inputs yield byte-identical
-files, which the reproducibility tests rely on.
+text as-is, UTF-8 with a header row. A row that is a ``str`` is taken as an
+already formatted line (the learning trace export formats its own); any
+other row is a sequence of cells, each through ``format_cell``. Identical
+inputs yield byte-identical files, which the reproducibility tests rely on.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ def write_rows(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]
     appears whole or not at all: a refused row leaves ``path`` as it was and no temporary file behind. A rewrite
     keeps the permission bits of the file it replaces."""
     tmp = Path(f"{path}.{os.getpid()}.tmp")
-    lines = (",".join(map(format_cell, row)) for row in rows)
+    lines = (row if type(row) is str else ",".join(map(format_cell, row)) for row in rows)
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(",".join(header) + "\n")

@@ -84,10 +84,10 @@ def _column_best_responses(net: NetworkInstance, j: int, P, charge, tol: float) 
 
 def _batch(net: NetworkInstance, prices, init, tol, max_rounds) -> tuple[np.ndarray, np.ndarray]:
     """Validated (B, K) prices and a C-ordered (kernels round strided rows differently) copy of validated starts;
-    refuses a ``tol`` that is not finite and > 0 and a ``max_rounds`` that is not an integer >= 1."""
+    refuses a ``tol`` that is not finite and > 0 and a ``max_rounds`` that is not an integer >= 1 (a bool is not)."""
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be finite and positive, got {tol}")
-    if not isinstance(max_rounds, (int, np.integer)) or max_rounds < 1:
+    if isinstance(max_rounds, bool) or not isinstance(max_rounds, (int, np.integer)) or max_rounds < 1:
         raise ValueError(f"max_rounds must be an integer >= 1, got {max_rounds!r}")
     prices = validate_prices(net, prices, ndim=2)
     return prices, np.broadcast_to(validate_power_profile(net, init, ndim=(1, 2)), prices.shape).copy()

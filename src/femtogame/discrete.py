@@ -5,7 +5,8 @@ follower, keep a mixed strategy pi_k on their row, and learn from realized
 payoffs only: a fast timescale updates the per-action payoff estimates U_k
 (only the sampled action moves), a slow timescale nudges pi_k toward the
 Logit response of the current estimates. The slot loop reuses its buffers,
-draws uniforms in chunks and memoizes payoffs, bit for bit a per-slot loop.
+takes uniforms and step sizes in chunks and memoizes payoffs, bit for bit a
+per-slot loop.
 Expected payoffs under product-form strategies sum each follower's own
 action out by hand: its interference does not depend on its own power, so
 one interference column over the others' joint support (actions of
@@ -70,6 +71,10 @@ class PowerLawSchedule:
 
     The Table defaults are ``PowerLawSchedule()`` (1/t) for the payoff
     estimates and ``PowerLawSchedule(c=2.0)`` (1/t^2) for the strategies.
+    ``steps(t, n)`` gives the steps of slots t..t+n-1 as Python floats, each
+    by float ``**`` (C ``pow``; ``np.power``'s vector loop need not round
+    alike), and 0.0 where the power passes the float range, its limit; a
+    call is its one-entry view.
     """
 
     a: float = 1.0
@@ -81,10 +86,16 @@ class PowerLawSchedule:
             raise ValueError(f"need finite a > 0, b >= 0, c > 0; got {self.a}, {self.b}, {self.c}")
 
     def __call__(self, t: int) -> float:
-        try:
-            return self.a / (t + self.b) ** self.c
-        except OverflowError:  # the power passed the float range: the step is 0.0, its limit
-            return 0.0
+        return self.steps(t, 1)[0]
+
+    def steps(self, t: int, n: int) -> list[float]:
+        a, b, c, out = self.a, self.b, self.c, []
+        for s in range(t, t + n):
+            try:
+                out.append(a / (s + b) ** c)
+            except OverflowError:
+                out.append(0.0)
+        return out
 
 
 def validate_schedules(alpha1: PowerLawSchedule, alpha2: PowerLawSchedule) -> list[str]:
@@ -313,26 +324,29 @@ class LearningReport:
     def _trace_lines(self, pi_sep: str = ","):
         """Yield "t,k,expected power,pi" per slot and follower, 1-based, pi's entries joined by ``pi_sep``. A block of
         ``CHUNK_ROWS // K`` slots (a ``write_rows`` chunk) is refused (``ValueError``) if it holds NaN or inf, then
-        formatted by one ``%`` over its cells, filled a column at a time by slice (``%r`` is ``format_cell``'s text)."""
+        reprs each distinct float64 of the block once (``format_cell``'s text), keyed on its bit pattern so that -0.0
+        stays "-0.0", and formats its lines by one ``%`` over their cells."""
         K, M = self.pi_trace.shape[1:]
-        step, line = max(1, CHUNK_ROWS // (K or 1)), "%d,%d,%r," + pi_sep.join(["%r"] * M)
+        step, line = max(1, CHUNK_ROWS // (K or 1)), "%d,%d,%s," + pi_sep.join(["%s"] * M)
         for start in range(0, len(self.pi_trace), step):
             powers, pis = self.expected_power_trace[start : start + step], self.pi_trace[start : start + step]
             if not (np.isfinite(powers).all() and np.isfinite(pis).all()):
                 raise ValueError("non-finite value in learning trace")
-            cells = [None] * (powers.size * (3 + M))  # a line's 3 + M cells, line after line
-            cells[0 :: 3 + M] = np.arange(start + 1, start + len(pis) + 1).repeat(K).tolist()
-            cells[1 :: 3 + M], cells[2 :: 3 + M] = list(range(1, K + 1)) * len(pis), powers.reshape(-1).tolist()
-            for j in range(M):
-                cells[3 + j :: 3 + M] = pis[:, :, j].reshape(-1).tolist()
-            yield from ("\n".join([line] * powers.size) % tuple(cells)).splitlines()
+            values = np.concatenate((powers.reshape(-1, 1), pis.reshape(-1, M)), 1)  # each line's floats
+            bits, where = np.unique(values.view(np.int64), return_inverse=True)
+            cells = np.empty((len(values), 3 + M), object)  # a line's 3 + M cells, line after line
+            cells[:, 0] = np.arange(start + 1, start + len(pis) + 1).repeat(K)
+            cells[:, 1] = np.tile(np.arange(1, K + 1), len(pis))
+            cells[:, 2:] = np.array(list(map(repr, bits.view(float).tolist())), object)[where.reshape(values.shape)]
+            yield from ("\n".join([line] * len(values)) % tuple(cells.reshape(-1).tolist())).splitlines()
 
 
 def _learn(net: NetworkInstance, prices, state: LearningState, tol: float, window: int, max_iters: int, trace):
-    """``run_learning``'s slots; (iterations, converged). Slot i's pi goes to trace[(i - 1) % len(trace)], so
-    ``trace`` holds at least ``max_iters`` slots or exactly the ``window`` that the convergence check reads. The
-    slot arithmetic writes into arrays made once per call, reads the sampled estimates once and skips ``/ tau`` at
-    tau = 1 (x / 1.0 is x). Uniforms come ``BLOCK_CELLS // (K * M)`` slots at a time, laid out as
+    """``run_learning``'s slots; (iterations, converged). Slot i writes its pi straight into trace[(i - 1) %
+    len(trace)] (``state.pi`` takes the last on return), so ``trace`` holds at least ``max_iters`` slots or exactly
+    the ``window`` that the convergence check reads. The slot arithmetic writes into arrays made once per call with
+    ufuncs bound once, reads the sampled estimates once and skips ``/ tau`` at tau = 1 (x / 1.0 is x). Uniforms and
+    both schedules' ``steps`` come ``BLOCK_CELLS // (K * M)`` slots at a time, the uniforms laid out as
     ``_sample_actions`` compares them; a run that stops inside a chunk rewinds the generator and draws only the
     rows used. Payoffs are memoized per call (prices and menu are fixed) by joint action."""
     charge = validate_prices(net, prices) * net.gain[1:, 0]
@@ -342,6 +356,8 @@ def _learn(net: NetworkInstance, prices, state: LearningState, tol: float, windo
         ("tau", 0.0 < state.tau < math.inf, "finite and > 0"),
         ("t", state.t >= 0, ">= 0"),
         ("rng", isinstance(state.rng, np.random.Generator), "a numpy.random.Generator"),
+        ("alpha1", isinstance(state.alpha1, PowerLawSchedule), "a PowerLawSchedule"),  # the steps come per chunk
+        ("alpha2", isinstance(state.alpha2, PowerLawSchedule), "a PowerLawSchedule"),
         ("U", U.shape == menu.shape and np.isfinite(U).all(), f"finite and shaped {menu.shape}"),
         ("pi", pi.shape == menu.shape and (pi >= 0).all() and abs(pi.sum(axis=1) - 1).max() <= 1e-9, "row-stochastic"),
     ):
@@ -353,48 +369,54 @@ def _learn(net: NetworkInstance, prices, state: LearningState, tol: float, windo
     row_start = np.arange(0, K * M, M)
     rng, alpha1, alpha2, tau = state.rng, state.alpha1, state.alpha2, state.tau
     W, pa = net.bandwidth, net.circuit_power
+    add, subtract, multiply, divide, exp, sum_of = np.add, np.subtract, np.multiply, np.divide, np.exp, np.add.reduce
     memo, slots, start, rows, converged, w = {}, len(trace), 0, 0, False, 0
     draws = np.full((max(1, min(BLOCK_CELLS // (K * M), max_iters)), K, M), -1.0)  # -1.0: the sentinel column
     (cdf, e), (top, total), (u, step), gap = np.empty((2, K, M)), np.empty((2, K, 1)), np.empty((2, K)), np.empty(K * M)
-    pi_flat, ring, hit, cell = pi.reshape(-1), trace.reshape(slots, K * M), np.empty((K, M), bool), np.empty(K, int)
+    ring, hit, cell = trace.reshape(slots, K * M), np.empty((K, M), bool), np.empty(K, int)
+    best, top_flat = np.empty(K, int), top.reshape(-1)
+    a1, a2, keep = np.empty(()), np.empty(()), np.empty(())  # the slot's steps, as 0-d arrays (cheaper ufunc operands)
     for iterations in range(1, max_iters + 1):
         if iterations > start + rows:
             start, rows = start + rows, min(len(draws), max_iters - start - rows)
             saved = rng.bit_generator.state
             draws[:rows, :, :-1] = rng.random((rows, K))[:, :, None]
-        t = state.t + iterations
-        a1, a2 = alpha1(t), alpha2(t)
-        _sample_actions(pi, draws[iterations - 1 - start], cdf, hit, cell)
-        np.add(cell, row_start, cell)
+            steps1, steps2 = alpha1.steps(state.t + iterations, rows), alpha2.steps(state.t + iterations, rows)
+        i = iterations - 1 - start
+        a1[()], a2[()], keep[()] = steps1[i], steps2[i], 1.0 - steps2[i]
+        _sample_actions(pi, draws[i], cdf, hit, cell)
+        add(cell, row_start, cell)
         if (payoff := memo.get(key := cell.tobytes())) is None:
             p = menu_flat[cell]  # the pure joint action
             payoff = own_payoff(p, follower_sinr(net, p), W, pa, charge)
             if len(memo) < BLOCK_CELLS // (2 * K):  # keys and payoffs hold at most BLOCK_CELLS numbers
                 memo[key] = payoff  # never written in place
         U_flat.take(cell, None, u, "clip")  # the sampled estimates, read once ("clip" writes u unbuffered)
-        np.subtract(payoff, u, step)
-        np.multiply(step, a1, step)
-        U_flat[cell] = np.add(u, step, step)
-        np.maximum.reduce(U, 1, None, top, True)
-        np.subtract(U, top, e)
+        subtract(payoff, u, step)
+        multiply(step, a1, step)
+        U_flat[cell] = add(u, step, step)
+        # each row's largest estimate, by argmax and take (cheaper than maximum.reduce, and the same e: a NaN is
+        # the largest in both, and the sign of a zero maximum does not reach exp)
+        U_flat.take(add(U.argmax(1, best), row_start, best), None, top_flat, "clip")
+        subtract(U, top, e)
         if tau != 1.0:  # x / 1.0 is x
-            np.divide(e, tau, e)
-        np.exp(e, e)
-        np.divide(e, np.add.reduce(e, 1, None, total, True), e)
-        np.multiply(e, a2, e)
-        np.multiply(pi, 1.0 - a2, pi)
-        np.add(pi, e, pi)
-        trace[(iterations - 1) % slots] = pi
+            divide(e, tau, e)
+        exp(e, e)
+        divide(e, sum_of(e, 1, None, total, True), e)
+        multiply(e, a2, e)
+        row = trace[(now := (iterations - 1) % slots)]
+        pi = add(multiply(pi, keep, row), e, row)
         first = (iterations - window) % slots  # the window's first slot
         # max |pi - trace[first]| < tol, an exact pre-check of the range; w, the last largest gap, refuses most slots
-        if iterations >= window and abs(pi_flat[w] - ring[first, w]) < tol:
-            w = np.abs(np.subtract(pi_flat, ring[first], gap), gap).argmax()
+        if iterations >= window and abs(ring[now, w] - ring[first, w]) < tol:
+            w = np.abs(subtract(ring[now], ring[first], gap), gap).argmax()
             if gap[w] < tol and np.ptp(trace[first : first + window] if slots > window else trace, 0).max() < tol:
                 converged = True
                 break
     if iterations < start + rows:  # leave the generator where per-slot draws of K would
         rng.bit_generator.state = saved
         rng.random((iterations - start, K))
+    state.pi[...] = pi
     state.t += iterations
     return iterations, converged
 
@@ -467,6 +489,9 @@ class LearnerConfig:
         if not (0.0 < self.tau < np.inf and 0.0 <= self.tol < np.inf and self.window >= 2 and self.max_iters >= 1):
             raise ValueError(f"need window >= 2, max_iters >= 1 and tol >= 0, tau > 0 and both finite; got {self}")
         _validate_seed(self.rng_seed)
+        for name in ("alpha1", "alpha2"):
+            if not isinstance(schedule := getattr(self, name), PowerLawSchedule):
+                raise ValueError(f"{name} must be a PowerLawSchedule; got {schedule!r}")
 
     def run(self, net: NetworkInstance, action_sets, prices) -> LearningReport:
         """Learn from a fresh state (uniform strategies, this config's seed) at ``prices``."""
@@ -492,4 +517,4 @@ def write_learning_csv(report: LearningReport, path) -> None:
     """Export a learning trace CSV: iteration,k,expected_power,pi_0..pi_{M-1}; refuses a non-finite trace."""
     M = report.pi_trace.shape[2]
     header = ["iteration", "k", "expected_power"] + [f"pi_{j}" for j in range(M)]
-    write_rows(path, header, ((line,) for line in report._trace_lines()))
+    write_rows(path, header, report._trace_lines())

@@ -121,21 +121,13 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if self.experiment_id not in EXPERIMENT_IDS:
             raise ValueError(f"unknown experiment id {self.experiment_id!r}")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.seed_base < 0:
-            raise ValueError("seed_base must be >= 0")
-        M = self.num_actions
-        if isinstance(M, bool) or not isinstance(M, (int, np.integer)) or M < 2:
-            raise ValueError(f"num_actions (the learner block's M) must be an integer >= 2, got {M!r}")
-        if self.learn_max_iters < 1:
-            raise ValueError("learn_max_iters must be >= 1")
-        if self.num_followers < 1:
-            raise ValueError("num_followers must be >= 1")
+        for name, low in (("trials", 1), ("seed_base", 0), ("num_actions", 2), ("learn_max_iters", 1),
+                          ("num_followers", 1), ("grid_count", 2), ("search_grid_count", 2)):
+            value = getattr(self, name)  # num_actions is the learner block's M
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         if not self.k_values or min(self.k_values) < 1:
             raise ValueError("k_values must be a non-empty list of follower counts >= 1")
-        if self.grid_count < 2 or self.search_grid_count < 2:
-            raise ValueError("grid_count and search_grid_count must be >= 2")
 
 
 def config_hash(config: dict) -> str:

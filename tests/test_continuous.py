@@ -818,12 +818,13 @@ def test_solve_equilibria_takes_one_gradient_evaluation_per_round(monkeypatch):
 @pytest.mark.parametrize(
     ("name", "value"),
     [("tol", 0.0), ("tol", -1.0), ("tol", math.nan), ("tol", math.inf), ("max_rounds", 0), ("max_rounds", -3),
-     ("max_rounds", 2.5)],
+     ("max_rounds", 2.5), ("max_rounds", True)],
 )
 def test_both_solvers_refuse_invalid_settings(net3, solver, name, value):
     # A tol of 0, -1 or NaN never settles a row, so the solve would run every
     # round in silence; tol = inf settles after two rounds at a one-step
-    # profile; max_rounds < 1 returns the start, unconverged.
+    # profile; max_rounds < 1 returns the start, unconverged; True would be
+    # taken as one round.
     with pytest.raises(ValueError, match=f"{name} must be"):
         solver(net3, np.zeros((2, 3)), np.zeros(3), **{name: value})
 

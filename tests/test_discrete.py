@@ -167,6 +167,27 @@ def test_schedule_whose_power_overflows_steps_zero(c, t):
     assert np.allclose(rep.strategies.sum(axis=1), 1.0)
 
 
+@pytest.mark.parametrize(("a", "b", "c", "t", "n"), [(1.0, 0.0, 100.0, 1200, 20), (0.5, 2.5, 0.6, 1, 455)])
+def test_schedule_steps_equal_the_per_slot_steps_bit_for_bit(a, b, c, t, n):
+    # One chunk of steps is the per-slot expression a / (t + b) ** c, Python float by float, with its overflow rule:
+    # at c = 100 the power first passes the float range at t = 1210, inside the chunk.
+    schedule = PowerLawSchedule(a=a, b=b, c=c)
+
+    def step(s):
+        try:
+            return a / (s + b) ** c
+        except OverflowError:
+            return 0.0
+
+    chunk = schedule.steps(t, n)
+    assert all(type(x) is float for x in chunk)
+    want = [step(s) for s in range(t, t + n)]
+    assert np.array_equal(np.array(chunk).view(np.int64), np.array(want).view(np.int64))
+    assert np.array_equal(np.array([schedule(s) for s in range(t, t + n)]).view(np.int64), np.array(want).view(np.int64))
+    if c == 100.0:
+        assert chunk[9] > 0.0 and chunk[10:] == [0.0] * (n - 10)
+
+
 @pytest.mark.parametrize("field", ["a", "b", "c"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_power_law_schedule_rejects_non_finite_constants(field, value):
@@ -1106,6 +1127,8 @@ _SPOILED_STATES = {
     "t-negative": ("t", lambda s: setattr(s, "t", -3)),
     "rng-none": ("rng", lambda s: setattr(s, "rng", None)),
     "rng-legacy": ("rng", lambda s: setattr(s, "rng", np.random.RandomState(0))),
+    "alpha1-callable": ("alpha1", lambda s: setattr(s, "alpha1", lambda t: 1.0 / t)),
+    "alpha2-callable": ("alpha2", lambda s: setattr(s, "alpha2", lambda t: 1.0 / t**2)),
     "U-nan": ("U", lambda s: s.U.__setitem__((1, 2), float("nan"))),
     "U-shape": ("U", lambda s: setattr(s, "U", np.zeros((3, 3)))),
     "pi-shape": ("pi", lambda s: setattr(s, "pi", np.full((3, 3), 1.0 / 3.0))),
@@ -1126,6 +1149,13 @@ def test_run_learning_refuses_an_unusable_state_before_the_first_slot(net3, fiel
     assert state.t == before[0]
     np.testing.assert_array_equal(state.U, before[1])
     np.testing.assert_array_equal(state.pi, before[2])
+
+
+@pytest.mark.parametrize("field", ["alpha1", "alpha2"])
+def test_learner_config_refuses_a_schedule_that_is_not_a_power_law(field):
+    # The slot loop takes its steps a draw chunk at a time from PowerLawSchedule.steps; a bare callable has none.
+    with pytest.raises(ValueError, match=rf"{field} must be a PowerLawSchedule"):
+        LearnerConfig(**{field: lambda t: 1.0 / t})
 
 
 @pytest.mark.parametrize("max_iters, tol", [(0, 1e-3), (-5, 1e-3), (10, float("nan")), (10, -1.0)])
@@ -1225,6 +1255,31 @@ def test_learning_csv_bytes_match_the_cell_by_cell_export(tmp_path_factory, T, K
         write_learning_csv(report, where / "new.csv")
     assert (where / "new.csv").read_bytes() == (where / "old.csv").read_bytes()
     assert sorted(p.name for p in where.iterdir()) == ["new.csv", "old.csv"]
+
+
+def _cell_by_cell_lines(report, pi_sep):
+    """Each trace line rendered cell by cell with ``format_cell``."""
+    for t, (powers, pis) in enumerate(zip(report.expected_power_trace, report.pi_trace), start=1):
+        for k, (power, pi) in enumerate(zip(powers, pis), start=1):
+            yield f"{t},{k},{_csv.format_cell(power)}," + pi_sep.join(map(_csv.format_cell, pi))
+
+
+def test_learning_export_renders_signed_zeros_subnormals_and_repeats_as_format_cell(tmp_path):
+    # Three export blocks of CHUNK_ROWS // K slots, each holding 0.0 beside -0.0 (equal as floats, so a text cache
+    # keyed on the value would print one for the other), subnormals, and values repeated across columns and slots.
+    K, M = 3, 4
+    T = 2 * (_csv.CHUNK_ROWS // K) + 5
+    pool = np.array([0.0, -0.0, 5e-324, 2.5e-310, 0.1, 1.0 / 3.0, 1e16, -7.25])
+    rng = np.random.default_rng(7)
+    pi, power = rng.choice(pool, size=(T, K, M)), rng.choice(pool, size=(T, K))
+    for start in range(0, T, _csv.CHUNK_ROWS // K):
+        pi[start, 0, :2], power[start, :2] = (0.0, -0.0), (-0.0, 0.0)
+    report = _report(pi, power)
+    write_learning_csv(report, tmp_path / "trace.csv")
+    lines = (tmp_path / "trace.csv").read_text().splitlines()
+    assert lines[1:] == list(_cell_by_cell_lines(report, ","))
+    assert list(report._trace_lines(";")) == list(_cell_by_cell_lines(report, ";"))  # fig6-7's pi cell
+    assert any(",-0.0," in line for line in lines) and any(",0.0," in line for line in lines)
 
 
 @pytest.mark.parametrize("field", ["pi_trace", "expected_power_trace"])

@@ -213,6 +213,12 @@ def test_write_rows_produces_frozen_bytes(tmp_path):
     assert path.read_bytes() == b"a,b\n1,0.5\n1,2.0\n"
 
 
+def test_write_rows_writes_a_str_row_as_its_line(tmp_path):
+    path = tmp_path / "t.csv"
+    write_rows(path, ("a", "b"), ["1,0.5", (2, -0.0), "x;y,z"])
+    assert path.read_bytes() == b"a,b\n1,0.5\n2,-0.0\nx;y,z\n"
+
+
 def test_write_rows_refusing_a_row_mid_stream_keeps_the_file_it_would_replace(tmp_path, monkeypatch):
     monkeypatch.setattr(_csv, "CHUNK_ROWS", 3)  # four chunks reach the temporary file before the NaN row
     path = tmp_path / "t.csv"
@@ -264,6 +270,17 @@ def test_experiment_spec_rejects_unknown_id():
 def test_experiment_spec_rejects_out_of_range_sizes(sizes):
     with pytest.raises(ValueError):
         ExperimentSpec("fig2-3-se-compare", **sizes)
+
+
+@pytest.mark.parametrize(
+    "field", ["trials", "seed_base", "num_followers", "grid_count", "search_grid_count", "learn_max_iters"]
+)
+@pytest.mark.parametrize("value", [4.5, True, np.float64(3.0), "3"])
+def test_experiment_spec_refuses_a_count_that_is_not_an_integer(field, value):
+    # grid_count=4.5 wrote a failed row per trial, trials=1.5 ended in a bare TypeError inside the run, and a bool
+    # was taken as 0 or 1.
+    with pytest.raises(ValueError, match=rf"{field} must be an integer"):
+        ExperimentSpec("fig2-3-se-compare", **{field: value})
 
 
 def test_experiment_spec_accepts_a_numpy_integer_action_count():
