@@ -9,7 +9,6 @@ harness with a CLI front end.
 """
 
 from .continuous import (
-    BisectionError,
     EquilibriumBatch,
     best_response,
     run_algorithm1,

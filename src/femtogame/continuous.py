@@ -18,25 +18,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import NetworkInstance, interference, validate_follower
+from .network import NetworkInstance, _count, _real, interference, validate_follower
 from .payoff import own_payoff, own_scaled_gradient, validate_power_profile, validate_prices
 
 __all__ = [
-    "BisectionError",
     "EquilibriumBatch",
     "best_response",
     "run_algorithm1",
     "solve_equilibria",
 ]
 
-MAX_STEPS = 200  # Newton steps a best response may take before BisectionError
+MAX_STEPS = 200  # Newton steps a best response may take before it raises RuntimeError
 BR_TOL = 1e-9  # W: a best response stops once a Newton step is this small (best_response's and Algorithm 1's tol)
 DAMPING = 0.5  # beta of the damped update p <- (1 - beta) p + beta N(p)
 NOISE = 1e-6  # a residual below NOISE * tol is rounding noise: it settles a row however slowly it shrinks
-
-
-class BisectionError(RuntimeError):
-    """A best response took ``MAX_STEPS`` Newton steps without one shrinking to its tol."""
 
 
 @dataclass
@@ -64,10 +59,9 @@ def best_response(
     ends decides boundary solutions, an interior root is approached by Newton
     steps from 0 W until one is <= ``tol`` watts (a root smaller than ``tol``
     still yields a positive power), and the root is kept only if its payoff
-    beats p_k = 0 (ties go to the smaller power).
+    beats p_k = 0 (ties go to the smaller power). ``tol`` is a positive finite number (README, "Input checks").
     """
-    if not 0.0 < tol < np.inf:
-        raise ValueError(f"tol must be finite and positive, got {tol}")
+    _real(tol, "tol", need="finite and positive")
     k = validate_follower(net, k)
     opponents = np.asarray(opponents, dtype=float)
     if opponents.shape != (net.num_followers,) or not np.all(np.isfinite(opponents) & (opponents >= 0.0)):
@@ -84,11 +78,9 @@ def _column_best_responses(net: NetworkInstance, j: int, P, charge, tol: float) 
 
 def _batch(net: NetworkInstance, prices, init, tol, max_rounds) -> tuple[np.ndarray, np.ndarray]:
     """Validated (B, K) prices and a C-ordered (kernels round strided rows differently) copy of validated starts;
-    refuses a ``tol`` that is not finite and > 0 and a ``max_rounds`` that is not an integer >= 1 (a bool is not)."""
-    if not 0.0 < tol < np.inf:
-        raise ValueError(f"tol must be finite and positive, got {tol}")
-    if isinstance(max_rounds, bool) or not isinstance(max_rounds, (int, np.integer)) or max_rounds < 1:
-        raise ValueError(f"max_rounds must be an integer >= 1, got {max_rounds!r}")
+    refuses a ``tol`` that is not a positive finite number and a ``max_rounds`` that is not a count >= 1."""
+    _real(tol, "tol", need="finite and positive")
+    _count(max_rounds, "max_rounds", 1)
     prices = validate_prices(net, prices, ndim=2)
     return prices, np.broadcast_to(validate_power_profile(net, init, ndim=(1, 2)), prices.shape).copy()
 
@@ -127,7 +119,8 @@ def _best_responses(net: NetworkInstance, G, charge, p_max, tol: float = BR_TOL)
     """Best response for every entry of same-shaped arrays G = h_kk/interference, charge = lambda_k h_k0, in [0, p_max].
 
     ``_boundary``'s rules, else ``_newton_step`` repeated from 0 W until a step is <= tol W, then ``_kept`` once: an
-    iterate it zeroed inside the loop would restart the steps from 0 W, which can cycle.
+    iterate it zeroed inside the loop would restart the steps from 0 W, which can cycle. Entries still stepping after
+    ``MAX_STEPS`` steps raise a ``RuntimeError`` that names their count, tol and ``MAX_STEPS``.
     """
     p_max = np.broadcast_to(p_max, G.shape)
     interior, out, head, tail, scale = _boundary(net, G, charge, p_max)
@@ -145,7 +138,7 @@ def _best_responses(net: NetworkInstance, G, charge, p_max, tol: float = BR_TOL)
                 live = ~done
                 idx, G, c, p_max, head, tail, scale, x = (a[live] for a in (idx, G, c, p_max, head, tail, scale, x))
     if idx.size:
-        raise BisectionError(f"{idx.size} best responses still above tol {tol:.3e} W after {MAX_STEPS} steps")
+        raise RuntimeError(f"{idx.size} best responses still above tol {tol:.3e} W after {MAX_STEPS} steps")
     return out
 
 

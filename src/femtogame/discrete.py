@@ -25,7 +25,7 @@ import numpy as np
 
 from ._csv import CHUNK_ROWS, write_rows
 from .defaults import NUM_ACTIONS
-from .network import NetworkInstance, _validate_seed, follower_sinr, validate_follower
+from .network import NetworkInstance, _count, _probabilities, _real, follower_sinr, validate_follower
 from .payoff import leader_revenue, own_payoff, validate_prices
 
 __all__ = [
@@ -55,11 +55,8 @@ MAX_ROUNDS = 200  # discrete_equilibria's round-robin cap: rows still moving aft
 def default_action_sets(net: NetworkInstance, M: int = NUM_ACTIONS) -> np.ndarray:
     """The Table power menu p^j = (j/M) * p_max,k for j = 0..M-1: a read-only (K, M) array, one row per follower.
 
-    Refuses an M that is not an integer (a bool included) and one below 2."""
-    if isinstance(M, bool) or not isinstance(M, (int, np.integer)):
-        raise ValueError(f"M must be an integer, got {M!r}")
-    if M < 2:
-        raise ValueError("M must be >= 2")
+    Refuses an M that is not a count >= 2 (README, "Input checks")."""
+    M = _count(M, "M", 2)
     menu = np.outer(net.power_max, np.arange(M) / M)
     menu.setflags(write=False)
     return menu
@@ -82,8 +79,8 @@ class PowerLawSchedule:
     c: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.a < math.inf and 0.0 <= self.b < math.inf and 0.0 < self.c < math.inf):
-            raise ValueError(f"need finite a > 0, b >= 0, c > 0; got {self.a}, {self.b}, {self.c}")
+        for name, strict in (("a", True), ("b", False), ("c", True)):
+            _real(getattr(self, name), name, strict)
 
     def __call__(self, t: int) -> float:
         return self.steps(t, 1)[0]
@@ -119,12 +116,8 @@ def validate_schedules(alpha1: PowerLawSchedule, alpha2: PowerLawSchedule) -> li
 
 
 def validate_simplex(pi: np.ndarray, atol: float = 1e-12) -> None:
-    """Raise unless pi is componentwise in [0,1] (so finite) and sums to 1 within atol."""
-    pi = np.asarray(pi, dtype=float)
-    if not np.all((pi >= 0.0) & (pi <= 1.0)):
-        raise ValueError("probabilities must be finite and in [0, 1]")
-    if abs(float(pi.sum()) - 1.0) > atol:
-        raise ValueError(f"probabilities sum to {pi.sum()!r}, not 1")
+    """Raise unless every row of pi, (..., M), is componentwise in [0,1] (so finite) and sums to 1 within atol."""
+    _probabilities(pi, "probabilities", atol)
 
 
 def _validate_menu(action_sets, K: int) -> np.ndarray:
@@ -143,8 +136,7 @@ def _validate_strategies(action_sets, strategies, K: int) -> tuple[np.ndarray, n
     pi = np.asarray(strategies, dtype=float)
     if pi.shape != menu.shape:
         raise ValueError(f"strategies of shape {pi.shape} do not fit a {menu.shape} menu")
-    for row in pi:
-        validate_simplex(row)
+    validate_simplex(pi)
     return menu, pi
 
 
@@ -279,11 +271,12 @@ def initial_state(
     alpha2: PowerLawSchedule = PowerLawSchedule(c=2.0),
     rng_seed: int = 0,
 ) -> LearningState:
-    """Uniform strategies over the (K, M) menu, zero payoff estimates, step counter at 0."""
+    """Uniform strategies over the (K, M) menu, zero payoff estimates, step counter at 0. Refuses a menu that
+    ``_validate_menu`` refuses, a ``tau`` not positive and finite, an ``rng_seed`` not a count ("Input checks")."""
     menu = _validate_menu(action_sets, len(action_sets))
     K, M = menu.shape
-    if not tau > 0.0:
-        raise ValueError("tau must be positive")
+    _real(tau, "tau")
+    _count(rng_seed, "rng_seed", 0)
     return LearningState(
         powers=menu,
         U=np.zeros((K, M)),
@@ -352,17 +345,18 @@ def _learn(net: NetworkInstance, prices, state: LearningState, tol: float, windo
     charge = validate_prices(net, prices) * net.gain[1:, 0]
     menu = _validate_menu(state.powers, net.num_followers)
     state.U, state.pi = U, pi = np.ascontiguousarray(state.U, dtype=float), np.ascontiguousarray(state.pi, dtype=float)
+    _real(state.tau, "LearningState.tau")
+    _count(state.t, "LearningState.t", 0)
     for name, ok, need in (  # a state no slot can use is refused before the first, naming its field
-        ("tau", 0.0 < state.tau < math.inf, "finite and > 0"),
-        ("t", state.t >= 0, ">= 0"),
         ("rng", isinstance(state.rng, np.random.Generator), "a numpy.random.Generator"),
         ("alpha1", isinstance(state.alpha1, PowerLawSchedule), "a PowerLawSchedule"),  # the steps come per chunk
         ("alpha2", isinstance(state.alpha2, PowerLawSchedule), "a PowerLawSchedule"),
         ("U", U.shape == menu.shape and np.isfinite(U).all(), f"finite and shaped {menu.shape}"),
-        ("pi", pi.shape == menu.shape and (pi >= 0).all() and abs(pi.sum(axis=1) - 1).max() <= 1e-9, "row-stochastic"),
+        ("pi", pi.shape == menu.shape, f"shaped {menu.shape}"),
     ):
         if not ok:
             raise ValueError(f"LearningState.{name} must be {need}; got {getattr(state, name)!r}")
+    _probabilities(pi, "LearningState.pi")
     K, M = pi.shape
     menu_flat = menu.reshape(-1)
     U_flat = U.reshape(-1)  # a view, so writes through it land in U
@@ -447,10 +441,10 @@ def run_learning(
     shrinks in place on return; the expected powers are filled
     ``BLOCK_CELLS`` products at a time: a run peaks near 1.3x its trace.
     The generator ends where per-slot ``rng.random(K)`` draws leave it. A
-    ``state`` no slot can use is refused first, naming its field.
+    ``state`` no slot can use is refused first, naming its field, and so are a ``window`` or ``max_iters`` that is
+    not a count (>= 2, >= 1) and a ``tol`` that is not a finite number >= 0, bools included (README, "Input checks").
     """
-    if window < 2 or max_iters < 1 or not tol >= 0.0:
-        raise ValueError(f"need window >= 2, max_iters >= 1 and tol >= 0; got {window}, {max_iters}, {tol}")
+    _run_limits(tol, window, max_iters)
     trace = np.empty((max_iters, *np.shape(state.pi)))
     iterations, converged = _learn(net, prices, state, tol, window, max_iters, trace)
     trace.resize((iterations, *trace.shape[1:]), refcheck=False)  # no view of the buffer outlives _learn
@@ -467,6 +461,16 @@ def run_learning(
     )
 
 
+def _run_limits(tol, window: int, max_iters: int) -> None:
+    """Refuse, naming the field, a ``window`` or ``max_iters`` not a count >= 2 or 1, a ``tol`` not finite and >= 0."""
+    try:
+        _count(window, "window", 2)
+        _count(max_iters, "max_iters", 1)
+        _real(tol, "tol", strict=False)
+    except ValueError as exc:
+        raise ValueError(f"need window >= 2, max_iters >= 1 and tol >= 0: {exc}") from None
+
+
 @dataclass(frozen=True)
 class LearnerConfig:
     """Configuration of one discrete learning run; ``run`` carries it out.
@@ -474,7 +478,9 @@ class LearnerConfig:
     The defaults are the Table values: temperature 1, 1/t payoff-estimate
     steps and 1/t^2 strategy steps. Those break the two-timescale
     conditions (``validate_schedules``), so every run warns about them.
-    Values no run can use are refused on construction.
+    Refused on construction, naming the field: a ``tau`` not positive and finite, a ``tol`` not finite and >= 0,
+    a ``window``, ``max_iters`` or ``rng_seed`` not a count >= 2, 1 or 0 (README, "Input checks"), a schedule
+    that is not a ``PowerLawSchedule``.
     """
 
     tau: float = 1.0
@@ -486,9 +492,9 @@ class LearnerConfig:
     max_iters: int = 10_000
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.tau < np.inf and 0.0 <= self.tol < np.inf and self.window >= 2 and self.max_iters >= 1):
-            raise ValueError(f"need window >= 2, max_iters >= 1 and tol >= 0, tau > 0 and both finite; got {self}")
-        _validate_seed(self.rng_seed)
+        _real(self.tau, "tau")
+        _run_limits(self.tol, self.window, self.max_iters)
+        _count(self.rng_seed, "rng_seed", 0)
         for name in ("alpha1", "alpha2"):
             if not isinstance(schedule := getattr(self, name), PowerLawSchedule):
                 raise ValueError(f"{name} must be a PowerLawSchedule; got {schedule!r}")

@@ -36,7 +36,7 @@ from ._csv import write_rows
 from .continuous import solve_equilibria
 from .defaults import NUM_ACTIONS, default_constants, default_topology
 from .discrete import LearnerConfig, default_action_sets, discrete_equilibria
-from .network import NetworkInstance, TopologyConfig, generate_topology, sinr_macro
+from .network import NetworkInstance, TopologyConfig, _count, generate_topology, sinr_macro
 from .payoff import efficiencies, leader_revenue
 from .pricing import (
     PriceSearchConfig,
@@ -123,11 +123,11 @@ class ExperimentSpec:
             raise ValueError(f"unknown experiment id {self.experiment_id!r}")
         for name, low in (("trials", 1), ("seed_base", 0), ("num_actions", 2), ("learn_max_iters", 1),
                           ("num_followers", 1), ("grid_count", 2), ("search_grid_count", 2)):
-            value = getattr(self, name)  # num_actions is the learner block's M
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
-                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-        if not self.k_values or min(self.k_values) < 1:
+            _count(getattr(self, name), name, low)  # num_actions is the learner block's M
+        if not self.k_values:
             raise ValueError("k_values must be a non-empty list of follower counts >= 1")
+        for i, K in enumerate(self.k_values):
+            _count(K, f"k_values[{i}]", 1)
 
 
 def config_hash(config: dict) -> str:

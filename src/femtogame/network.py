@@ -85,22 +85,41 @@ class TopologyConfig:
     def __post_init__(self) -> None:
         positive = ("macro_radius", "femto_user_radius", "pathloss_exponent_fu", "pathloss_exponent_mu", "min_distance")
         for name in positive:
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
-        if not 0.0 <= self.shadowing_sigma_db < math.inf:
-            raise ValueError(f"shadowing_sigma_db must be >= 0 and finite, got {self.shadowing_sigma_db}")
-        _validate_seed(self.rng_seed)
+            _real(getattr(self, name), name)
+        _real(self.shadowing_sigma_db, "shadowing_sigma_db", strict=False)
+        _count(self.rng_seed, "rng_seed", 0)
 
 
-def _validate_seed(seed) -> None:
-    """Refuse an ``rng_seed`` that is not an integer >= 0; NumPy integers pass, a bool does not."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError(f"rng_seed must be an integer >= 0, got {seed!r}")
+def _count(value, name: str, low: int, high=math.inf) -> int:
+    """``value`` as an int if it is a Python or NumPy integer in ``low``..``high``; a bool, a fraction and a float of
+    integral value are not. Otherwise a ValueError naming ``name``. The rule for every count, seed and index."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not low <= value <= high:
+        span = f"with {name} >= {low}" if high == math.inf else f"in {low}..{high}"
+        raise ValueError(f"{name} must be an integer {span}, got {value!r}")
+    return int(value)
 
 
-@dataclass(frozen=True)
+def _real(value, name: str, strict: bool = True, need: str | None = None) -> None:
+    """Unless ``value`` is a finite number > 0 (>= 0 unless ``strict``) that numpy holds as an integer or a float, so
+    not a bool, a string or an array, a ValueError: ``name`` must be ``need`` ("positive and finite" by default)."""
+    x = np.asarray(value)
+    if not (x.ndim == 0 and x.dtype.kind in "iuf" and (x > 0.0 if strict else x >= 0.0) and x < math.inf):
+        raise ValueError(f"{name} must be {need or ('positive' if strict else '>= 0') + ' and finite'}, got {value!r}")
+
+
+def _probabilities(pi, name: str, atol: float = 1e-12) -> None:
+    """Unless every row of ``pi``, (..., M), is in [0, 1] (so finite) and sums to 1 within ``atol``, a ValueError."""
+    pi = np.asarray(pi, dtype=float)
+    bad = ~((pi >= 0.0) & (pi <= 1.0)).all(axis=-1) | (np.abs(pi.sum(axis=-1) - 1.0) > atol)
+    if bad.any():
+        row = pi[bad][0]
+        need = f"finite, in [0, 1] and sum to 1 within {atol:g}"
+        raise ValueError(f"{name} must be {need} in every row; {row!r} sums to {row.sum()!r}")
+
+
+@dataclass(frozen=True, eq=False)
 class NetworkInstance:
-    """Immutable snapshot of one scenario: gains, noise, and power limits.
+    """Immutable snapshot of one scenario: gains, noise, and power limits; compared and hashed by identity.
 
     Fields
     ------
@@ -140,12 +159,10 @@ class NetworkInstance:
     power_max: np.ndarray
     circuit_power: float
     mu_sinr_threshold: float
-    positions: dict = field(default_factory=dict, compare=False)
+    positions: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        K = self.num_followers
-        if K < 1:
-            raise ValueError("need at least one follower link")
+        K = _count(self.num_followers, "num_followers", 1)
         gain = np.asarray(self.gain, dtype=float)
         noise = np.asarray(self.noise, dtype=float)
         power_max = np.asarray(self.power_max, dtype=float)
@@ -155,20 +172,11 @@ class NetworkInstance:
             raise ValueError(f"noise must have length {K+1}")
         if power_max.shape != (K,):
             raise ValueError(f"power_max must have length {K}")
-        if not np.all(np.isfinite(gain)) or np.any(gain <= 0.0):
-            raise ValueError("all gains must be strictly positive and finite")
-        if not np.all(np.isfinite(noise)) or np.any(noise <= 0.0):
-            raise ValueError("all noise powers must be strictly positive")
-        if not np.all(np.isfinite(power_max)) or np.any(power_max <= 0.0):
-            raise ValueError("power_max entries must be in (0, inf)")
-        if not (self.circuit_power > 0.0 and math.isfinite(self.circuit_power)):
-            raise ValueError("circuit_power must be positive and finite")
-        if not (self.mu_power > 0.0 and math.isfinite(self.mu_power)):
-            raise ValueError("mu_power must be positive and finite")
-        if not (self.bandwidth > 0.0 and math.isfinite(self.bandwidth)):
-            raise ValueError("bandwidth must be positive and finite")
-        if not (self.mu_sinr_threshold > 0.0 and math.isfinite(self.mu_sinr_threshold)):
-            raise ValueError("mu_sinr_threshold must be positive and finite")
+        for name, values in (("gain", gain), ("noise", noise), ("power_max", power_max)):
+            if not ((values > 0.0) & (values < math.inf)).all():  # NaN fails both comparisons
+                raise ValueError(f"every {name} entry must be positive and finite")
+        for name in ("circuit_power", "mu_power", "bandwidth", "mu_sinr_threshold"):
+            _real(getattr(self, name), name)
         background = noise[1:] + gain[0, 1:] * self.mu_power
         own_gain = np.diagonal(gain)[1:].copy()
         cross_gain = gain[1:, 1:] - np.diag(own_gain)
@@ -224,9 +232,7 @@ def generate_topology(
     -------
     NetworkInstance
     """
-    if num_followers < 1:
-        raise ValueError("num_followers must be >= 1")
-    K = num_followers
+    K = _count(num_followers, "num_followers", 1)
     rng = np.random.default_rng(cfg.rng_seed)
 
     mbs = np.zeros(2)
@@ -290,9 +296,7 @@ def validate_rank(what: str, x: np.ndarray, ndim, K: int) -> None:
 
 def validate_follower(net: NetworkInstance, k) -> int:
     """Check k is an integer follower index 1..K (0 is the macro link); returns it as an int."""
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 1 <= k <= net.num_followers:
-        raise ValueError(f"follower index must be an integer in 1..{net.num_followers}, got {k!r}")
-    return int(k)
+    return _count(k, "follower index", 1, net.num_followers)
 
 
 def sinr_macro(net: NetworkInstance, p: np.ndarray):

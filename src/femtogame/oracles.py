@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import NetworkInstance
+from .network import NetworkInstance, _count
 
 __all__ = [
     "OracleConfig",
@@ -33,8 +33,7 @@ class OracleConfig:
     grid_points: int = 1_000_000
 
     def __post_init__(self) -> None:
-        if self.grid_points < 1_000:
-            raise ValueError("grid_points must be >= 1000")
+        _count(self.grid_points, "grid_points", 1_000)
 
 
 def _interference(net: NetworkInstance, k: int, profile) -> float:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .continuous import solve_equilibria
 from .discrete import LearnerConfig, _expected_payoffs, expected_powers
-from .network import NetworkInstance, interference, sinr_macro, validate_power_profile
+from .network import NetworkInstance, _count, interference, sinr_macro, validate_power_profile
 from .payoff import leader_revenue
 
 __all__ = [
@@ -44,7 +44,7 @@ class PriceSearchConfig:
     of the per-link asymptote prices, charging x * lambda^a_k to link k; the
     multipliers run from 1e-3 to 10 * max_k cutoff_k / lambda^a_k, so the
     largest multiplier silences every link (``price_grid``). ``grid_count``
-    sizes the first grid and every zoom pass.
+    sizes the first grid and every zoom pass; it must be a count >= 2 (README, "Input checks").
     """
 
     mode: str = "uniform-price"
@@ -53,8 +53,7 @@ class PriceSearchConfig:
     def __post_init__(self) -> None:
         if self.mode not in ("uniform-price", "per-link"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.grid_count < 2:
-            raise ValueError("grid_count must be >= 2")
+        _count(self.grid_count, "grid_count", 2)
 
 
 @dataclass
@@ -132,11 +131,11 @@ def price_grid(net: NetworkInstance, p_star: np.ndarray, direction, count: int) 
     The prices are x * direction. The multipliers span
     1e-3 * min_k lambda^a_k / direction_k up to 10 * max_k cutoff_k / direction_k,
     both evaluated at the zero-price profile ``p_star``, so the efficiency
-    plateau and the revenue roll-off both lie inside the grid. Refuses
-    ``count < 2`` and a direction that is not finite and > 0.
+    plateau and the revenue roll-off both lie inside the grid. Refuses a
+    ``count`` that is not an integer >= 2 (a bool, 2.5 and 3.0 included;
+    README, "Input checks") and a direction that is not finite and > 0.
     """
-    if count < 2:
-        raise ValueError(f"a price grid needs at least 2 points, got {count}")
+    _count(count, "count", 2)
     d = np.asarray(direction, dtype=float)
     if not np.all((d > 0.0) & (d < np.inf)):
         raise ValueError(f"a price direction must be finite and > 0, got {direction!r}")
@@ -245,10 +244,10 @@ def run_algorithm2(
     computes the expected macro SINR from the reported strategies' expected
     powers, and while the target is unmet applies ``algorithm2_price_step``
     and re-learns. Hitting ``max_outer`` returns a flagged partial result.
-    Refuses ``max_outer < 0``.
+    Refuses a ``max_outer`` that is not a count >= 0, so a bool or 2.5 (README,
+    "Input checks"); ``learner`` checked its own fields on construction.
     """
-    if max_outer < 0:
-        raise ValueError(f"need max_outer >= 0; got {max_outer}")
+    _count(max_outer, "max_outer", 0)
     K = net.num_followers
     prices = np.zeros(K)
     flagged = np.zeros(K, dtype=bool)

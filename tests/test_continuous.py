@@ -227,6 +227,14 @@ def test_best_response_rejects_bad_tol(hand2, tol):
         best_response(hand2, 1, np.zeros(2), np.zeros(2), tol=tol)
 
 
+def test_best_response_raises_a_runtime_error_when_its_steps_run_out(hand2, monkeypatch):
+    # Zero prices leave follower 1 an interior root, which one Newton step from 0 W does not reach within tol.
+    assert 0.0 < best_response(hand2, 1, np.zeros(2), np.zeros(2)) < hand2.power_max[0]
+    monkeypatch.setattr(continuous, "MAX_STEPS", 1)
+    with pytest.raises(RuntimeError, match=r"^1 best responses still above tol 1\.000e-09 W after 1 steps$"):
+        best_response(hand2, 1, np.zeros(2), np.zeros(2))
+
+
 def test_algorithm1_single_follower_converges_fast(hand2):
     net = hand_net(gain=[[1.0, 0.2], [0.3, 4.0]], noise=[0.1, 0.1], circuit_power=0.5)
     prices = np.array([0.5])

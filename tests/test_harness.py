@@ -1050,7 +1050,7 @@ def test_cli_learn_refuses_bad_learner_values_before_learning(tmp_path, capsys, 
     out = tmp_path / "learn.csv"
     assert cli.main(["learn", "--config", str(path), "--followers", "2", "--out", str(out)]) == cli.EXIT_BAD_INPUT
     captured = capsys.readouterr()
-    assert "need" in captured.err and "iterations" not in captured.out
+    assert "must be" in captured.err and "iterations" not in captured.out
     assert not out.exists()
 
 
@@ -1100,7 +1100,7 @@ def test_failed_trials_keep_their_rows_and_messages(tmp_path, monkeypatch, exper
     assert summary["per_trial" if per_k else "per_seed"] == []
     keys = [(f.get("k"), f["seed"]) for f in summary["failures"]]
     assert keys == [(k if per_k else None, s) for k in ((2, 3) if per_k else (2,)) for s in (0, 1)]
-    assert all(f["error"] == "ValueError: M must be >= 2" for f in summary["failures"])
+    assert all(f["error"] == "ValueError: M must be an integer with M >= 2, got 1" for f in summary["failures"])
 
 
 @pytest.mark.parametrize("demo", sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py")),

@@ -77,6 +77,14 @@ def test_seed_determinism():
     assert not np.array_equal(a.gain, c.gain)
 
 
+def test_networks_compare_and_hash_by_identity():
+    # Field-wise equality compared the gain arrays with ==, which raised "truth value is ambiguous", and the
+    # ndarray fields made hash() raise TypeError.
+    a, b = make_net(4, seed=3), make_net(4, seed=3)
+    assert a == a and a != b and not a == b
+    assert hash(a) == hash(a) and a in {a} and len({a, b}) == 2
+
+
 def test_min_distance_clamp_gives_unit_gain():
     # FU dropped essentially on top of its FAP: distance clamps to 1 m and
     # the intra-femto exponent 4 gives gain exactly 1.
